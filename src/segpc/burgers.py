@@ -14,8 +14,12 @@ exit x = 1 both velocity components satisfy du/dx = dv/dx = 0, discretized
 with second-order one-sided differences.
 
 The nonlinear system is driven below a 1e-10 max-norm residual by damped
-Newton iterations preceded by a few Picard (frozen-coefficient) steps; all
-linear systems use a sparse direct factorization.
+Newton iterations.  A cold solve starts from the inlet profile copied through
+the domain and takes a few Picard (frozen-coefficient) steps first; a warm
+solve starts from a given converged state with the sample's inlet written in
+and goes straight to Newton.  :class:`BurgersModel` warm-starts every sample
+from its own nominal state.  All linear systems use a sparse direct
+factorization.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -47,6 +51,7 @@ under grid refinement.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,9 @@ import scipy.sparse.linalg
 from .errors import AdjointSolveError, SolverDivergenceError
 from .models import Model, ModelEvaluation
 from .spaces import Gaussian, StochasticSpace
+
+#: fill-reducing column ordering for every sparse LU factorization here
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 #: inlet-coefficient means of the reference 10-parameter configuration
 NOMINAL_INLET_COEFFS = np.array(
@@ -237,8 +245,13 @@ def burgers_solve(
     tol=1e-10,
     max_iter=60,
     picard_iters=3,
+    start=None,
 ):
     """Solve the direct problem for the given free inlet coefficients.
+
+    ``start`` is an optional :class:`BurgersState` on the same grid and
+    Reynolds number; the iteration then starts from its fields with this
+    inlet profile written in (pass ``picard_iters=0`` for pure Newton).
 
     Raises :class:`SolverDivergenceError` if the damped iteration cannot reach
     the residual tolerance.
@@ -255,12 +268,22 @@ def burgers_solve(
     u_in = inlet_u_profile(s_full, y)
     v_in = inlet_v_profile(y)
 
-    u = np.tile(u_in, (n, 1))
-    v = np.tile(v_in, (n, 1))
-    u[:, 0] = 0.0
-    u[:, -1] = 0.0
-    v[:, 0] = 0.0
-    v[:, -1] = 0.0
+    if start is None:
+        u = np.tile(u_in, (n, 1))
+        v = np.tile(v_in, (n, 1))
+        u[:, 0] = 0.0
+        u[:, -1] = 0.0
+        v[:, 0] = 0.0
+        v[:, -1] = 0.0
+    else:
+        if start.n_grid != n or start.re != float(re):
+            raise ValueError(
+                f"start state is for N={start.n_grid}, Re={start.re}; "
+                f"this solve is for N={n}, Re={float(re)}"
+            )
+        u = start.u.copy()
+        v = start.v.copy()
+        u[0, 1:-1] = u_in[1:-1]
 
     res = _residual(u, v, nu, h, u_in, v_in)
     res_norm = float(np.max(np.abs(res)))
@@ -271,7 +294,7 @@ def burgers_solve(
         newton = iteration >= picard_iters
         jac = _direct_jacobian(u, v, nu, h, newton=newton)
         try:
-            delta = scipy.sparse.linalg.splu(jac).solve(-res)
+            delta = scipy.sparse.linalg.splu(jac, permc_spec=PERMC_SPEC).solve(-res)
         except RuntimeError as exc:
             raise SolverDivergenceError(
                 f"linearized system factorization failed: {exc}",
@@ -398,7 +421,7 @@ def burgers_adjoint(state):
         shape=(2 * size, 2 * size),
     )
     try:
-        solution = scipy.sparse.linalg.splu(matrix).solve(rhs)
+        solution = scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC).solve(rhs)
     except RuntimeError as exc:
         raise AdjointSolveError(f"adjoint factorization failed: {exc}") from exc
     if not np.all(np.isfinite(solution)):
@@ -424,11 +447,29 @@ def burgers_adjoint(state):
     )
 
 
+@contextmanager
+def _located(xi):
+    """Re-raise a solver failure with the standardized point in its message."""
+    try:
+        yield
+    except (SolverDivergenceError, AdjointSolveError) as exc:
+        where = ", ".join(f"{x:.6g}" for x in np.atleast_1d(xi))
+        message = f"{exc} at standardized point [{where}]"
+        if isinstance(exc, SolverDivergenceError):
+            raise SolverDivergenceError(
+                message, residual=exc.residual, iterations=exc.iterations
+            ) from exc
+        raise AdjointSolveError(message) from exc
+
+
 class BurgersModel(Model):
     """Exit kinetic energy of the Burgers flow as a function of the inlet.
 
     The free inlet coefficients are independent Gaussians with the given
-    means and standard deviations (default std = |mean| / 5).
+    means and standard deviations (default std = |mean| / 5).  The flow at
+    the mean inlet is solved cold once, at construction; every evaluation
+    warm-starts Newton from that state, so results do not depend on the
+    order or the process in which points are evaluated.
     """
 
     name = "burgers"
@@ -453,17 +494,25 @@ class BurgersModel(Model):
         self.s_std = s_std
         self.re = float(re)
         self.n_grid = int(n_grid)
+        self._nominal = burgers_solve(self.s_mean, re=self.re, n_grid=self.n_grid)
 
-    def _coeffs(self, xi):
-        return self.space.destandardize(np.asarray(xi, dtype=float))
+    def _solve(self, xi):
+        return burgers_solve(
+            self.space.destandardize(np.asarray(xi, dtype=float)),
+            re=self.re,
+            n_grid=self.n_grid,
+            start=self._nominal,
+            picard_iters=0,
+        )
 
     def value(self, xi):
-        state = burgers_solve(self._coeffs(xi), re=self.re, n_grid=self.n_grid)
-        return burgers_qoi(state)
+        with _located(xi):
+            return burgers_qoi(self._solve(xi))
 
     def value_and_grad(self, xi):
-        state = burgers_solve(self._coeffs(xi), re=self.re, n_grid=self.n_grid)
-        adjoint = burgers_adjoint(state)
+        with _located(xi):
+            state = self._solve(xi)
+            adjoint = burgers_adjoint(state)
         grad = adjoint.gradient * self.space.scales
         return ModelEvaluation(
             value=burgers_qoi(state), gradient=grad, cost_units=2

@@ -158,7 +158,8 @@ def qr_select(meas, n_sel):
             f"cannot select {n_sel} points: pool has {meas.q}, basis has "
             f"{n_terms} terms"
         )
-    _, r_mat, piv = pivoted_qr(meas.weighted().T)
+    # mode="r": the Q factor is never read, so LAPACK never forms it
+    r_mat, piv = scipy.linalg.qr(meas.weighted().T, mode="r", pivoting=True)
     r_diag = np.abs(np.diag(r_mat))[:n_sel]
     if r_diag[0] == 0.0 or np.any(r_diag < RANK_TOL * r_diag[0]):
         raise RankDeficientError(
@@ -167,7 +168,7 @@ def qr_select(meas, n_sel):
         )
     selected = piv[:n_sel].copy()
     pool_points = meas.pool.points if hasattr(meas.pool, "points") else meas.pool
-    sub = meas.weighted()[selected, :]
+    sub = meas.psi[selected] * meas.w_sqrt[selected, None]
     cond_number = float(np.linalg.cond(sub))
     return DesignPlan(
         selected=selected,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import segpc.burgers
 from segpc import (
     NOMINAL_INLET_COEFFS,
     BurgersState,
@@ -134,6 +135,54 @@ def test_model_space_and_chain_rule(nominal_state):
     assert ev.value == pytest.approx(burgers_qoi(nominal_state), rel=1e-12)
     adj = burgers_adjoint(nominal_state)
     assert ev.gradient == pytest.approx(adj.gradient * stds, rel=1e-12)
+
+
+def test_warm_start_matches_cold(nominal_state):
+    model = burgers_model(n_grid=21)
+    pool = model.space.sample_pool(20, seed=3).points
+    far = 4.0 * (-1.0) ** np.arange(model.space.m)
+    for xi in np.vstack([pool, far, -far]):
+        coeffs = model.space.destandardize(xi)
+        cold = burgers_solve(coeffs, re=250.0, n_grid=21)
+        warm = burgers_solve(
+            coeffs, re=250.0, n_grid=21, start=nominal_state, picard_iters=0
+        )
+        assert cold.residual_norm <= 1e-10
+        assert warm.residual_norm <= 1e-10
+        assert burgers_qoi(warm) == pytest.approx(burgers_qoi(cold), rel=1e-5)
+        assert warm.iterations <= 6
+
+
+def test_warm_start_rejects_other_problem(nominal_state):
+    with pytest.raises(ValueError):
+        burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=11, start=nominal_state)
+    with pytest.raises(ValueError):
+        burgers_solve(NOMINAL_INLET_COEFFS, re=100.0, n_grid=21, start=nominal_state)
+
+
+def test_model_value_at_nominal(nominal_state):
+    model = burgers_model(n_grid=21)
+    assert model.value(np.zeros(10)) == pytest.approx(
+        burgers_qoi(nominal_state), rel=1e-12
+    )
+
+
+def test_model_failure_names_point(monkeypatch):
+    model = burgers_model(n_grid=11)
+    cold_solve = segpc.burgers.burgers_solve
+
+    def one_cold_step(s_free, re, n_grid, **kwargs):
+        return cold_solve(s_free, re=re, n_grid=n_grid, max_iter=1)
+
+    monkeypatch.setattr(segpc.burgers, "burgers_solve", one_cold_step)
+    xi = np.full(10, 0.5)
+    for evaluate in (model.value, model.value_and_grad):
+        with pytest.raises(SolverDivergenceError, match=r"point \[0\.5, 0\.5") as info:
+            evaluate(xi)
+        cause = info.value.__cause__
+        assert isinstance(cause, SolverDivergenceError)
+        assert info.value.iterations == cause.iterations == 1
+        assert info.value.residual == cause.residual
 
 
 def test_model_validation():

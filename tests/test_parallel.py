@@ -1,6 +1,6 @@
 import numpy as np
 
-from segpc import ishigami_model, monte_carlo_moments
+from segpc import burgers_model, ishigami_model, monte_carlo_moments
 from segpc.parallel import evaluate_values, evaluate_with_gradients
 
 
@@ -15,6 +15,18 @@ def test_values_worker_invariance():
 def test_gradients_worker_invariance():
     model = ishigami_model()
     pts = model.space.sample_pool(16, seed=1).points
+    v1, g1 = evaluate_with_gradients(model, pts, workers=1)
+    v2, g2 = evaluate_with_gradients(model, pts, workers=2)
+    assert np.array_equal(v1, v2)
+    assert np.array_equal(g1, g2)
+
+
+def test_burgers_worker_invariance():
+    model = burgers_model(n_grid=11)
+    pts = model.space.sample_pool(8, seed=4).points
+    v1 = evaluate_values(model, pts, workers=1)
+    v2 = evaluate_values(model, pts, workers=2)
+    assert np.array_equal(v1, v2)
     v1, g1 = evaluate_with_gradients(model, pts, workers=1)
     v2, g2 = evaluate_with_gradients(model, pts, workers=2)
     assert np.array_equal(v1, v2)
