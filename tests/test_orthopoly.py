@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from tests_support import dense_basis_eval
 
 from segpc import (
     ChaosBasis,
@@ -13,6 +14,7 @@ from segpc import (
     univariate_eval,
     univariate_table,
 )
+from segpc.orthopoly import EVAL_BLOCK
 
 
 def _numpy_orthonormal(family, degree, x):
@@ -158,3 +160,51 @@ def test_orthonormality_gram_identity(m, p):
     psi = basis.eval(rule.nodes)
     gram = psi.T @ (rule.weights[:, None] * psi)
     assert np.max(np.abs(gram - np.eye(basis.n_terms))) < 1e-12
+
+
+def _space(kind, m):
+    if kind == "hermite":
+        return StochasticSpace([Gaussian()] * m)
+    if kind == "legendre":
+        return StochasticSpace([Uniform()] * m)
+    return StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(m)])
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+@pytest.mark.parametrize(
+    "m,p", [(1, 0), (1, 1), (1, 2), (1, 5), (1, 10), (3, 0), (3, 1), (3, 2),
+            (3, 5), (3, 10), (10, 0), (10, 1), (10, 2)]
+)
+def test_basis_eval_bit_identical_to_dense_products(kind, m, p):
+    basis = ChaosBasis(_space(kind, m), p)
+    rng = np.random.default_rng(100 * m + p)
+    for n in (0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 7):
+        points = 2.0 * rng.standard_normal((n, m))
+        assert _same_bits(basis.eval(points), dense_basis_eval(basis, points))
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+def test_basis_eval_bit_identical_on_awkward_inputs(kind):
+    basis = ChaosBasis(_space(kind, 3), 4)
+    rng = np.random.default_rng(5)
+    wide = rng.uniform(-1.5, 1.5, (EVAL_BLOCK + 9, 5))
+    cases = [
+        wide[0, :3],  # a single point
+        wide[:, 1:4],  # column slice: rows are not contiguous
+        np.asfortranarray(wide[:, :3]),
+    ]
+    special = wide[:, :3].copy()
+    special[3, 0] = np.nan
+    special[7, 2] = np.inf
+    special[EVAL_BLOCK + 2, 1] = -np.inf
+    special[8] = [np.nan, np.inf, -np.inf]
+    cases.append(special)
+    with np.errstate(invalid="ignore"):
+        for points in cases:
+            assert _same_bits(basis.eval(points), dense_basis_eval(basis, points))

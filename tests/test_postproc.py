@@ -1,13 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from tests_support import dense_basis_eval
 
 from segpc import (
     ChaosBasis,
     FitReport,
     Gaussian,
     PceSurrogate,
+    RunningMoments,
     StochasticSpace,
     Uniform,
     higher_moments,
@@ -107,6 +110,36 @@ def test_higher_moments_surrogate_mc_close_to_quadrature():
     assert sampled.kurtosis == pytest.approx(exact.kurtosis, abs=0.3)
     with pytest.raises(ValueError):
         higher_moments(sur, scheme="bogus")
+
+
+def _mixed_space(m):
+    return StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(m)])
+
+
+def test_surrogate_mc_moments_equal_dense_reference():
+    # the surrogate MC must reproduce, bit for bit, the moments of the dense
+    # tensor-product evaluation streamed over the same 10^5-point chunks
+    space = _mixed_space(10)
+    basis = ChaosBasis(space, 2)
+    coeffs = np.random.default_rng(8).standard_normal(basis.n_terms)
+    sur = PceSurrogate(coeffs, basis, FitReport("segpc", 6, 66, 0.0, 1.0, 12))
+    n = 200_000
+    report = higher_moments(sur, scheme="surrogate-mc", mc_samples=n)
+    acc = RunningMoments()
+    points = space.sample_pool(n, seed=0).points
+    for start in range(0, n, 100_000):
+        acc.add(dense_basis_eval(basis, points[start : start + 100_000]) @ coeffs)
+    assert report.skewness == acc.skewness
+    assert report.kurtosis == acc.kurtosis
+
+
+def test_basis_pickle_round_trip_evaluates_identically():
+    # model workers receive their bases by pickle
+    basis = ChaosBasis(_mixed_space(10), 2)
+    clone = pickle.loads(pickle.dumps(basis))
+    points = np.random.default_rng(6).standard_normal((3000, 10))
+    got, want = clone.eval(points), basis.eval(points)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_parseval_variance_vs_surrogate_sampling():
