@@ -22,10 +22,8 @@ from .design import (
     qr_select,
 )
 from .regression import (
-    AugmentedSystem,
     FitReport,
     PceSurrogate,
-    build_augmented,
     fit_segpc,
     fit_wlsq,
     segpc_point_count,
@@ -88,10 +86,8 @@ __all__ = [
     "condition_diagnostics",
     "PceSurrogate",
     "FitReport",
-    "AugmentedSystem",
     "fit_wlsq",
     "fit_segpc",
-    "build_augmented",
     "segpc_point_count",
     "QuadratureRule",
     "RunningMoments",

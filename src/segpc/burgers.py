@@ -514,9 +514,7 @@ class BurgersModel(Model):
             state = self._solve(xi)
             adjoint = burgers_adjoint(state)
         grad = adjoint.gradient * self.space.scales
-        return ModelEvaluation(
-            value=burgers_qoi(state), gradient=grad, cost_units=2
-        )
+        return ModelEvaluation(value=burgers_qoi(state), gradient=grad)
 
 
 def burgers_model(s_mean=None, s_std=None, re=250.0, n_grid=31):

@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .burgers import burgers_model
-from .design import DesignPlan, build_measurement, coherence_weights, qr_select
+from .design import build_measurement, coherence_weights, qr_select
 from .errors import SegpcError
 from .models import ishigami_model, ode_model
 from .orthopoly import ChaosBasis
-from .parallel import evaluate_values
+from .parallel import evaluate_values, evaluate_with_gradients
 from .postproc import higher_moments, sobol_total
 from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule, tensor_rule
-from .regression import fit_segpc, fit_wlsq, segpc_point_count
+from .regression import fit_wlsq, segpc_point_count
 from .spaces import Gaussian, StochasticSpace, Uniform
 
 METHODS = ("segpc", "wlsq", "smolyak")
@@ -92,14 +92,20 @@ class RunConfig:
                 return value
             return data.get(key, default)
 
-        self.seed = pick("seed", "seed")
-        _require(self.seed is not None, "a seed is required (config 'seed' or --seed)")
-        self.seed = int(self.seed)
+        def number(kind, flag_name, key, default=None):
+            value = pick(flag_name, key, default)
+            try:
+                return kind(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from None
+
+        _require(pick("seed", "seed") is not None, "a seed is required (config 'seed' or --seed)")
+        self.seed = number(int, "seed", "seed")
         self.order = pick("order", "order")
         self.method = pick("method", "method")
-        self.pool = int(pick("pool", "pool", 10000))
-        self.oversample = float(pick("oversample", "oversample", 1.0))
-        self.workers = int(pick("workers", "workers", 1))
+        self.pool = number(int, "pool", "pool", 10000)
+        self.oversample = number(float, "oversample", "oversample", 1.0)
+        self.workers = number(int, "workers", "workers", 1)
         self.out = Path(pick("out", "out", "."))
         self.samples = pick("samples", "samples")
         self.orders = pick("orders", "orders")
@@ -198,8 +204,12 @@ def analytic_reference(model):
 
 def reference_from_file(path):
     """Read the first data row of a moments CSV as a reference."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read reference.path {path}: {exc}") from exc
     lines = [
-        line for line in Path(path).read_text(encoding="utf-8").splitlines()
+        line for line in text.splitlines()
         if line and not line.startswith("#")
     ]
     _require(len(lines) >= 2, f"reference file {path} holds no data row")
@@ -210,14 +220,17 @@ def reference_from_file(path):
 
 
 def resolve_reference(config):
-    if config.reference is None:
+    ref = config.reference
+    if ref is None:
         return None
-    kind = config.reference.get("kind")
+    _require(isinstance(ref, dict), f"config field 'reference' must be an object, got {ref!r}")
+    kind = ref.get("kind")
     if kind == "analytic":
         _require(config.model is not None, "analytic reference needs a model")
         return analytic_reference(config.model)
     if kind == "mc-file":
-        return reference_from_file(config.reference["path"])
+        _require("path" in ref, "config field 'reference.path' is required for kind 'mc-file'")
+        return reference_from_file(ref["path"])
     raise ConfigError(f"reference.kind must be 'analytic' or 'mc-file', got {kind!r}")
 
 
@@ -226,14 +239,14 @@ def build_plan(space, basis, pool_size, seed, n_points):
 
     The pivoted QR ranks at most P+1 points; oversampled fits draw the
     remainder from the seeded pool in draw order (an i.i.d. continuation).
-    Returns (points, w_sqrt, plan).
+    Returns (points, w_sqrt).
     """
     pool = space.sample_pool(pool_size, seed)
     weights = coherence_weights(space, pool.points)
     meas = build_measurement(basis, pool, weights)
     plan = qr_select(meas, min(basis.n_terms, pool.q))
     if n_points <= plan.n_selected:
-        return plan.points[:n_points], plan.w_sqrt[:n_points], plan
+        return plan.points[:n_points], plan.w_sqrt[:n_points]
     extra_needed = n_points - plan.n_selected
     unselected = np.setdiff1d(np.arange(pool.q), plan.selected)
     if extra_needed > unselected.size:
@@ -243,7 +256,7 @@ def build_plan(space, basis, pool_size, seed, n_points):
     extra = unselected[:extra_needed]
     points = np.vstack([plan.points, pool.points[extra]])
     w_sqrt = np.concatenate([plan.w_sqrt, weights[extra]])
-    return points, w_sqrt, plan
+    return points, w_sqrt
 
 
 def run_fit(config):
@@ -259,37 +272,22 @@ def run_fit(config):
     if method == "smolyak":
         rule = smolyak_rule(space, order + 1)
         surrogate = quadrature_fit(basis, rule, model, workers=config.workers)
-    elif method == "wlsq":
-        n_points = math.ceil(config.oversample * basis.n_terms)
-        points, w_sqrt, _ = build_plan(space, basis, config.pool, config.seed, n_points)
-        values = evaluate_values(model, points, workers=config.workers)
-        surrogate = fit_wlsq(basis, points, w_sqrt, values)
     else:
-        base = segpc_point_count(basis.n_terms, space.m)
+        base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, space.m)
         n_points = math.ceil(config.oversample * base)
-        points, w_sqrt, plan = build_plan(space, basis, config.pool, config.seed, n_points)
-        if n_points <= plan.n_selected:
-            surrogate = fit_segpc(basis, plan, model, n_points=n_points,
-                                  workers=config.workers)
+        points, w_sqrt = build_plan(space, basis, config.pool, config.seed, n_points)
+        if method == "wlsq":
+            values, gradients = evaluate_values(model, points, workers=config.workers), None
         else:
-            extended = DesignPlan(
-                selected=np.arange(n_points),
-                points=points,
-                w_sqrt=w_sqrt,
-                r_diag=np.concatenate(
-                    [plan.r_diag, np.zeros(n_points - plan.n_selected)]
-                ),
-                cond_number=float("nan"),
-            )
-            surrogate = fit_segpc(basis, extended, model, n_points=n_points,
-                                  workers=config.workers)
+            values, gradients = evaluate_with_gradients(model, points, workers=config.workers)
+        surrogate = fit_wlsq(basis, points, w_sqrt, values, gradients)
     report = higher_moments(surrogate)
     return surrogate, report
 
 
 def cmd_fit(config):
-    surrogate, report = run_fit(config)
     reference = resolve_reference(config)
+    surrogate, report = run_fit(config)
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
     row = moments_row(config.model.name, config.space.m, int(config.order), report, reference)
@@ -361,10 +359,10 @@ def cmd_mc(config):
     _require(config.samples is not None, "mc needs a sample count ('samples' or --samples)")
     n = int(config.samples)
     _require(n >= 2, f"mc needs at least 2 samples, got {n}")
+    reference = resolve_reference(config)
     report, trace = monte_carlo_moments(
         config.model.space, config.model, n, config.seed, workers=config.workers
     )
-    reference = resolve_reference(config)
     row = moments_row(config.model.name, config.space.m, None, report, reference)
     _write_csv(config.out / "moments.csv", "moments-csv", MOMENT_COLUMNS, [row])
     trace_rows = [

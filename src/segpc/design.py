@@ -128,16 +128,6 @@ class DesignPlan:
         return self.selected.shape[0]
 
 
-def pivoted_qr(matrix):
-    """Householder QR with greedy column pivoting (LAPACK dgeqp3).
-
-    The pivot at each step is the remaining column of largest residual norm;
-    ties resolve to the lowest column index.  Returns (Q, R, piv) with
-    ``matrix[:, piv] = Q @ R`` and |R_ii| non-increasing.
-    """
-    return scipy.linalg.qr(matrix, mode="economic", pivoting=True)
-
-
 def qr_select(meas, n_sel):
     """Greedily select ``n_sel`` pool points maximizing the design determinant.
 

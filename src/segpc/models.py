@@ -22,15 +22,10 @@ from .spaces import StochasticSpace, Uniform
 
 @dataclass
 class ModelEvaluation:
-    """One model evaluation: QoI value, gradient, and its evaluation cost.
-
-    ``cost_units`` is 1 for a value-only evaluation and 2 when a gradient was
-    produced as well (one direct plus one adjoint solve).
-    """
+    """One model evaluation: QoI value and its gradient."""
 
     value: float
     gradient: np.ndarray
-    cost_units: int
 
 
 class Model:
@@ -85,9 +80,7 @@ class AnalyticModel(Model):
         xi = np.asarray(xi, dtype=float)
         x = self.space.destandardize(xi)
         grad = np.asarray(self._phys_grad(x), dtype=float) * self.space.scales
-        return ModelEvaluation(
-            value=float(self._phys_value(x)), gradient=grad, cost_units=2
-        )
+        return ModelEvaluation(value=float(self._phys_value(x)), gradient=grad)
 
 
 class ExponentialDecayModel(AnalyticModel):

@@ -28,32 +28,26 @@ def _grad_chunk(args):
     return vals, grads
 
 
-def _split(points, workers):
-    n = points.shape[0]
-    n_chunks = min(n, max(workers * 4, 1))
-    return [c for c in np.array_split(points, n_chunks) if c.shape[0] > 0]
+def _map_chunks(chunk_fn, model, points, workers):
+    """Run ``chunk_fn((model, chunk))`` over row chunks of ``points``.
+
+    Serial runs take all points as one chunk; parallel runs split them into
+    up to four chunks per worker.  Returns the chunk results in order.
+    """
+    points = np.asarray(points, dtype=float)
+    if workers <= 1 or points.shape[0] <= 1:
+        return [chunk_fn((model, points))]
+    chunks = np.array_split(points, min(points.shape[0], workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk_fn, [(model, c) for c in chunks]))
 
 
 def evaluate_values(model, points, workers=1):
     """Evaluate ``model.values`` over rows of ``points``, optionally in parallel."""
-    points = np.asarray(points, dtype=float)
-    if workers <= 1 or points.shape[0] <= 1:
-        return np.asarray(model.values(points), dtype=float)
-    chunks = _split(points, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_value_chunk, [(model, c) for c in chunks]))
-    return np.concatenate(parts)
+    return np.concatenate(_map_chunks(_value_chunk, model, points, workers))
 
 
 def evaluate_with_gradients(model, points, workers=1):
     """Evaluate value and gradient per point; returns (values (n,), grads (n, m))."""
-    points = np.asarray(points, dtype=float)
-    if workers <= 1 or points.shape[0] <= 1:
-        vals, grads = _grad_chunk((model, points))
-        return vals, grads
-    chunks = _split(points, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_grad_chunk, [(model, c) for c in chunks]))
-    vals = np.concatenate([p[0] for p in parts])
-    grads = np.concatenate([p[1] for p in parts])
-    return vals, grads
+    parts = _map_chunks(_grad_chunk, model, points, workers)
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])

@@ -1,17 +1,19 @@
-"""Weighted least-squares chaos fits, plain and sensitivity-enhanced.
+"""One weighted least-squares solve for chaos fits, gradients optional.
 
-The plain fit solves ``min_c || W^(1/2) (Q - psi c) ||_2`` from QoI values at
-selected points.  The sensitivity-enhanced fit additionally stacks, for every
-dimension k, one block of gradient equations ``dQ/dxi_k = (dpsi/dxi_k) c``,
-giving 1 + m equations per sample point at the cost of two model evaluations
-(one direct, one adjoint).  With gradients, only ``ceil((P + 1) / (m + 1))``
-points are needed to reach P + 1 equations.
+:func:`fit_wlsq` solves ``min_c || W^(1/2) (g - Phi c) ||_2``.  Without
+gradients ``Phi`` is the basis matrix psi and ``g`` the QoI values at the
+sample points.  With gradients (the sensitivity-enhanced fit, se-gPC) it
+stacks, for every dimension k, one more block of equations
+``dQ/dxi_k = (dpsi/dxi_k) c`` under the value rows: 1 + m equations per
+point at the cost of two model evaluations (one direct, one adjoint), so
+``ceil((P + 1) / (m + 1))`` points reach P + 1 equations.  Gradient rows
+reuse the weight of their sample point.
 
-Both paths solve the rectangular weighted system by orthogonal factorization
-(SVD-based least squares); forming the normal equations would square the
-condition number.  Gradient rows reuse the weight of their sample point, so
-the block weight matrix repeats the point weights identically across all
-1 + m blocks.
+The rectangular system is solved by orthogonal factorization (SVD-based
+least squares); forming the normal equations would square the condition
+number.  The reported condition number comes from the singular values of
+that same solve.  :func:`fit_segpc` evaluates a model's values and gradients
+at the leading points of a design plan and fits them.
 """
 
 from __future__ import annotations
@@ -47,21 +49,6 @@ class FitReport:
     cond_number: float
     evaluation_count: int
     rank: int = -1
-
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Value and gradient equations stacked in block form.
-
-    ``g`` has length (1 + m) q: first the q QoI values, then for each
-    dimension k a block of q derivative values.  ``phi`` stacks the basis
-    matrix and the m basis-gradient matrices the same way; ``w_sqrt`` repeats
-    the point weights across all blocks.
-    """
-
-    g: np.ndarray
-    phi: np.ndarray
-    w_sqrt: np.ndarray
 
 
 class PceSurrogate:
@@ -148,29 +135,19 @@ class PceSurrogate:
             return cls.from_dict(json.load(fh))
 
 
-def _weighted_lstsq(rows, w_sqrt, rhs, allow_rank_deficient=False):
-    """Solve min ||diag(w_sqrt) (rhs - rows c)|| by orthogonal factorization.
-
-    With ``allow_rank_deficient`` the minimum-norm solution is returned for a
-    singular system (unresolved coefficient directions stay zero); otherwise
-    rank deficiency raises.
-    """
-    design = rows * w_sqrt[:, None]
-    target = rhs * w_sqrt
-    cond = float(np.linalg.cond(design))
-    coeff, _, rank, _ = np.linalg.lstsq(design, target, rcond=_RCOND)
-    if rank < rows.shape[1] and not allow_rank_deficient:
-        raise RankDeficientError(
-            f"regression matrix is rank deficient (rank {rank} of "
-            f"{rows.shape[1]}, condition number {cond:.3e})",
-            cond_number=cond,
+def _count_equations(basis, n_pts, n_blocks):
+    """Equations of an ``n_blocks``-block system; fewer than P + 1 raise."""
+    n_equations = n_blocks * n_pts
+    if n_equations < basis.n_terms:
+        raise InsufficientSamplesError(
+            f"{n_pts} points give {n_equations} equations, fewer than "
+            f"{basis.n_terms} coefficients"
         )
-    residual_norm = float(np.linalg.norm(design @ coeff - target))
-    return coeff, residual_norm, cond, int(rank)
+    return n_equations
 
 
-def fit_wlsq(basis, points, w_sqrt, values, evaluation_count=None):
-    """Plain weighted least-squares fit from QoI values at sample points.
+def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
+    """Weighted least-squares fit from QoI values, optionally with gradients.
 
     Parameters
     ----------
@@ -181,65 +158,51 @@ def fit_wlsq(basis, points, w_sqrt, values, evaluation_count=None):
         Square-root weights per point.
     values : ndarray, shape (n,)
         QoI values at the points.
-    evaluation_count : int, optional
-        Model evaluations actually spent; defaults to n.
+    gradients : ndarray, shape (n, m), optional
+        dQoI/dxi_k per point in *standardized* coordinates (models apply the
+        chain rule of the standardization map before returning gradients).
+        Given, the fit is sensitivity-enhanced: each point costs two model
+        evaluations, and a rank-deficient system yields the minimum-norm
+        solution (see :func:`fit_segpc`) instead of raising.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values, dtype=float)
     w_sqrt = np.asarray(w_sqrt, dtype=float)
-    n_pts = points.shape[0]
-    if n_pts < basis.n_terms:
-        raise InsufficientSamplesError(
-            f"{n_pts} points cannot determine {basis.n_terms} coefficients"
+    n_pts, m = points.shape
+    n_blocks = 1 if gradients is None else 1 + m
+    n_equations = _count_equations(basis, n_pts, n_blocks)
+    rows = [basis.eval(points)]
+    rhs = [np.asarray(values, dtype=float)]
+    if gradients is not None:
+        gradients = np.asarray(gradients, dtype=float)
+        if gradients.shape != (n_pts, m):
+            raise ValueError(
+                f"gradients have shape {gradients.shape}, expected {(n_pts, m)}"
+            )
+        dpsi = basis.grad(points)
+        rows.extend(dpsi[:, k, :] for k in range(m))
+        rhs.extend(gradients[:, k] for k in range(m))
+    w_block = np.tile(w_sqrt, n_blocks)
+    design = np.vstack(rows) * w_block[:, None]
+    target = np.concatenate(rhs) * w_block
+    coeff, _, rank, sing = np.linalg.lstsq(design, target, rcond=_RCOND)
+    with np.errstate(divide="ignore"):
+        cond = float(sing[0] / sing[-1])
+    if rank < basis.n_terms and gradients is None:
+        raise RankDeficientError(
+            f"regression matrix is rank deficient (rank {rank} of "
+            f"{basis.n_terms}, condition number {cond:.3e})",
+            cond_number=cond,
         )
-    psi = basis.eval(points)
-    coeff, residual_norm, cond, rank = _weighted_lstsq(psi, w_sqrt, values)
     report = FitReport(
-        method="wlsq",
+        method="wlsq" if gradients is None else "segpc",
         n_points=n_pts,
-        n_equations=n_pts,
-        residual_norm=residual_norm,
+        n_equations=n_equations,
+        residual_norm=float(np.linalg.norm(design @ coeff - target)),
         cond_number=cond,
-        evaluation_count=n_pts if evaluation_count is None else evaluation_count,
-        rank=rank,
+        evaluation_count=n_pts if gradients is None else 2 * n_pts,
+        rank=int(rank),
     )
     return PceSurrogate(coeff, basis, report)
-
-
-def build_augmented(basis, points, w_sqrt, values, gradients):
-    """Stack value and gradient equations into one block system.
-
-    ``gradients`` holds dQoI/dxi_k per point in *standardized* coordinates
-    (models apply the chain rule of the standardization map before returning
-    gradients).  An empty gradient block (shape (n, 0)) degenerates to the
-    plain value system.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values, dtype=float)
-    w_sqrt = np.asarray(w_sqrt, dtype=float)
-    gradients = np.asarray(gradients, dtype=float)
-    n_pts, m = points.shape
-    if gradients.size == 0:
-        gradients = gradients.reshape(n_pts, 0)
-    if gradients.shape[0] != n_pts:
-        raise ValueError("one gradient row per point is required")
-    n_grad_dims = gradients.shape[1]
-    if n_grad_dims not in (0, m):
-        raise ValueError(
-            f"gradients have {n_grad_dims} components, expected {m} (or none)"
-        )
-    psi = basis.eval(points)
-    blocks = [psi]
-    rhs = [values]
-    if n_grad_dims:
-        dpsi = basis.grad(points)
-        for k in range(m):
-            blocks.append(dpsi[:, k, :])
-            rhs.append(gradients[:, k])
-    phi = np.vstack(blocks)
-    g = np.concatenate(rhs)
-    w_block = np.tile(w_sqrt, 1 + n_grad_dims)
-    return AugmentedSystem(g=g, phi=phi, w_sqrt=w_block)
 
 
 def segpc_point_count(n_terms, m):
@@ -251,9 +214,10 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
     """Sensitivity-enhanced fit at the top-ranked design points.
 
     Evaluates the model's value and gradient at the first
-    ``ceil((P + 1) / (m + 1))`` points of ``plan`` (or ``n_points`` if given),
-    assembles the block system and solves the weighted least-squares problem.
-    Each point costs two evaluations (direct + adjoint).
+    ``ceil((P + 1) / (m + 1))`` points of ``plan`` (or ``n_points`` if given)
+    and hands them to :func:`fit_wlsq`.  Each point costs two evaluations
+    (direct + adjoint); a budget too small for P + 1 equations is refused
+    before any model is evaluated.
 
     At order 2 and above, fewer than m + 1 points cannot resolve polynomial
     directions orthogonal to the points' affine span, so the block system can
@@ -266,32 +230,12 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
             f"model {getattr(model, 'name', model)!r} provides no gradient; "
             "sensitivity-enhanced fitting needs one"
         )
-    m = basis.m
-    n_use = segpc_point_count(basis.n_terms, m) if n_points is None else int(n_points)
+    n_use = segpc_point_count(basis.n_terms, basis.m) if n_points is None else int(n_points)
     if plan.n_selected < n_use:
         raise ValueError(
             f"plan provides {plan.n_selected} ranked points, fit needs {n_use}"
         )
+    _count_equations(basis, n_use, 1 + basis.m)
     points = plan.points[:n_use]
-    w_sqrt = plan.w_sqrt[:n_use]
-    n_equations = (1 + m) * n_use
-    if n_equations < basis.n_terms:
-        raise InsufficientSamplesError(
-            f"{n_use} points give {n_equations} equations, fewer than "
-            f"{basis.n_terms} coefficients"
-        )
     values, gradients = evaluate_with_gradients(model, points, workers=workers)
-    system = build_augmented(basis, points, w_sqrt, values, gradients)
-    coeff, residual_norm, cond, rank = _weighted_lstsq(
-        system.phi, system.w_sqrt, system.g, allow_rank_deficient=True
-    )
-    report = FitReport(
-        method="segpc",
-        n_points=n_use,
-        n_equations=n_equations,
-        residual_norm=residual_norm,
-        cond_number=cond,
-        evaluation_count=2 * n_use,
-        rank=rank,
-    )
-    return PceSurrogate(coeff, basis, report)
+    return fit_wlsq(basis, points, plan.w_sqrt[:n_use], values, gradients)

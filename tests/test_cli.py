@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from segpc import predicted_cost
+from segpc import ChaosBasis, build_measurement, coherence_weights, fit_wlsq, ode_model
+from segpc import predicted_cost, qr_select
 from segpc.cli import main
 
 
@@ -230,3 +231,53 @@ def test_flag_overrides_config(tmp_path):
     row = read_rows(out / "moments.csv")[0]
     assert row["p"] == "4"
     assert int(row["evaluation_count"]) == 5
+
+
+def test_oversampled_segpc_fit_matches_library(tmp_path):
+    # p=2, m=1: 2 se-gPC points at oversampling 1, 5 here, more than P+1 = 3
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "ode", "t": 1.0}, "method": "segpc", "order": 2,
+         "pool": 500, "oversample": 2.5},
+    )
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+    assert int(read_rows(out / "moments.csv")[0]["evaluation_count"]) == 10
+    saved = json.loads((out / "surrogate.json").read_text(encoding="utf-8"))
+    assert saved["fit_report"]["n_points"] == 5
+
+    # the QR-ranked 3 points, then the first 2 unselected pool points
+    model = ode_model(1.0)
+    basis = ChaosBasis(model.space, 2)
+    pool = model.space.sample_pool(500, 4)
+    weights = coherence_weights(model.space, pool.points)
+    plan = qr_select(build_measurement(basis, pool, weights), 3)
+    extra = [i for i in range(pool.q) if i not in set(plan.selected)][:2]
+    idx = np.concatenate([plan.selected, extra])
+    points = pool.points[idx]
+    evals = [model.value_and_grad(xi) for xi in points]
+    values = np.array([ev.value for ev in evals])
+    grads = np.array([ev.gradient for ev in evals])
+    want = fit_wlsq(basis, points, weights[idx], values, grads)
+    assert saved["coefficients"] == want.coefficients.tolist()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"reference": {"kind": "mc-file", "path": "no-such-moments.csv"}}, "reference.path"),
+        ({"reference": {"kind": "mc-file"}}, "reference.path"),
+        ({"reference": "analytic"}, "reference"),
+        ({"pool": "lots"}, "pool"),
+    ],
+    ids=["missing-file", "no-path", "not-an-object", "not-a-number"],
+)
+def test_convergence_config_mistakes_exit_2(tmp_path, capsys, overrides, field):
+    data = {"model": {"name": "ode"}, "orders": [1], "methods": ["wlsq"],
+            "reference": {"kind": "analytic"}}
+    data.update(overrides)
+    cfg = write_config(tmp_path / "cfg.json", data)
+    rc = main(["convergence", "--config", cfg, "--seed", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert field in capsys.readouterr().err

@@ -13,7 +13,6 @@ from segpc import (
     condition_diagnostics,
     qr_select,
 )
-from segpc.design import pivoted_qr
 from segpc.errors import RankDeficientError
 
 
@@ -142,16 +141,6 @@ def test_qr_permutation_equivalence(gauss2):
     got = {tuple(np.round(p, 12)) for p in plan.points}
     want = {tuple(np.round(p, 12)) for p in plan2.points}
     assert got == want
-
-
-def test_pivoted_qr_reconstruction(gauss2):
-    basis = ChaosBasis(gauss2, 3)
-    pool = gauss2.sample_pool(500, seed=4)
-    meas = build_measurement(basis, pool, coherence_weights(gauss2, pool.points))
-    matrix = meas.weighted().T
-    q_mat, r_mat, piv = pivoted_qr(matrix)
-    recon = q_mat @ r_mat
-    assert np.max(np.abs(recon - matrix[:, piv])) < 1e-12
 
 
 def test_condition_diagnostics(gauss2):

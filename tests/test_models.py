@@ -19,7 +19,6 @@ def test_ode_model_values():
     ev = model.value_and_grad(np.array([0.3]))
     assert ev.value == pytest.approx(1.0)
     assert ev.gradient == pytest.approx([0.0])
-    assert ev.cost_units == 2
 
     model = ode_model(1.0)
     xi = model.space.standardize(np.array([0.5]))

@@ -10,7 +10,6 @@ from segpc import (
     ModelEvaluation,
     StochasticSpace,
     Uniform,
-    build_augmented,
     build_measurement,
     coherence_weights,
     fit_segpc,
@@ -51,7 +50,7 @@ class PolynomialModel(Model):
 
     def value_and_grad(self, xi):
         grad = self.basis.grad(xi) @ self.coeffs
-        return ModelEvaluation(self.value(xi), grad, 2)
+        return ModelEvaluation(self.value(xi), grad)
 
 
 def test_fit_wlsq_constant():
@@ -122,39 +121,50 @@ def test_residual_orthogonal_to_design():
     )
 
 
-def test_build_augmented_block_layout():
+def test_fit_wlsq_gradient_blocks_recover_cubic():
+    # two points with value and slope determine a cubic exactly (m=1, p=3)
     space = StochasticSpace([Uniform()])
     basis = ChaosBasis(space, 3)
-    pts = space.sample_pool(4, seed=1).points
-    w = np.linspace(0.5, 1.0, 4)
-    vals = np.arange(4.0)
-    grads = np.arange(4.0)[:, None] + 10.0
-    system = build_augmented(basis, pts, w, vals, grads)
-    assert system.phi.shape == (8, basis.n_terms)
-    assert np.array_equal(system.g[:4], vals)
-    assert np.array_equal(system.g[4:], grads[:, 0])
-    assert np.array_equal(system.w_sqrt, np.tile(w, 2))
-    assert np.allclose(system.phi[:4], basis.eval(pts))
-    assert np.allclose(system.phi[4:], basis.grad(pts)[:, 0, :])
+    pts = np.array([[-0.4], [0.7]])
+    w = np.array([0.6, 0.9])
+    x = pts[:, 0]
+    vals = 1.0 + 2.0 * x - 0.5 * x**2 + 0.25 * x**3
+    grads = (2.0 - x + 0.75 * x**2)[:, None]
+    sur = fit_wlsq(basis, pts, w, vals, grads)
+    report = sur.fit_report
+    assert report.method == "segpc"
+    assert report.n_equations == 4
+    assert report.evaluation_count == 4
+    test = np.linspace(-1.0, 1.0, 9)
+    want = 1.0 + 2.0 * test - 0.5 * test**2 + 0.25 * test**3
+    assert np.max(np.abs(sur.eval(test[:, None]) - want)) < 1e-12
+    # gradient rows sit under the value rows and reuse the point weights
+    design = np.vstack([basis.eval(pts), basis.grad(pts)[:, 0, :]]) * np.tile(w, 2)[:, None]
+    assert report.cond_number == pytest.approx(np.linalg.cond(design), rel=1e-12)
 
 
-def test_build_augmented_empty_gradients_degenerates():
-    space = StochasticSpace([Gaussian(), Gaussian()])
-    basis = ChaosBasis(space, 2)
-    pts = space.sample_pool(7, seed=2).points
-    w = np.ones(7)
-    vals = np.arange(7.0)
-    system = build_augmented(basis, pts, w, vals, np.empty((7, 0)))
-    assert system.phi.shape == (7, basis.n_terms)
-    assert np.array_equal(system.g, vals)
-
-
-def test_build_augmented_gradient_mismatch():
+def test_fit_wlsq_gradient_mismatch():
     space = StochasticSpace([Gaussian(), Gaussian()])
     basis = ChaosBasis(space, 2)
     pts = space.sample_pool(3, seed=2).points
     with pytest.raises(ValueError):
-        build_augmented(basis, pts, np.ones(3), np.zeros(3), np.zeros((3, 1)))
+        fit_wlsq(basis, pts, np.ones(3), np.zeros(3), np.zeros((3, 1)))
+
+
+def test_fit_segpc_refuses_budget_before_evaluating():
+    space = StochasticSpace([Gaussian()])
+    basis, plan = make_plan(space, 6)
+    calls = []
+
+    class Counting(PolynomialModel):
+        def value_and_grad(self, xi):
+            calls.append(xi)
+            return super().value_and_grad(xi)
+
+    model = Counting(space, basis, np.zeros(basis.n_terms))
+    with pytest.raises(InsufficientSamplesError):
+        fit_segpc(basis, plan, model, n_points=3)  # 6 equations, 7 unknowns
+    assert calls == []
 
 
 def test_segpc_point_counts():

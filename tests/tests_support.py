@@ -24,7 +24,7 @@ class PolyModel(Model):
 
     def value_and_grad(self, xi):
         grad = self.basis.grad(xi) @ self.coeffs
-        return ModelEvaluation(self.value(xi), grad, 2)
+        return ModelEvaluation(self.value(xi), grad)
 
 
 def dense_basis_eval(basis, points):
