@@ -10,7 +10,6 @@ from .orthopoly import (
     ChaosBasis,
     MultiIndexSet,
     build_index_set,
-    univariate_eval,
     univariate_table,
 )
 from .design import (
@@ -76,7 +75,6 @@ __all__ = [
     "ChaosBasis",
     "MultiIndexSet",
     "build_index_set",
-    "univariate_eval",
     "univariate_table",
     "DesignPlan",
     "WeightedMeasurement",

@@ -19,7 +19,8 @@ the domain and takes a few Picard (frozen-coefficient) steps first; a warm
 solve starts from a given converged state with the sample's inlet written in
 and goes straight to Newton.  :class:`BurgersModel` warm-starts every sample
 from its own nominal state.  All linear systems use a sparse direct
-factorization.
+factorization.  The Newton/Picard Jacobian and the adjoint operator below
+share one grid pattern and come from one stencil assembler.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse
@@ -92,19 +94,6 @@ class BurgersState:
     def y(self):
         return np.linspace(0.0, 1.0, self.n_grid)
 
-    def save_csv(self, path):
-        """Write the velocity fields as x,y,u,v rows for visualization."""
-        coords = self.y
-        lines = ["# segpc burgers-fields-csv v1", "x,y,u,v"]
-        for i in range(self.n_grid):
-            for j in range(self.n_grid):
-                lines.append(
-                    f"{float(coords[i])!r},{float(coords[j])!r},"
-                    f"{float(self.u[i, j])!r},{float(self.v[i, j])!r}"
-                )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass
 class AdjointSolution:
@@ -113,7 +102,6 @@ class AdjointSolution:
     u_adj: np.ndarray
     v_adj: np.ndarray
     gradient: np.ndarray
-    raw_integrals: np.ndarray
 
 
 def full_inlet_coeffs(s_free):
@@ -165,77 +153,89 @@ def _residual(u, v, nu, h, u_in, v_in):
     return np.concatenate([r_u.ravel(), r_v.ravel()])
 
 
-def _grid_indices(n):
-    ii, jj = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
+def _interior_fields(u, v, h):
+    """u, v, their neighbours and central differences at the interior nodes.
 
-    def idx(i, j):
-        return i * n + j
-
-    return ii, jj, idx
-
-
-def _direct_jacobian(u, v, nu, h, newton):
-    n = u.shape[0]
-    size = n * n
+    Every array is flattened row-major over the (N-2) x (N-2) interior block,
+    in the order :func:`_stencil_operator` numbers the interior rows.
+    """
     inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-    ii, jj, idx = _grid_indices(n)
-    uc = u[ii, jj]
-    vc = v[ii, jj]
+
+    def at(field, di, dj):
+        n = field.shape[0]
+        return field[1 + di : n - 1 + di, 1 + dj : n - 1 + dj].ravel()
+
+    return SimpleNamespace(
+        u=at(u, 0, 0),
+        v=at(v, 0, 0),
+        u_east=at(u, 1, 0),
+        u_west=at(u, -1, 0),
+        v_north=at(v, 0, 1),
+        v_south=at(v, 0, -1),
+        u_x=(at(u, 1, 0) - at(u, -1, 0)) * inv2h,
+        u_y=(at(u, 0, 1) - at(u, 0, -1)) * inv2h,
+        v_x=(at(v, 1, 0) - at(v, -1, 0)) * inv2h,
+        v_y=(at(v, 0, 1) - at(v, 0, -1)) * inv2h,
+    )
+
+
+def _stencil_operator(n, interior, exit_coeffs):
+    """Sparse CSC operator on the stacked (u, v) unknowns of the N x N grid.
+
+    Node (i, j) of a field is row i * N + j (i along x, j along y); the u
+    block comes first, the v block second.  ``interior`` holds, for the u
+    rows and then the v rows, the coefficients at the centre, the east,
+    west, north and south neighbours and the other field's centre (scalars
+    or arrays over the interior nodes); a ``None`` coupling is left out of
+    the pattern.  ``exit_coeffs`` weighs x = 1, 1 - h and 1 - 2h on the exit
+    rows of both fields.  Wall and inlet rows are identity rows.
+    """
+    size = n * n
+    inner = np.arange(1, n - 1)
+    centre = (inner[:, None] * n + inner).ravel()
+    exit_c = (n - 1) * n + inner
+    dirichlet = np.concatenate([np.arange(n) * n, np.arange(n) * n + n - 1, inner])
     rows, cols, data = [], [], []
 
     def add(r, c, d):
         rows.append(r)
         cols.append(c)
-        data.append(d)
+        data.append(np.broadcast_to(d, r.shape))
 
-    center = idx(ii, jj)
-    east, west = idx(ii + 1, jj), idx(ii - 1, jj)
-    north, south = idx(ii, jj + 1), idx(ii, jj - 1)
+    for offset, coeffs in zip((0, size), interior):
+        # centre, E, W, N, S, then the other field's centre
+        for shift, coeff in zip((0, n, -n, 1, -1, size - 2 * offset), coeffs):
+            if coeff is not None:
+                add(offset + centre, offset + centre + shift, coeff)
+    for offset in (0, size):
+        for shift, coeff in zip((0, -n, -2 * n), exit_coeffs):
+            add(offset + exit_c, offset + exit_c + shift, coeff)
+    for offset in (0, size):
+        add(offset + dirichlet, offset + dirichlet, 1.0)
+    return scipy.sparse.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(2 * size, 2 * size),
+    )
 
-    u_x = (u[ii + 1, jj] - u[ii - 1, jj]) * inv2h
-    u_y = (u[ii, jj + 1] - u[ii, jj - 1]) * inv2h
-    v_x = (v[ii + 1, jj] - v[ii - 1, jj]) * inv2h
-    v_y = (v[ii, jj + 1] - v[ii, jj - 1]) * inv2h
+
+def _direct_jacobian(u, v, nu, h, newton):
+    inv2h = 1.0 / (2.0 * h)
+    invh2 = 1.0 / (h * h)
+    g = _interior_fields(u, v, h)
+    neighbours = (
+        g.u * inv2h - nu * invh2,
+        -g.u * inv2h - nu * invh2,
+        g.v * inv2h - nu * invh2,
+        -g.v * inv2h - nu * invh2,
+    )
     # u-momentum: d/du_P carries u_x, coupling to v_P carries u_y (and
     # symmetrically for v-momentum); dropped in the Picard linearization
-    for offset, diag_extra, cross in ((0, u_x, u_y), (size, v_y, v_x)):
-        diag = np.full(ii.shape, 4.0 * nu * invh2)
-        if newton:
-            diag = diag + diag_extra
-        add(offset + center, offset + center, diag)
-        add(offset + center, offset + east, uc * inv2h - nu * invh2)
-        add(offset + center, offset + west, -uc * inv2h - nu * invh2)
-        add(offset + center, offset + north, vc * inv2h - nu * invh2)
-        add(offset + center, offset + south, -vc * inv2h - nu * invh2)
-        if newton:
-            add(offset + center, (size - offset) + center, cross)
-
-    j_edge = np.arange(1, n - 1)
-    exit_c = idx(n - 1, j_edge)
-    exit_w = idx(n - 2, j_edge)
-    exit_ww = idx(n - 3, j_edge)
-    for offset in (0, size):
-        add(offset + exit_c, offset + exit_c, np.full(j_edge.shape, 3.0 * inv2h))
-        add(offset + exit_c, offset + exit_w, np.full(j_edge.shape, -4.0 * inv2h))
-        add(offset + exit_c, offset + exit_ww, np.full(j_edge.shape, inv2h))
-
-    dirichlet = np.concatenate(
-        [
-            idx(np.arange(n), 0),
-            idx(np.arange(n), n - 1),
-            idx(np.zeros(n - 2, dtype=int), j_edge),
-        ]
-    )
-    for offset in (0, size):
-        add(offset + dirichlet, offset + dirichlet, np.ones(dirichlet.shape))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(2 * size, 2 * size))
+    diag = 4.0 * nu * invh2
+    if newton:
+        interior = ((diag + g.u_x, *neighbours, g.u_y), (diag + g.v_y, *neighbours, g.v_x))
+    else:
+        interior = ((diag, *neighbours, None), (diag, *neighbours, None))
+    return _stencil_operator(u.shape[0], interior, (3.0 * inv2h, -4.0 * inv2h, inv2h))
 
 
 def burgers_solve(
@@ -244,14 +244,14 @@ def burgers_solve(
     n_grid=31,
     tol=1e-10,
     max_iter=60,
-    picard_iters=3,
     start=None,
 ):
     """Solve the direct problem for the given free inlet coefficients.
 
     ``start`` is an optional :class:`BurgersState` on the same grid and
     Reynolds number; the iteration then starts from its fields with this
-    inlet profile written in (pass ``picard_iters=0`` for pure Newton).
+    inlet profile written in and goes straight to Newton.  A cold solve
+    (no ``start``) takes three Picard steps before Newton.
 
     Raises :class:`SolverDivergenceError` if the damped iteration cannot reach
     the residual tolerance.
@@ -291,7 +291,7 @@ def burgers_solve(
     for iteration in range(max_iter):
         if res_norm <= tol:
             break
-        newton = iteration >= picard_iters
+        newton = start is not None or iteration >= 3
         jac = _direct_jacobian(u, v, nu, h, newton=newton)
         try:
             delta = scipy.sparse.linalg.splu(jac, permc_spec=PERMC_SPEC).solve(-res)
@@ -354,80 +354,39 @@ def burgers_adjoint(state):
     included).
     """
     n = state.n_grid
-    size = n * n
     nu = 1.0 / state.re
     h = state.h
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
     u, v = state.u, state.v
-    ii, jj, idx = _grid_indices(n)
-    uc = u[ii, jj]
-    vc = v[ii, jj]
-    u_x = (u[ii + 1, jj] - u[ii - 1, jj]) * inv2h
-    u_y = (u[ii, jj + 1] - u[ii, jj - 1]) * inv2h
-    v_x = (v[ii + 1, jj] - v[ii - 1, jj]) * inv2h
-    v_y = (v[ii, jj + 1] - v[ii, jj - 1]) * inv2h
-
-    rows, cols, data = [], [], []
-
-    def add(r, c, d):
-        rows.append(r)
-        cols.append(c)
-        data.append(d)
-
-    center = idx(ii, jj)
-    east, west = idx(ii + 1, jj), idx(ii - 1, jj)
-    north, south = idx(ii, jj + 1), idx(ii, jj - 1)
-
+    g = _interior_fields(u, v, h)
     # interior adjoint momentum rows in conservative form, +nu Laplacian:
     # (u a)_x + (v a)_y - diag_term * a + nu lap(a) = cross_term * b
-    u_east, u_west = u[ii + 1, jj], u[ii - 1, jj]
-    v_north, v_south = v[ii, jj + 1], v[ii, jj - 1]
-    for offset, diag_term, cross_term in ((0, u_x, -v_x), (size, v_y, -u_y)):
-        add(offset + center, offset + center, -diag_term - 4.0 * nu * invh2)
-        add(offset + center, offset + east, u_east * inv2h + nu * invh2)
-        add(offset + center, offset + west, -u_west * inv2h + nu * invh2)
-        add(offset + center, offset + north, v_north * inv2h + nu * invh2)
-        add(offset + center, offset + south, -v_south * inv2h + nu * invh2)
-        add(offset + center, (size - offset) + center, cross_term)
-
-    rhs = np.zeros(2 * size)
-    j_edge = np.arange(1, n - 1)
-    exit_c = idx(n - 1, j_edge)
-    exit_w = idx(n - 2, j_edge)
-    exit_ww = idx(n - 3, j_edge)
-    u_exit = u[-1, 1:-1]
-    for offset, trace in ((0, u[-1, 1:-1]), (size, v[-1, 1:-1])):
-        add(offset + exit_c, offset + exit_c, u_exit + 3.0 * nu * inv2h)
-        add(offset + exit_c, offset + exit_w, np.full(j_edge.shape, -4.0 * nu * inv2h))
-        add(offset + exit_c, offset + exit_ww, np.full(j_edge.shape, nu * inv2h))
-        rhs[offset + exit_c] = -trace
-
-    dirichlet = np.concatenate(
-        [
-            idx(np.arange(n), 0),
-            idx(np.arange(n), n - 1),
-            idx(np.zeros(n - 2, dtype=int), j_edge),
-        ]
+    neighbours = (
+        g.u_east * inv2h + nu * invh2,
+        -g.u_west * inv2h + nu * invh2,
+        g.v_north * inv2h + nu * invh2,
+        -g.v_south * inv2h + nu * invh2,
     )
-    for offset in (0, size):
-        add(offset + dirichlet, offset + dirichlet, np.ones(dirichlet.shape))
-
-    matrix = scipy.sparse.csc_matrix(
-        (
-            np.concatenate([np.asarray(d, dtype=float) for d in data]),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(2 * size, 2 * size),
+    interior = (
+        (-g.u_x - 4.0 * nu * invh2, *neighbours, -g.v_x),
+        (-g.v_y - 4.0 * nu * invh2, *neighbours, -g.u_y),
     )
+    exit_coeffs = (u[-1, 1:-1] + 3.0 * nu * inv2h, -4.0 * nu * inv2h, nu * inv2h)
+    matrix = _stencil_operator(n, interior, exit_coeffs)
+    # Robin exit rows: the traces of u and v drive the adjoint
+    rhs = np.zeros((2, n, n))
+    rhs[0, -1, 1:-1] = -u[-1, 1:-1]
+    rhs[1, -1, 1:-1] = -v[-1, 1:-1]
     try:
-        solution = scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC).solve(rhs)
+        solution = scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC).solve(
+            rhs.ravel()
+        )
     except RuntimeError as exc:
         raise AdjointSolveError(f"adjoint factorization failed: {exc}") from exc
     if not np.all(np.isfinite(solution)):
         raise AdjointSolveError("adjoint solve produced non-finite values")
-    u_adj = solution[:size].reshape(n, n)
-    v_adj = solution[size:].reshape(n, n)
+    u_adj, v_adj = solution.reshape(2, n, n)
 
     y = state.y
     m_free = state.s_full.shape[0] - 2
@@ -442,9 +401,7 @@ def burgers_adjoint(state):
         integrand = (boundary_part - diffusive_flux) * y**power
         raw[power - 1] = float(np.trapezoid(integrand, dx=h))
     gradient = raw[:m_free] - raw[m_free]
-    return AdjointSolution(
-        u_adj=u_adj, v_adj=v_adj, gradient=gradient, raw_integrals=raw
-    )
+    return AdjointSolution(u_adj=u_adj, v_adj=v_adj, gradient=gradient)
 
 
 @contextmanager
@@ -502,7 +459,6 @@ class BurgersModel(Model):
             re=self.re,
             n_grid=self.n_grid,
             start=self._nominal,
-            picard_iters=0,
         )
 
     def value(self, xi):

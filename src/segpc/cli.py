@@ -45,6 +45,14 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _number(kind, value, field):
+    """``kind(value)``, or a ConfigError naming the config field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {field!r} must be a number, got {value!r}") from None
+
+
 def build_space(entries):
     """Construct a StochasticSpace from a config marginal list."""
     _require(isinstance(entries, list) and entries, "config field 'space' must be a non-empty list")
@@ -53,13 +61,19 @@ def build_space(entries):
         _require(isinstance(entry, dict), f"space[{i}] must be an object")
         kind = entry.get("kind")
         if kind == "gaussian":
-            marginals.append(Gaussian(mean=float(entry.get("mean", 0.0)),
-                                      std=float(entry.get("std", 1.0))))
+            marginal, defaults = Gaussian, {"mean": 0.0, "std": 1.0}
         elif kind == "uniform":
-            marginals.append(Uniform(lower=float(entry.get("lower", -1.0)),
-                                     upper=float(entry.get("upper", 1.0))))
+            marginal, defaults = Uniform, {"lower": -1.0, "upper": 1.0}
         else:
             raise ConfigError(f"space[{i}].kind must be 'gaussian' or 'uniform', got {kind!r}")
+        params = {
+            key: _number(float, entry.get(key, default), f"space[{i}].{key}")
+            for key, default in defaults.items()
+        }
+        try:
+            marginals.append(marginal(**params))
+        except ValueError as exc:
+            raise ConfigError(f"space[{i}]: {exc}") from None
     return StochasticSpace(marginals)
 
 
@@ -67,18 +81,25 @@ def build_model(entry):
     """Construct a built-in model from a config object."""
     _require(isinstance(entry, dict), "config field 'model' must be an object")
     name = entry.get("name")
-    if name == "ode":
-        return ode_model(float(entry.get("t", 1.0)))
-    if name == "ishigami":
-        return ishigami_model(alpha=float(entry.get("alpha", 7.0)),
-                              beta=float(entry.get("beta", 0.1)))
-    if name == "burgers":
-        return burgers_model(
-            s_mean=entry.get("s_mean"),
-            s_std=entry.get("s_std"),
-            re=float(entry.get("re", 250.0)),
-            n_grid=int(entry.get("n_grid", 31)),
-        )
+
+    def number(kind, key, default):
+        return _number(kind, entry.get(key, default), f"model.{key}")
+
+    try:
+        if name == "ode":
+            return ode_model(number(float, "t", 1.0))
+        if name == "ishigami":
+            return ishigami_model(alpha=number(float, "alpha", 7.0),
+                                  beta=number(float, "beta", 0.1))
+        if name == "burgers":
+            return burgers_model(
+                s_mean=entry.get("s_mean"),
+                s_std=entry.get("s_std"),
+                re=number(float, "re", 250.0),
+                n_grid=number(int, "n_grid", 31),
+            )
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from None
     raise ConfigError(f"model.name must be one of 'ode', 'ishigami', 'burgers', got {name!r}")
 
 
@@ -93,11 +114,7 @@ class RunConfig:
             return data.get(key, default)
 
         def number(kind, flag_name, key, default=None):
-            value = pick(flag_name, key, default)
-            try:
-                return kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from None
+            return _number(kind, pick(flag_name, key, default), key)
 
         _require(pick("seed", "seed") is not None, "a seed is required (config 'seed' or --seed)")
         self.seed = number(int, "seed", "seed")
@@ -216,7 +233,11 @@ def reference_from_file(path):
     header = lines[0].split(",")
     values = lines[1].split(",")
     row = dict(zip(header, values))
-    return {key: float(row[key]) for key in ("mean", "std", "skewness", "kurtosis")}
+    reference = {}
+    for key in ("mean", "std", "skewness", "kurtosis"):
+        _require(key in row, f"reference.path {path} has no {key!r} column")
+        reference[key] = _number(float, row[key], f"reference.path column {key}")
+    return reference
 
 
 def resolve_reference(config):

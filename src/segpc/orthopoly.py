@@ -103,12 +103,6 @@ def univariate_table(family, degree, x):
     return values, derivs
 
 
-def univariate_eval(family, degree, x):
-    """Evaluate one orthonormal polynomial and its derivative at a scalar x."""
-    values, derivs = univariate_table(family, degree, [x])
-    return float(values[0, degree]), float(derivs[0, degree])
-
-
 def _compositions(total, parts):
     """All tuples of ``parts`` non-negative ints summing to ``total``, ascending lex."""
     if parts == 1:
@@ -133,10 +127,6 @@ class MultiIndexSet:
 
     def __len__(self):
         return self.indices.shape[0]
-
-    @property
-    def total_degrees(self):
-        return self.indices.sum(axis=1)
 
 
 def build_index_set(m, p):

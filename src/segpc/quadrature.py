@@ -50,19 +50,6 @@ class QuadratureRule:
     def m(self):
         return self.nodes.shape[1]
 
-    def integrate(self, values):
-        """Weighted sum of per-node values."""
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-    def save_csv(self, path):
-        """Write node coordinates and weights for inspection."""
-        header = [f"xi_{k + 1}" for k in range(self.m)] + ["weight"]
-        lines = [f"# segpc rule-csv v1 kind={self.kind}", ",".join(header)]
-        for node, weight in zip(self.nodes, self.weights):
-            lines.append(",".join([repr(float(x)) for x in node] + [repr(float(weight))]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def gauss_rule(family, n_points):
     """1D Gauss rule for the family's probability measure.

@@ -12,8 +12,10 @@ reuse the weight of their sample point.
 The rectangular system is solved by orthogonal factorization (SVD-based
 least squares); forming the normal equations would square the condition
 number.  The reported condition number comes from the singular values of
-that same solve.  :func:`fit_segpc` evaluates a model's values and gradients
-at the leading points of a design plan and fits them.
+that same solve, taken over the resolved subspace: the largest over the
+smallest singular value above the rank cutoff.  :func:`fit_segpc` evaluates
+a model's values and gradients at the leading points of a design plan and
+fits them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class FitReport:
 
     ``rank`` is the numerical rank of the weighted design matrix; it equals
     the coefficient count except for rank-deficient sensitivity-enhanced fits
-    (see :func:`fit_segpc`).
+    (see :func:`fit_segpc`).  ``cond_number`` is ``s[0] / s[rank - 1]`` of
+    its singular values, so round-off directions do not enter it.
     """
 
     method: str
@@ -185,9 +188,9 @@ def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
     design = np.vstack(rows) * w_block[:, None]
     target = np.concatenate(rhs) * w_block
     coeff, _, rank, sing = np.linalg.lstsq(design, target, rcond=_RCOND)
-    with np.errstate(divide="ignore"):
-        cond = float(sing[0] / sing[-1])
     if rank < basis.n_terms and gradients is None:
+        with np.errstate(divide="ignore"):
+            cond = float(sing[0] / sing[-1])
         raise RankDeficientError(
             f"regression matrix is rank deficient (rank {rank} of "
             f"{basis.n_terms}, condition number {cond:.3e})",
@@ -198,7 +201,7 @@ def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
         n_points=n_pts,
         n_equations=n_equations,
         residual_norm=float(np.linalg.norm(design @ coeff - target)),
-        cond_number=cond,
+        cond_number=float(sing[0] / sing[rank - 1]),
         evaluation_count=n_pts if gradients is None else 2 * n_pts,
         rank=int(rank),
     )

@@ -12,12 +12,9 @@ from the PCG64 stream.  Pools generated with the same seed are bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -46,10 +43,6 @@ class Gaussian:
 
     def destandardize(self, xi):
         return self.mean + self.std * np.asarray(xi, dtype=float)
-
-    def standard_pdf(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return _INV_SQRT_2PI * np.exp(-0.5 * xi * xi)
 
     def sample_standard(self, rng, q):
         return rng.standard_normal(q)
@@ -82,10 +75,6 @@ class Uniform:
     def destandardize(self, xi):
         xi = np.asarray(xi, dtype=float)
         return self.lower + 0.5 * (xi + 1.0) * (self.upper - self.lower)
-
-    def standard_pdf(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.where(np.abs(xi) <= 1.0, 0.5, 0.0)
 
     def sample_standard(self, rng, q):
         return rng.uniform(-1.0, 1.0, q)
@@ -186,14 +175,6 @@ class StochasticSpace:
         for k, marg in enumerate(self._marginals):
             out[..., k] = marg.destandardize(xi[..., k])
         return out
-
-    def joint_pdf(self, xi):
-        """Product of the standardized marginal densities at ``xi``."""
-        xi = self._check_shape(xi, "standard point")
-        dens = np.ones(xi.shape[:-1] if xi.ndim > 1 else ())
-        for k, marg in enumerate(self._marginals):
-            dens = dens * marg.standard_pdf(xi[..., k])
-        return float(dens) if np.ndim(dens) == 0 else dens
 
     def sample_pool(self, q, seed):
         """Draw q independent standardized points with a fixed seed.

@@ -12,7 +12,13 @@ from segpc import (
     burgers_qoi,
     burgers_solve,
 )
-from segpc.burgers import full_inlet_coeffs, inlet_u_profile, inlet_v_profile
+from segpc.burgers import (
+    _direct_jacobian,
+    _residual,
+    full_inlet_coeffs,
+    inlet_u_profile,
+    inlet_v_profile,
+)
 from segpc.errors import SolverDivergenceError
 
 
@@ -56,6 +62,36 @@ def test_solve_validation():
         burgers_solve(NOMINAL_INLET_COEFFS, n_grid=3)
     with pytest.raises(SolverDivergenceError):
         burgers_solve(NOMINAL_INLET_COEFFS, n_grid=21, max_iter=1)
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_linearizations_match_quadratic_residual(n):
+    # the residual is quadratic in (u, v), so central differences of it are
+    # exact for the Newton Jacobian, and the frozen-coefficient (Picard)
+    # operator reproduces it as A(x) x - b with b the inlet values
+    nu, h = 1.0 / 250.0, 1.0 / (n - 1)
+    rng = np.random.default_rng(n)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for _ in range(3):
+        u, v, du, dv = rng.standard_normal((4, n, n))
+        u_in, v_in = rng.standard_normal((2, n))
+
+        def residual(u, v):
+            return _residual(u, v, nu, h, u_in, v_in)
+
+        newton = _direct_jacobian(u, v, nu, h, newton=True)
+        d = np.concatenate([du.ravel(), dv.ravel()])
+        assert_close(newton @ d, (residual(u + du, v + dv) - residual(u - du, v - dv)) / 2)
+
+        picard = _direct_jacobian(u, v, nu, h, newton=False)
+        b = np.zeros((2, n, n))
+        b[0, 0, 1:-1] = u_in[1:-1]
+        b[1, 0, 1:-1] = v_in[1:-1]
+        x = np.concatenate([u.ravel(), v.ravel()])
+        assert_close(picard @ x - b.ravel(), residual(u, v))
 
 
 def test_qoi_synthetic_states():
@@ -143,9 +179,7 @@ def test_warm_start_matches_cold(nominal_state):
     for xi in np.vstack([pool, far, -far]):
         coeffs = model.space.destandardize(xi)
         cold = burgers_solve(coeffs, re=250.0, n_grid=21)
-        warm = burgers_solve(
-            coeffs, re=250.0, n_grid=21, start=nominal_state, picard_iters=0
-        )
+        warm = burgers_solve(coeffs, re=250.0, n_grid=21, start=nominal_state)
         assert cold.residual_norm <= 1e-10
         assert warm.residual_norm <= 1e-10
         assert burgers_qoi(warm) == pytest.approx(burgers_qoi(cold), rel=1e-5)
@@ -187,13 +221,3 @@ def test_model_failure_names_point(monkeypatch):
 def test_model_validation():
     with pytest.raises(ValueError):
         burgers_model(s_mean=[0.1, -0.2], s_std=[0.1, 0.0])
-
-
-def test_fields_csv_export(nominal_state, tmp_path):
-    path = tmp_path / "fields.csv"
-    nominal_state.save_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "x,y,u,v"
-    assert len(lines) == 2 + nominal_state.n_grid**2
-    first = [float(x) for x in lines[2].split(",")]
-    assert first == [0.0, 0.0, 0.0, 0.0]

@@ -269,10 +269,19 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"reference": {"kind": "mc-file"}}, "reference.path"),
         ({"reference": "analytic"}, "reference"),
         ({"pool": "lots"}, "pool"),
+        ({"reference": {"kind": "mc-file", "path": "points.csv"}}, "'mean' column"),
+        ({"model": {"name": "ode", "t": "soon"}}, "model.t"),
+        ({"model": {"name": "burgers", "n_grid": "fine"}}, "model.n_grid"),
+        ({"model": {"name": "ode", "t": -1}}, "model: time"),
+        ({"space": [{"kind": "gaussian", "std": 0}]}, "space[0]"),
     ],
-    ids=["missing-file", "no-path", "not-an-object", "not-a-number"],
+    ids=["missing-file", "no-path", "not-an-object", "not-a-number",
+         "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal"],
 )
-def test_convergence_config_mistakes_exit_2(tmp_path, capsys, overrides, field):
+def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):
+    # a points file is a readable CSV without the moment columns
+    (tmp_path / "points.csv").write_text("# segpc points-csv v1\nrank,pool_index\n1,0\n")
+    monkeypatch.chdir(tmp_path)
     data = {"model": {"name": "ode"}, "orders": [1], "methods": ["wlsq"],
             "reference": {"kind": "analytic"}}
     data.update(overrides)

@@ -11,7 +11,6 @@ from segpc import (
     Uniform,
     build_index_set,
     tensor_rule,
-    univariate_eval,
     univariate_table,
 )
 from segpc.orthopoly import EVAL_BLOCK
@@ -35,13 +34,19 @@ def _numpy_orthonormal(family, degree, x):
     return val / norm, der / norm
 
 
+def _univariate(family, degree, x):
+    """psi_degree(x) and its derivative at one scalar point."""
+    values, derivs = univariate_table(family, degree, [x])
+    return values[0, degree], derivs[0, degree]
+
+
 def test_univariate_trivial_and_derived_values():
-    val, der = univariate_eval("hermite", 0, 3.7)
+    val, der = _univariate("hermite", 0, 3.7)
     assert (val, der) == (1.0, 0.0)
-    val, der = univariate_eval("hermite", 2, 0.0)
+    val, der = _univariate("hermite", 2, 0.0)
     assert val == pytest.approx(-1.0 / math.sqrt(2.0))
     assert der == pytest.approx(0.0)
-    val, der = univariate_eval("legendre", 1, 1.0)
+    val, der = _univariate("legendre", 1, 1.0)
     assert val == pytest.approx(math.sqrt(3.0))
     assert der == pytest.approx(math.sqrt(3.0))
 
@@ -52,7 +57,7 @@ def test_univariate_against_numpy_oracle():
         for degree in range(0, 12):
             for x in rng.uniform(lo, hi, 5):
                 want_val, want_der = _numpy_orthonormal(family, degree, x)
-                got_val, got_der = univariate_eval(family, degree, x)
+                got_val, got_der = _univariate(family, degree, x)
                 assert got_val == pytest.approx(want_val, rel=1e-10, abs=1e-12)
                 assert got_der == pytest.approx(want_der, rel=1e-10, abs=1e-12)
 
@@ -68,7 +73,7 @@ def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         univariate_table("hermite", -1, [0.0])
     with pytest.raises(ValueError):
-        univariate_eval("unknown", 2, 0.0)
+        univariate_table("unknown", 2, [0.0])
 
 
 def test_index_set_counts():

@@ -121,19 +121,6 @@ def test_smolyak_validation():
         smolyak_rule(space, 0)
 
 
-def test_rule_csv_export(tmp_path):
-    space = StochasticSpace([Gaussian(), Uniform()])
-    rule = smolyak_rule(space, 2)
-    path = tmp_path / "rule.csv"
-    rule.save_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# segpc rule-csv")
-    assert lines[1] == "xi_1,xi_2,weight"
-    assert len(lines) == 2 + rule.n_nodes
-    total = sum(float(line.split(",")[-1]) for line in lines[2:])
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
 def test_quadrature_fit_constant_and_basis_function():
     space = StochasticSpace([Gaussian(), Gaussian()])
     basis = ChaosBasis(space, 3)

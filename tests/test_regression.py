@@ -21,6 +21,7 @@ from segpc import (
     segpc_point_count,
 )
 from segpc.errors import InsufficientSamplesError, UnsupportedModelError
+from segpc.regression import _RCOND
 
 
 def make_plan(space, order, q=2000, seed=0):
@@ -254,6 +255,14 @@ def test_fit_segpc_rank_deficient_minimum_norm():
     assert np.allclose(sur.eval(pts), model.values(pts), atol=1e-9)
     for xi in pts:
         assert np.allclose(sur.grad(xi), basis.grad(xi) @ coeffs, atol=1e-9)
+    # the condition number covers the resolved subspace, not round-off
+    dpsi = basis.grad(pts)
+    blocks = [basis.eval(pts)] + [dpsi[:, k, :] for k in range(6)]
+    design = np.vstack(blocks) * np.tile(plan.w_sqrt[:n_pts], 7)[:, None]
+    sing = np.linalg.svd(design, compute_uv=False)
+    rank = sur.fit_report.rank
+    assert sur.fit_report.cond_number == pytest.approx(sing[0] / sing[rank - 1], rel=1e-10)
+    assert sur.fit_report.cond_number <= 1.0 / _RCOND
 
 
 def test_surrogate_eval_and_grad():

@@ -64,28 +64,6 @@ def test_roundtrip_uniform_property(lower, width, xi):
     assert marg.standardize(marg.destandardize(xi)) == pytest.approx(xi, abs=tol)
 
 
-def test_joint_pdf_values():
-    one_gauss = StochasticSpace([Gaussian()])
-    assert one_gauss.joint_pdf(np.zeros(1)) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
-    two_unif = StochasticSpace([Uniform(), Uniform()])
-    assert two_unif.joint_pdf(np.array([0.3, -0.8])) == pytest.approx(0.25)
-    assert two_unif.joint_pdf(np.array([1.5, 0.0])) == 0.0
-    two_gauss = StochasticSpace([Gaussian(), Gaussian()])
-    assert two_gauss.joint_pdf(np.zeros(2)) == pytest.approx(1.0 / (2 * math.pi))
-
-
-def test_joint_pdf_factorizes():
-    space = StochasticSpace([Gaussian(), Uniform(), Gaussian(2.0, 3.0)])
-    rng = np.random.default_rng(1)
-    pts = np.column_stack(
-        [rng.standard_normal(64), rng.uniform(-1, 1, 64), rng.standard_normal(64)]
-    )
-    product = np.ones(64)
-    for k, marg in enumerate(space.marginals):
-        product *= marg.standard_pdf(pts[:, k])
-    assert np.array_equal(space.joint_pdf(pts), product)
-
-
 def test_sample_pool_domains_and_determinism():
     space = StochasticSpace([Gaussian(), Uniform()])
     pool_a = space.sample_pool(5, seed=0)
