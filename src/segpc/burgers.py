@@ -13,14 +13,21 @@ s_{m+1} = -sum s_i close the wall corners), and v(0, y) = -y^3 + y^2; at the
 exit x = 1 both velocity components satisfy du/dx = dv/dx = 0, discretized
 with second-order one-sided differences.
 
-The nonlinear system is driven below a 1e-10 max-norm residual by damped
-Newton iterations.  A cold solve starts from the inlet profile copied through
-the domain and takes a few Picard (frozen-coefficient) steps first; a warm
-solve starts from a given converged state with the sample's inlet written in
-and goes straight to Newton.  :class:`BurgersModel` warm-starts every sample
-from its own nominal state.  All linear systems use a sparse direct
-factorization.  The Newton/Picard Jacobian and the adjoint operator below
-share one grid pattern and come from one stencil assembler.
+The nonlinear system is driven below a 1e-10 max-norm residual.  A cold
+solve starts from the inlet profile copied through the domain, takes a few
+Picard (frozen-coefficient) steps and then damped Newton steps, each on a
+fresh sparse LU factorization.  A warm solve starts from a given converged
+state with the sample's inlet written in and takes chord steps
+x <- x - J0^{-1} F(x), where J0 is the Newton Jacobian at that state, factored
+once on first use and cached on it: each step costs one residual and one
+pair of triangular solves.  A chord step that leaves more than
+:data:`CHORD_CONTRACTION` times the previous residual restarts the solve
+from the start state with damped Newton, logged at DEBUG on the
+``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
+from its own nominal state, so it factors one Jacobian per process.  The
+adjoint system below is factored per state.  The Newton/Picard Jacobian and
+the adjoint operator share one grid pattern and come from one stencil
+assembler.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -52,8 +59,9 @@ under grid refinement.
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +74,12 @@ from .spaces import Gaussian, StochasticSpace
 
 #: fill-reducing column ordering for every sparse LU factorization here
 PERMC_SPEC = "MMD_AT_PLUS_A"
+
+#: a warm solve's chord step must cut the max-norm residual below this
+#: fraction of the previous one; otherwise the solve falls back to Newton
+CHORD_CONTRACTION = 0.7
+
+_log = logging.getLogger(__name__)
 
 #: inlet-coefficient means of the reference 10-parameter configuration
 NOMINAL_INLET_COEFFS = np.array(
@@ -85,6 +99,15 @@ class BurgersState:
     residual_norm: float
     iterations: int
     residual_history: np.ndarray
+    #: LU factorizations this solve made
+    factorizations: int = 0
+    # LU of the Newton Jacobian at this state, built by the first solve that
+    # starts from it
+    _chord_lu: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # SuperLU objects do not pickle; each process factors its own copy
+        return {**self.__dict__, "_chord_lu": None}
 
     @property
     def h(self):
@@ -238,6 +261,17 @@ def _direct_jacobian(u, v, nu, h, newton):
     return _stencil_operator(u.shape[0], interior, (3.0 * inv2h, -4.0 * inv2h, inv2h))
 
 
+def _factorize(matrix, residual, iterations):
+    try:
+        return scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC)
+    except RuntimeError as exc:
+        raise SolverDivergenceError(
+            f"linearized system factorization failed: {exc}",
+            residual=residual,
+            iterations=iterations,
+        ) from exc
+
+
 def burgers_solve(
     s_free,
     re=250.0,
@@ -250,8 +284,12 @@ def burgers_solve(
 
     ``start`` is an optional :class:`BurgersState` on the same grid and
     Reynolds number; the iteration then starts from its fields with this
-    inlet profile written in and goes straight to Newton.  A cold solve
-    (no ``start``) takes three Picard steps before Newton.
+    inlet profile written in and takes chord steps on the LU of the Newton
+    Jacobian at ``start`` (factored on first use and kept on ``start``).  If
+    a chord step leaves more than :data:`CHORD_CONTRACTION` times the
+    previous residual, or ``max_iter`` chord steps do not reach ``tol``, the
+    solve restarts from ``start`` with damped Newton.  A cold solve (no
+    ``start``) takes three Picard steps before damped Newton.
 
     Raises :class:`SolverDivergenceError` if the damped iteration cannot reach
     the residual tolerance.
@@ -285,33 +323,58 @@ def burgers_solve(
         v = start.v.copy()
         u[0, 1:-1] = u_in[1:-1]
 
+    def step(u, v, delta, scale=1.0):
+        """(u, v) moved by ``scale`` times the stacked update, with its residual."""
+        du, dv = delta.reshape(2, n, n)
+        u_new = u + scale * du
+        v_new = v + scale * dv
+        res_new = _residual(u_new, v_new, nu, h, u_in, v_in)
+        return u_new, v_new, res_new, float(np.max(np.abs(res_new)))
+
+    def chord(lu, u, v, res, res_norm):
+        """Converged (u, v, res, res_norm, history), or None if the steps stall."""
+        history = [res_norm]
+        ratio = float("nan")
+        for _ in range(max_iter):
+            u, v, res, res_norm = step(u, v, lu.solve(-res))
+            ratio = res_norm / history[-1]
+            history.append(res_norm)
+            if res_norm <= tol:
+                return u, v, res, res_norm, history
+            if not ratio < CHORD_CONTRACTION:
+                break
+        _log.debug(
+            "chord iteration %d: residual %.3e, contraction ratio %.3g; "
+            "damped Newton restarts from the start state",
+            len(history) - 1, res_norm, ratio,
+        )
+        return None
+
     res = _residual(u, v, nu, h, u_in, v_in)
     res_norm = float(np.max(np.abs(res)))
     history = [res_norm]
+    factorizations = 0
+    if start is not None and res_norm > tol:
+        if start._chord_lu is None:
+            jac = _direct_jacobian(start.u, start.v, nu, h, newton=True)
+            start._chord_lu = _factorize(jac, res_norm, 0)
+            factorizations += 1
+        converged = chord(start._chord_lu, u, v, res, res_norm)
+        if converged is not None:
+            u, v, res, res_norm, history = converged
     for iteration in range(max_iter):
         if res_norm <= tol:
             break
         newton = start is not None or iteration >= 3
         jac = _direct_jacobian(u, v, nu, h, newton=newton)
-        try:
-            delta = scipy.sparse.linalg.splu(jac, permc_spec=PERMC_SPEC).solve(-res)
-        except RuntimeError as exc:
-            raise SolverDivergenceError(
-                f"linearized system factorization failed: {exc}",
-                residual=res_norm,
-                iterations=iteration,
-            ) from exc
-        du = delta[: n * n].reshape(n, n)
-        dv = delta[n * n :].reshape(n, n)
-        step = 1.0
+        delta = _factorize(jac, res_norm, iteration).solve(-res)
+        factorizations += 1
+        scale = 1.0
         for _ in range(12):
-            u_try = u + step * du
-            v_try = v + step * dv
-            res_try = _residual(u_try, v_try, nu, h, u_in, v_in)
-            norm_try = float(np.max(np.abs(res_try)))
-            if norm_try < res_norm or step < 1e-3:
+            u_try, v_try, res_try, norm_try = step(u, v, delta, scale)
+            if norm_try < res_norm or scale < 1e-3:
                 break
-            step *= 0.5
+            scale *= 0.5
         u, v, res, res_norm = u_try, v_try, res_try, norm_try
         history.append(res_norm)
         if not np.isfinite(res_norm) or res_norm > 1e12:
@@ -337,6 +400,7 @@ def burgers_solve(
         residual_norm=res_norm,
         iterations=len(history) - 1,
         residual_history=np.array(history),
+        factorizations=factorizations,
     )
 
 
@@ -425,8 +489,11 @@ class BurgersModel(Model):
     The free inlet coefficients are independent Gaussians with the given
     means and standard deviations (default std = |mean| / 5).  The flow at
     the mean inlet is solved cold once, at construction; every evaluation
-    warm-starts Newton from that state, so results do not depend on the
-    order or the process in which points are evaluated.
+    warm-starts from that state with chord steps on its Newton Jacobian's LU,
+    falling back to damped Newton from the same state where the chord steps
+    stall.  The LU is factored by the first evaluation in each process and is
+    not pickled, so results do not depend on the order or the process in
+    which points are evaluated.
     """
 
     name = "burgers"

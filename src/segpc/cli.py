@@ -116,16 +116,25 @@ class RunConfig:
         def number(kind, flag_name, key, default=None):
             return _number(kind, pick(flag_name, key, default), key)
 
+        def optional_int(key):
+            value = pick(key, key)
+            return None if value is None else _number(int, value, key)
+
         _require(pick("seed", "seed") is not None, "a seed is required (config 'seed' or --seed)")
         self.seed = number(int, "seed", "seed")
-        self.order = pick("order", "order")
+        self.order = optional_int("order")
         self.method = pick("method", "method")
         self.pool = number(int, "pool", "pool", 10000)
         self.oversample = number(float, "oversample", "oversample", 1.0)
         self.workers = number(int, "workers", "workers", 1)
         self.out = Path(pick("out", "out", "."))
-        self.samples = pick("samples", "samples")
-        self.orders = pick("orders", "orders")
+        self.samples = optional_int("samples")
+        orders = data.get("orders")
+        _require(orders is None or isinstance(orders, list),
+                 f"config field 'orders' must be a list, got {orders!r}")
+        self.orders = None if orders is None else [
+            _number(int, order, f"orders[{i}]") for i, order in enumerate(orders)
+        ]
         self.methods = data.get("methods", list(METHODS))
         self.reference = data.get("reference")
         self.model = build_model(data["model"]) if "model" in data else None
@@ -288,7 +297,7 @@ def run_fit(config):
     _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}")
     model = config.model
     space = model.space
-    order = int(config.order)
+    order = config.order
     basis = ChaosBasis(space, order)
     if method == "smolyak":
         rule = smolyak_rule(space, order + 1)
@@ -311,7 +320,7 @@ def cmd_fit(config):
     surrogate, report = run_fit(config)
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
-    row = moments_row(config.model.name, config.space.m, int(config.order), report, reference)
+    row = moments_row(config.model.name, config.space.m, config.order, report, reference)
     if config.space.m >= 1 and report.variance > 0:
         sobol = sobol_total(surrogate)
         comments = ["sobol_total=" + ";".join(repr(float(x)) for x in sobol.total_indices)]
@@ -332,9 +341,9 @@ def cmd_convergence(config):
     rows = []
     for method in config.methods:
         for order in orders:
-            sub = _copy_config(config, method=method, order=int(order))
+            sub = _copy_config(config, method=method, order=order)
             _, report = run_fit(sub)
-            rows.append(moments_row(config.model.name, config.space.m, int(order),
+            rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
     return 0
@@ -350,7 +359,7 @@ def _copy_config(config, **overrides):
 def cmd_select_points(config):
     _require(config.space is not None, "select-points needs a 'space' or 'model' config entry")
     _require(config.order is not None, "select-points needs a chaos order")
-    basis = ChaosBasis(config.space, int(config.order))
+    basis = ChaosBasis(config.space, config.order)
     _require(
         config.pool >= basis.n_terms,
         f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns",
@@ -378,7 +387,7 @@ def cmd_select_points(config):
 def cmd_mc(config):
     _require(config.model is not None, "mc needs a 'model' config entry")
     _require(config.samples is not None, "mc needs a sample count ('samples' or --samples)")
-    n = int(config.samples)
+    n = config.samples
     _require(n >= 2, f"mc needs at least 2 samples, got {n}")
     reference = resolve_reference(config)
     report, trace = monte_carlo_moments(

@@ -1,7 +1,10 @@
+import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
+from tests_support import discrete_qoi_gradient
 
 import segpc.burgers
 from segpc import (
@@ -13,6 +16,7 @@ from segpc import (
     burgers_solve,
 )
 from segpc.burgers import (
+    CHORD_CONTRACTION,
     _direct_jacobian,
     _residual,
     full_inlet_coeffs,
@@ -172,18 +176,94 @@ def test_model_space_and_chain_rule(nominal_state):
     assert ev.gradient == pytest.approx(adj.gradient * stds, rel=1e-12)
 
 
-def test_warm_start_matches_cold(nominal_state):
+def test_warm_start_matches_cold():
+    # a fresh start state, so the first warm solve factors its chord LU
+    start = burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=21)
     model = burgers_model(n_grid=21)
     pool = model.space.sample_pool(20, seed=3).points
     far = 4.0 * (-1.0) ** np.arange(model.space.m)
+    factorizations = []
     for xi in np.vstack([pool, far, -far]):
         coeffs = model.space.destandardize(xi)
         cold = burgers_solve(coeffs, re=250.0, n_grid=21)
-        warm = burgers_solve(coeffs, re=250.0, n_grid=21, start=nominal_state)
+        warm = burgers_solve(coeffs, re=250.0, n_grid=21, start=start)
         assert cold.residual_norm <= 1e-10
         assert warm.residual_norm <= 1e-10
         assert burgers_qoi(warm) == pytest.approx(burgers_qoi(cold), rel=1e-5)
-        assert warm.iterations <= 6
+        # chord steps only, each contracting; the +-4 sigma points take 26 and 31
+        history = warm.residual_history
+        assert np.all(history[1:] < CHORD_CONTRACTION * history[:-1])
+        assert warm.iterations <= 40
+        factorizations.append(warm.factorizations)
+    assert factorizations == [1] + [0] * (len(factorizations) - 1)
+
+
+def test_warm_start_falls_back_to_newton_where_chord_stalls(caplog):
+    start = burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=21)
+    model = burgers_model(n_grid=21)
+    factorizations = []
+    for sign in (1.0, -1.0):
+        coeffs = model.space.destandardize(np.full(model.space.m, 4.0 * sign))
+        cold = burgers_solve(coeffs, re=250.0, n_grid=21)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+            warm = burgers_solve(coeffs, re=250.0, n_grid=21, start=start)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert "damped Newton restarts" in record.getMessage()
+        # logged: chord iteration, residual, contraction ratio
+        iteration, _, ratio = record.args
+        assert iteration >= 1 and ratio >= CHORD_CONTRACTION
+        assert warm.residual_norm <= 1e-10
+        assert burgers_qoi(warm) == pytest.approx(burgers_qoi(cold), rel=1e-5)
+        # the history is the Newton path: one factorization per iteration,
+        # plus the chord LU on the first warm solve
+        factorizations.append(warm.factorizations - warm.iterations)
+    assert factorizations == [1, 0]
+
+
+def test_model_pickles_without_chord_factorization():
+    model = burgers_model(n_grid=21)
+    points = model.space.sample_pool(8, seed=4).points
+    values = [model.value(xi) for xi in points]
+    evaluations = [model.value_and_grad(xi) for xi in points]
+    assert model._nominal._chord_lu is not None
+    payload = pickle.dumps(model)
+    assert b"SuperLU" not in payload
+    copy = pickle.loads(payload)
+    assert copy._nominal._chord_lu is None
+    for xi, value, ev in zip(points, values, evaluations):
+        assert copy.value(xi) == value
+        ev_copy = copy.value_and_grad(xi)
+        assert ev_copy.value == ev.value
+        assert np.array_equal(ev_copy.gradient, ev.gradient)
+
+
+@pytest.mark.parametrize("where", ["nominal", "warm-sample"])
+def test_discrete_adjoint_matches_finite_differences(where):
+    # the discrete adjoint is the exact gradient of the discrete QoI
+    nominal = burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=21)
+    if where == "nominal":
+        s0, state = NOMINAL_INLET_COEFFS, nominal
+    else:
+        space = burgers_model(n_grid=21).space
+        s0 = space.destandardize(space.sample_pool(20, seed=3).points[0])
+        state = burgers_solve(s0, re=250.0, n_grid=21, start=nominal)
+        # chord-solved: the chord LU is the solve's only factorization
+        assert state.factorizations == 1
+        assert state.iterations > 0
+    gradient = discrete_qoi_gradient(state)
+    for i, s_i in enumerate(s0):
+        delta = 1e-4 * abs(s_i)
+        sp = s0.copy()
+        sp[i] += delta
+        sm = s0.copy()
+        sm[i] -= delta
+        fd = (
+            burgers_qoi(burgers_solve(sp, 250.0, 21, tol=1e-12))
+            - burgers_qoi(burgers_solve(sm, 250.0, 21, tol=1e-12))
+        ) / (2 * delta)
+        assert gradient[i] == pytest.approx(fd, rel=1e-5)
 
 
 def test_warm_start_rejects_other_problem(nominal_state):

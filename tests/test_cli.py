@@ -274,9 +274,14 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"model": {"name": "burgers", "n_grid": "fine"}}, "model.n_grid"),
         ({"model": {"name": "ode", "t": -1}}, "model: time"),
         ({"space": [{"kind": "gaussian", "std": 0}]}, "space[0]"),
+        ({"order": "two"}, "'order'"),
+        ({"samples": "many"}, "'samples'"),
+        ({"orders": [1, "two"]}, "orders[1]"),
+        ({"orders": 3}, "'orders' must be a list"),
     ],
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
-         "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal"],
+         "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
+         "order", "samples", "orders-entry", "orders-not-a-list"],
 )
 def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):
     # a points file is a readable CSV without the moment columns

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import scipy.sparse.linalg
 
 from segpc import Model, ModelEvaluation, univariate_table
+from segpc.burgers import _direct_jacobian
 
 
 class PolyModel(Model):
@@ -47,3 +49,27 @@ def dense_basis_eval(basis, points):
     for k in range(1, basis.m):
         out *= tables[k][:, idx[:, k]]
     return out[0] if single else out
+
+
+def discrete_qoi_gradient(state):
+    """Exact gradient of the discrete Burgers QoI w.r.t. the free inlet coefficients.
+
+    Discrete adjoint of the direct solver: one transposed solve with the
+    Newton Jacobian at ``state``, seeded with dQ/dU (trapezoid weights times
+    u and v on the exit row).  The inlet residual rows are
+    u(0, y_j) - sum_i s_i y_j^i, so dQ/ds_k = sum_j lambda_j (y_j^k - y_j^{m+1})
+    over the interior inlet nodes; the y^{m+1} term is the corner closure
+    s_{m+1} = -sum s_free.
+    """
+    n, h = state.n_grid, state.h
+    jac = _direct_jacobian(state.u, state.v, 1.0 / state.re, h, newton=True)
+    weights = np.full(n, h)
+    weights[[0, -1]] = h / 2
+    seed = np.zeros((2, n, n))
+    seed[0, -1] = weights * state.u[-1]
+    seed[1, -1] = weights * state.v[-1]
+    adjoint = scipy.sparse.linalg.splu(jac).solve(seed.ravel(), trans="T")
+    y = state.y[1:-1]
+    m = state.s_full.shape[0] - 2
+    # u-block rows of the inlet nodes (0, j), j = 1 .. N-2
+    return (y ** np.arange(1, m + 1)[:, None] - y ** (m + 1)) @ adjoint[1 : n - 1]
