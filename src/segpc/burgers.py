@@ -13,6 +13,12 @@ s_{m+1} = -sum s_i close the wall corners), and v(0, y) = -y^3 + y^2; at the
 exit x = 1 both velocity components satisfy du/dx = dv/dx = 0, discretized
 with second-order one-sided differences.
 
+The discrete residual is the frozen-coefficient (Picard) operator applied to
+the stacked state minus the inlet data, F(x) = A_P(x) x - b.  A_P, the Newton
+Jacobian and the adjoint operator below differ only in their coefficients:
+they share one sparsity pattern, which states the node numbering and the
+wall, inlet and exit rows once and is built once per grid size.
+
 The nonlinear system is driven below a 1e-10 max-norm residual.  A cold
 solve starts from the inlet profile copied through the domain, takes a few
 Picard (frozen-coefficient) steps and then damped Newton steps, each on a
@@ -25,9 +31,7 @@ pair of triangular solves.  A chord step that leaves more than
 from the start state with damped Newton, logged at DEBUG on the
 ``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
 from its own nominal state, so it factors one Jacobian per process.  The
-adjoint system below is factored per state.  The Newton/Picard Jacobian and
-the adjoint operator share one grid pattern and come from one stencil
-assembler.
+adjoint system below is factored per state.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -59,7 +63,9 @@ under grid refinement.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -142,123 +148,121 @@ def inlet_v_profile(y):
     return -(y**3) + y**2
 
 
-def _residual(u, v, nu, h, u_in, v_in):
-    n = u.shape[0]
-    r_u = np.empty_like(u)
-    r_v = np.empty_like(v)
-    inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-    uc = u[1:-1, 1:-1]
-    vc = v[1:-1, 1:-1]
-    r_u[1:-1, 1:-1] = (
-        uc * (u[2:, 1:-1] - u[:-2, 1:-1]) * inv2h
-        + vc * (u[1:-1, 2:] - u[1:-1, :-2]) * inv2h
-        - nu
-        * (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4.0 * uc)
-        * invh2
-    )
-    r_v[1:-1, 1:-1] = (
-        uc * (v[2:, 1:-1] - v[:-2, 1:-1]) * inv2h
-        + vc * (v[1:-1, 2:] - v[1:-1, :-2]) * inv2h
-        - nu
-        * (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * vc)
-        * invh2
-    )
-    # walls, inlet, exit overwrite the frame
-    r_u[:, 0] = u[:, 0]
-    r_u[:, -1] = u[:, -1]
-    r_v[:, 0] = v[:, 0]
-    r_v[:, -1] = v[:, -1]
-    r_u[0, 1:-1] = u[0, 1:-1] - u_in[1:-1]
-    r_v[0, 1:-1] = v[0, 1:-1] - v_in[1:-1]
-    r_u[-1, 1:-1] = (3.0 * u[-1, 1:-1] - 4.0 * u[-2, 1:-1] + u[-3, 1:-1]) * inv2h
-    r_v[-1, 1:-1] = (3.0 * v[-1, 1:-1] - 4.0 * v[-2, 1:-1] + v[-3, 1:-1]) * inv2h
-    return np.concatenate([r_u.ravel(), r_v.ravel()])
-
-
-def _interior_fields(u, v, h):
-    """u, v, their neighbours and central differences at the interior nodes.
-
-    Every array is flattened row-major over the (N-2) x (N-2) interior block,
-    in the order :func:`_stencil_operator` numbers the interior rows.
-    """
-    inv2h = 1.0 / (2.0 * h)
-
-    def at(field, di, dj):
-        n = field.shape[0]
-        return field[1 + di : n - 1 + di, 1 + dj : n - 1 + dj].ravel()
-
-    return SimpleNamespace(
-        u=at(u, 0, 0),
-        v=at(v, 0, 0),
-        u_east=at(u, 1, 0),
-        u_west=at(u, -1, 0),
-        v_north=at(v, 0, 1),
-        v_south=at(v, 0, -1),
-        u_x=(at(u, 1, 0) - at(u, -1, 0)) * inv2h,
-        u_y=(at(u, 0, 1) - at(u, 0, -1)) * inv2h,
-        v_x=(at(v, 1, 0) - at(v, -1, 0)) * inv2h,
-        v_y=(at(v, 0, 1) - at(v, 0, -1)) * inv2h,
-    )
-
-
-def _stencil_operator(n, interior, exit_coeffs):
-    """Sparse CSC operator on the stacked (u, v) unknowns of the N x N grid.
+@functools.lru_cache(maxsize=None)
+def _stencil_pattern(n):
+    """Sparsity pattern of every operator on the stacked (u, v) unknowns of the N x N grid.
 
     Node (i, j) of a field is row i * N + j (i along x, j along y); the u
-    block comes first, the v block second.  ``interior`` holds, for the u
-    rows and then the v rows, the coefficients at the centre, the east,
-    west, north and south neighbours and the other field's centre (scalars
-    or arrays over the interior nodes); a ``None`` coupling is left out of
-    the pattern.  ``exit_coeffs`` weighs x = 1, 1 - h and 1 - 2h on the exit
-    rows of both fields.  Wall and inlet rows are identity rows.
+    block comes first, the v block second.  Interior rows couple the centre,
+    its east, west, north and south neighbours and the other field's centre;
+    exit rows (x = 1) couple x = 1, 1 - h and 1 - 2h; wall (y = 0, 1) and
+    inlet (x = 0) rows are identity rows.  ``rows`` and ``cols`` list the
+    entries coefficient by coefficient, u rows before v rows, interior before
+    exit before identity; ``order`` sorts them into CSC order (``indices``,
+    ``indptr``).  Built once per grid size; the arrays are read-only because
+    every operator shares them.
     """
     size = n * n
     inner = np.arange(1, n - 1)
-    centre = (inner[:, None] * n + inner).ravel()
-    exit_c = (n - 1) * n + inner
-    dirichlet = np.concatenate([np.arange(n) * n, np.arange(n) * n + n - 1, inner])
-    rows, cols, data = [], [], []
+    fields = np.array([[0], [size]])
+    centre = fields + (inner[:, None] * n + inner).ravel()
+    exit_c = fields + (n - 1) * n + inner
+    dirichlet = fields + np.concatenate([np.arange(n) * n, np.arange(n) * n + n - 1, inner])
+    # (row, column) blocks: centre, E, W, N, S and the other field's centre;
+    # x = 1, 1 - h, 1 - 2h on the exit; identity
+    blocks = [(centre, centre + shift) for shift in (0, n, -n, 1, -1, size - 2 * fields)]
+    blocks += [(exit_c, exit_c - shift) for shift in (0, n, 2 * n)]
+    blocks.append((dirichlet, dirichlet))
+    rows = np.concatenate([r.ravel() for r, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c in blocks])
+    order = np.lexsort((rows, cols))
+    pattern = SimpleNamespace(
+        rows=rows,
+        cols=cols,
+        order=order,
+        indices=rows[order].astype(np.int32),
+        indptr=np.searchsorted(cols[order], np.arange(2 * size + 1)).astype(np.int32),
+    )
+    for array in vars(pattern).values():
+        array.setflags(write=False)
+    return pattern
 
-    def add(r, c, d):
-        rows.append(r)
-        cols.append(c)
-        data.append(np.broadcast_to(d, r.shape))
 
-    for offset, coeffs in zip((0, size), interior):
-        # centre, E, W, N, S, then the other field's centre
-        for shift, coeff in zip((0, n, -n, 1, -1, size - 2 * offset), coeffs):
-            if coeff is not None:
-                add(offset + centre, offset + centre + shift, coeff)
-    for offset in (0, size):
-        for shift, coeff in zip((0, -n, -2 * n), exit_coeffs):
-            add(offset + exit_c, offset + exit_c + shift, coeff)
-    for offset in (0, size):
-        add(offset + dirichlet, offset + dirichlet, 1.0)
+def _interior_values(u, v):
+    """u and v around every interior node, read through :func:`_stencil_pattern`.
+
+    An array (5, 2, K): the values at the centre and at the east, west, north
+    and south neighbours, each for u and for v, over the K interior nodes in
+    the pattern's row order.
+    """
+    n = u.shape[0]
+    x = np.concatenate([u.ravel(), v.ravel()])
+    return x[_stencil_pattern(n).cols[: 10 * (n - 2) ** 2]].reshape(5, 2, -1)
+
+
+def _stencil_data(n, interior, exit_coeffs):
+    """Entries of a stencil operator, ordered as :func:`_stencil_pattern` lists them.
+
+    ``interior`` and ``exit_coeffs`` give the six interior and three exit
+    coefficients in the pattern's order, each a scalar or an array over the
+    interior (exit) nodes shared by the u and v rows, or a (u rows, v rows)
+    pair of them.  Identity entries are 1.
+    """
+    k = n - 2
+    data = np.empty(_stencil_pattern(n).rows.size)
+    for entries, coeff in zip(data[: 12 * k * k].reshape(6, 2, k * k), interior):
+        entries[:] = coeff
+    exit_block = data[12 * k * k : 12 * k * k + 6 * k].reshape(3, 2, k)
+    for entries, coeff in zip(exit_block, exit_coeffs):
+        entries[:] = coeff
+    data[12 * k * k + 6 * k :] = 1.0
+    return data
+
+
+def _stencil_operator(n, interior, exit_coeffs):
+    """Sparse CSC operator with the given coefficients (see :func:`_stencil_data`)."""
+    pattern = _stencil_pattern(n)
+    data = _stencil_data(n, interior, exit_coeffs)[pattern.order]
     return scipy.sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * size, 2 * size),
+        (data, pattern.indices, pattern.indptr), shape=(2 * n * n, 2 * n * n)
     )
 
 
-def _direct_jacobian(u, v, nu, h, newton):
+def _direct_stencil(u, v, nu, h, newton):
+    """Coefficients of the Newton Jacobian or of the frozen-coefficient operator."""
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
-    g = _interior_fields(u, v, h)
-    neighbours = (
-        g.u * inv2h - nu * invh2,
-        -g.u * inv2h - nu * invh2,
-        g.v * inv2h - nu * invh2,
-        -g.v * inv2h - nu * invh2,
-    )
+    centre, east, west, north, south = _interior_values(u, v)
+    u_adv, v_adv = centre * inv2h
+    visc = nu * invh2
+    neighbours = (u_adv - visc, -u_adv - visc, v_adv - visc, -v_adv - visc)
     # u-momentum: d/du_P carries u_x, coupling to v_P carries u_y (and
     # symmetrically for v-momentum); dropped in the Picard linearization
     diag = 4.0 * nu * invh2
     if newton:
-        interior = ((diag + g.u_x, *neighbours, g.u_y), (diag + g.v_y, *neighbours, g.v_x))
+        (u_x, v_x), (u_y, v_y) = (east - west) * inv2h, (north - south) * inv2h
+        interior = ((diag + u_x, diag + v_y), *neighbours, (u_y, v_x))
     else:
-        interior = ((diag, *neighbours, None), (diag, *neighbours, None))
-    return _stencil_operator(u.shape[0], interior, (3.0 * inv2h, -4.0 * inv2h, inv2h))
+        interior = (diag, *neighbours, 0.0)
+    return interior, (3.0 * inv2h, -4.0 * inv2h, inv2h)
+
+
+def _direct_jacobian(u, v, nu, h, newton):
+    """Newton Jacobian (``newton=True``) or Picard operator A_P at (u, v)."""
+    return _stencil_operator(u.shape[0], *_direct_stencil(u, v, nu, h, newton))
+
+
+def _residual(x, nu, h, b):
+    """Direct residual F(x) = A_P(x) x - b of the stacked state ``x = (u, v)``.
+
+    A_P is the Picard operator; ``b`` holds the inlet values on the inlet
+    rows.  The product runs over the pattern's entries, with no matrix built.
+    """
+    n = math.isqrt(x.size // 2)
+    u, v = x.reshape(2, n, n)
+    pattern = _stencil_pattern(n)
+    data = _stencil_data(n, *_direct_stencil(u, v, nu, h, newton=False))
+    return np.bincount(pattern.rows, data * x[pattern.cols], minlength=x.size) - b
 
 
 def _factorize(matrix, residual, iterations):
@@ -306,41 +310,44 @@ def burgers_solve(
     u_in = inlet_u_profile(s_full, y)
     v_in = inlet_v_profile(y)
 
+    # F(x) = A_P(x) x - b: b holds the inlet values on the inlet rows
+    b = np.zeros((2, n, n))
+    b[:, 0, 1:-1] = u_in[1:-1], v_in[1:-1]
+    b = b.ravel()
+    # the stacked unknowns; u and v are views of it
+    x = np.empty(2 * n * n)
+    u, v = x.reshape(2, n, n)
     if start is None:
-        u = np.tile(u_in, (n, 1))
-        v = np.tile(v_in, (n, 1))
-        u[:, 0] = 0.0
-        u[:, -1] = 0.0
-        v[:, 0] = 0.0
-        v[:, -1] = 0.0
+        u[:] = u_in
+        v[:] = v_in
+        u[:, [0, -1]] = 0.0
+        v[:, [0, -1]] = 0.0
     else:
         if start.n_grid != n or start.re != float(re):
             raise ValueError(
                 f"start state is for N={start.n_grid}, Re={start.re}; "
                 f"this solve is for N={n}, Re={float(re)}"
             )
-        u = start.u.copy()
-        v = start.v.copy()
+        u[:] = start.u
+        v[:] = start.v
         u[0, 1:-1] = u_in[1:-1]
 
-    def step(u, v, delta, scale=1.0):
-        """(u, v) moved by ``scale`` times the stacked update, with its residual."""
-        du, dv = delta.reshape(2, n, n)
-        u_new = u + scale * du
-        v_new = v + scale * dv
-        res_new = _residual(u_new, v_new, nu, h, u_in, v_in)
-        return u_new, v_new, res_new, float(np.max(np.abs(res_new)))
+    def step(x, delta, scale=1.0):
+        """x moved by ``scale`` times ``delta``, with its residual and max norm."""
+        x_new = x + scale * delta
+        res_new = _residual(x_new, nu, h, b)
+        return x_new, res_new, float(np.max(np.abs(res_new)))
 
-    def chord(lu, u, v, res, res_norm):
-        """Converged (u, v, res, res_norm, history), or None if the steps stall."""
+    def chord(lu, x, res, res_norm):
+        """Converged (x, res, res_norm, history), or None if the steps stall."""
         history = [res_norm]
         ratio = float("nan")
         for _ in range(max_iter):
-            u, v, res, res_norm = step(u, v, lu.solve(-res))
+            x, res, res_norm = step(x, lu.solve(-res))
             ratio = res_norm / history[-1]
             history.append(res_norm)
             if res_norm <= tol:
-                return u, v, res, res_norm, history
+                return x, res, res_norm, history
             if not ratio < CHORD_CONTRACTION:
                 break
         _log.debug(
@@ -350,7 +357,7 @@ def burgers_solve(
         )
         return None
 
-    res = _residual(u, v, nu, h, u_in, v_in)
+    res = _residual(x, nu, h, b)
     res_norm = float(np.max(np.abs(res)))
     history = [res_norm]
     factorizations = 0
@@ -359,23 +366,23 @@ def burgers_solve(
             jac = _direct_jacobian(start.u, start.v, nu, h, newton=True)
             start._chord_lu = _factorize(jac, res_norm, 0)
             factorizations += 1
-        converged = chord(start._chord_lu, u, v, res, res_norm)
+        converged = chord(start._chord_lu, x, res, res_norm)
         if converged is not None:
-            u, v, res, res_norm, history = converged
+            x, res, res_norm, history = converged
     for iteration in range(max_iter):
         if res_norm <= tol:
             break
         newton = start is not None or iteration >= 3
-        jac = _direct_jacobian(u, v, nu, h, newton=newton)
+        jac = _direct_jacobian(*x.reshape(2, n, n), nu, h, newton=newton)
         delta = _factorize(jac, res_norm, iteration).solve(-res)
         factorizations += 1
         scale = 1.0
         for _ in range(12):
-            u_try, v_try, res_try, norm_try = step(u, v, delta, scale)
+            x_try, res_try, norm_try = step(x, delta, scale)
             if norm_try < res_norm or scale < 1e-3:
                 break
             scale *= 0.5
-        u, v, res, res_norm = u_try, v_try, res_try, norm_try
+        x, res, res_norm = x_try, res_try, norm_try
         history.append(res_norm)
         if not np.isfinite(res_norm) or res_norm > 1e12:
             raise SolverDivergenceError(
@@ -391,6 +398,7 @@ def burgers_solve(
             residual=res_norm,
             iterations=max_iter,
         )
+    u, v = x.reshape(2, n, n)
     return BurgersState(
         u=u,
         v=v,
@@ -423,19 +431,18 @@ def burgers_adjoint(state):
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
     u, v = state.u, state.v
-    g = _interior_fields(u, v, h)
+    _, east, west, north, south = _interior_values(u, v)
+    (u_x, v_x), (u_y, v_y) = (east - west) * inv2h, (north - south) * inv2h
     # interior adjoint momentum rows in conservative form, +nu Laplacian:
     # (u a)_x + (v a)_y - diag_term * a + nu lap(a) = cross_term * b
     neighbours = (
-        g.u_east * inv2h + nu * invh2,
-        -g.u_west * inv2h + nu * invh2,
-        g.v_north * inv2h + nu * invh2,
-        -g.v_south * inv2h + nu * invh2,
+        east[0] * inv2h + nu * invh2,
+        -west[0] * inv2h + nu * invh2,
+        north[1] * inv2h + nu * invh2,
+        -south[1] * inv2h + nu * invh2,
     )
-    interior = (
-        (-g.u_x - 4.0 * nu * invh2, *neighbours, -g.v_x),
-        (-g.v_y - 4.0 * nu * invh2, *neighbours, -g.u_y),
-    )
+    diag = 4.0 * nu * invh2
+    interior = ((-u_x - diag, -v_y - diag), *neighbours, (-v_x, -u_y))
     exit_coeffs = (u[-1, 1:-1] + 3.0 * nu * inv2h, -4.0 * nu * inv2h, nu * inv2h)
     matrix = _stencil_operator(n, interior, exit_coeffs)
     # Robin exit rows: the traces of u and v drive the adjoint

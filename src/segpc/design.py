@@ -69,15 +69,14 @@ def coherence_weights(space, points):
 class WeightedMeasurement:
     """Dense measurement matrix with its per-row weights kept separate.
 
-    ``psi`` has shape (q, P + 1); row i holds the basis values at pool point i.
-    ``w_sqrt`` holds the square-root weights; no implicit row scaling is done
-    until a solve or selection needs it.
+    ``psi`` has shape (q, P + 1); row i holds the basis values at pool point
+    i, ``points[i]``.  ``w_sqrt`` holds the square-root weights; no implicit
+    row scaling is done until a solve or selection needs it.
     """
 
     psi: np.ndarray
     w_sqrt: np.ndarray
-    pool: object
-    basis: object
+    points: np.ndarray
 
     @property
     def q(self):
@@ -105,7 +104,7 @@ def build_measurement(basis, pool, weights):
     if weights.shape != (points.shape[0],):
         raise ValueError("one weight per pool point is required")
     psi = basis.eval(points)
-    return WeightedMeasurement(psi=psi, w_sqrt=weights, pool=pool, basis=basis)
+    return WeightedMeasurement(psi=psi, w_sqrt=weights, points=points)
 
 
 @dataclass(frozen=True)
@@ -157,12 +156,11 @@ def qr_select(meas, n_sel):
             "enlarge the pool or lower the chaos order"
         )
     selected = piv[:n_sel].copy()
-    pool_points = meas.pool.points if hasattr(meas.pool, "points") else meas.pool
     sub = meas.psi[selected] * meas.w_sqrt[selected, None]
     cond_number = float(np.linalg.cond(sub))
     return DesignPlan(
         selected=selected,
-        points=np.asarray(pool_points)[selected],
+        points=meas.points[selected],
         w_sqrt=meas.w_sqrt[selected],
         r_diag=r_diag,
         cond_number=cond_number,

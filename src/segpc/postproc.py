@@ -23,7 +23,7 @@ from .quadrature import RunningMoments, tensor_rule
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
 
-#: default sample count for surrogate sampling of higher moments
+#: sample count for surrogate sampling of higher moments
 SURROGATE_MC_SAMPLES = 1_000_000
 
 
@@ -85,33 +85,29 @@ def _sample_moments_surrogate(surrogate, n, seed, chunk_size=100_000):
     return acc
 
 
-def higher_moments(surrogate, scheme="auto", mc_samples=SURROGATE_MC_SAMPLES, mc_seed=0):
+def higher_moments(surrogate):
     """First four moments of a fitted surrogate.
 
-    ``scheme`` selects how E[M^3] and E[M^4] are computed: "tensor-gauss"
-    integrates the surrogate exactly, "surrogate-mc" samples it with a fixed
-    seed, "auto" picks quadrature for m <= 4 and sampling otherwise.
-    Skewness and kurtosis are NaN below chaos order 2 or for zero variance.
+    E[M^3] and E[M^4] are integrated exactly by tensor Gauss quadrature for
+    m <= 4; otherwise the surrogate is sampled :data:`SURROGATE_MC_SAMPLES`
+    times with seed 0.  Skewness and kurtosis are NaN below chaos order 2 or
+    for zero variance.
     """
     mean, variance = moments_from_coefficients(surrogate)
     std = math.sqrt(variance)
     skewness = float("nan")
     kurtosis = float("nan")
     if surrogate.order >= MIN_ORDER_HIGHER_MOMENTS and variance > 0.0:
-        if scheme == "auto":
-            scheme = "tensor-gauss" if surrogate.basis.m <= 4 else "surrogate-mc"
-        if scheme == "tensor-gauss":
+        if surrogate.basis.m <= 4:
             raw3, raw4 = _raw_moments_tensor_gauss(surrogate)
             skewness = (raw3 - 3.0 * mean * variance - mean**3) / std**3
             kurtosis = (
                 raw4 - 4.0 * mean * raw3 + 6.0 * mean**2 * variance + 3.0 * mean**4
             ) / variance**2
-        elif scheme == "surrogate-mc":
-            acc = _sample_moments_surrogate(surrogate, mc_samples, mc_seed)
+        else:
+            acc = _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
             skewness = acc.skewness
             kurtosis = acc.kurtosis
-        else:
-            raise ValueError(f"unknown higher-moment scheme {scheme!r}")
     return MomentsReport(
         mean=mean,
         std=std,

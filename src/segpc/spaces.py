@@ -26,8 +26,6 @@ class Gaussian:
 
     #: polynomial family orthonormal under the standardized density
     family = "hermite"
-    #: support of the standardized variable
-    standard_domain = (-np.inf, np.inf)
 
     def __post_init__(self):
         if not self.std > 0.0:
@@ -56,7 +54,6 @@ class Uniform:
     upper: float = 1.0
 
     family = "legendre"
-    standard_domain = (-1.0, 1.0)
 
     def __post_init__(self):
         if not self.upper > self.lower:

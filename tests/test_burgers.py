@@ -45,10 +45,12 @@ def test_solve_nominal_converges(nominal_state):
     assert state.residual_norm <= 1e-10
     # Newton quadratic tail: the final residual drop is sharp
     assert state.residual_history[-1] / state.residual_history[-2] < 0.1
-    # walls
+    # walls and inlet
     assert np.allclose(state.u[:, 0], 0.0)
     assert np.allclose(state.u[:, -1], 0.0)
     assert np.allclose(state.v[:, 0], 0.0)
+    assert np.allclose(state.u[0], inlet_u_profile(state.s_full, state.y), rtol=0, atol=1e-12)
+    assert np.allclose(state.v[0], inlet_v_profile(state.y), rtol=0, atol=1e-12)
 
 
 def test_solve_zero_inlet_u():
@@ -69,10 +71,41 @@ def test_solve_validation():
 
 
 @pytest.mark.parametrize("n", [7, 21])
+def test_residual_matches_closed_form_on_quadratic_fields(n):
+    # central and one-sided differences are exact on quadratic fields, so
+    # every row of the discrete residual equals its continuous expression
+    nu, h = 1.0 / 250.0, 1.0 / (n - 1)
+    rng = np.random.default_rng(n)
+    xs, ys = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+
+    def quadratic(a):
+        # value, d/dx, d/dy and Laplacian of a0 + a1 x + a2 y + a3 x^2 + a4 xy + a5 y^2
+        value = a[0] + a[1] * xs + a[2] * ys + a[3] * xs**2 + a[4] * xs * ys + a[5] * ys**2
+        d_dx = a[1] + 2 * a[3] * xs + a[4] * ys
+        d_dy = a[2] + a[4] * xs + 2 * a[5] * ys
+        return value, d_dx, d_dy, 2 * (a[3] + a[5])
+
+    for _ in range(3):
+        u, u_x, u_y, lap_u = quadratic(rng.standard_normal(6))
+        v, v_x, v_y, lap_v = quadratic(rng.standard_normal(6))
+        u_in, v_in = rng.standard_normal((2, n))
+        want = np.stack([u * u_x + v * u_y - nu * lap_u, u * v_x + v * v_y - nu * lap_v])
+        for r, field, inlet, f_x in zip(want, (u, v), (u_in, v_in), (u_x, v_x)):
+            r[:, [0, -1]] = field[:, [0, -1]]  # walls y = 0, 1
+            r[0, 1:-1] = field[0, 1:-1] - inlet[1:-1]  # inlet x = 0
+            r[-1, 1:-1] = f_x[-1, 1:-1]  # exit x = 1: du/dx
+        b = np.zeros((2, n, n))
+        b[:, 0, 1:-1] = u_in[1:-1], v_in[1:-1]
+        x = np.concatenate([u.ravel(), v.ravel()])
+        got = _residual(x, nu, h, b.ravel()).reshape(2, n, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [7, 21])
 def test_linearizations_match_quadratic_residual(n):
     # the residual is quadratic in (u, v), so central differences of it are
-    # exact for the Newton Jacobian, and the frozen-coefficient (Picard)
-    # operator reproduces it as A(x) x - b with b the inlet values
+    # exact for the Newton Jacobian; the Picard operator as a CSC matrix
+    # reproduces the residual computed over the stencil-ordered entries
     nu, h = 1.0 / 250.0, 1.0 / (n - 1)
     rng = np.random.default_rng(n)
 
@@ -81,21 +114,20 @@ def test_linearizations_match_quadratic_residual(n):
 
     for _ in range(3):
         u, v, du, dv = rng.standard_normal((4, n, n))
-        u_in, v_in = rng.standard_normal((2, n))
+        b = np.zeros((2, n, n))
+        b[:, 0, 1:-1] = rng.standard_normal((2, n - 2))
+        b = b.ravel()
 
         def residual(u, v):
-            return _residual(u, v, nu, h, u_in, v_in)
+            return _residual(np.concatenate([u.ravel(), v.ravel()]), nu, h, b)
 
         newton = _direct_jacobian(u, v, nu, h, newton=True)
         d = np.concatenate([du.ravel(), dv.ravel()])
         assert_close(newton @ d, (residual(u + du, v + dv) - residual(u - du, v - dv)) / 2)
 
         picard = _direct_jacobian(u, v, nu, h, newton=False)
-        b = np.zeros((2, n, n))
-        b[0, 0, 1:-1] = u_in[1:-1]
-        b[1, 0, 1:-1] = v_in[1:-1]
         x = np.concatenate([u.ravel(), v.ravel()])
-        assert_close(picard @ x - b.ravel(), residual(u, v))
+        assert_close(picard @ x - b, residual(u, v))
 
 
 def test_qoi_synthetic_states():

@@ -18,6 +18,7 @@ from segpc import (
     predicted_cost,
     sobol_total,
 )
+from segpc.postproc import _sample_moments_surrogate
 
 
 def make_surrogate(space, order, coeffs, method="wlsq"):
@@ -87,7 +88,7 @@ def test_higher_moments_odd_hermite_symmetry():
         basis,
         FitReport("wlsq", 6, 6, 0.0, 1.0, 6),
     )
-    report = higher_moments(sur, scheme="tensor-gauss")
+    report = higher_moments(sur)
     rng = np.random.default_rng(0)
     half = rng.standard_normal((50000, 1))
     pts = np.vstack([half, -half])
@@ -104,12 +105,10 @@ def test_higher_moments_surrogate_mc_close_to_quadrature():
     rng = np.random.default_rng(4)
     coeffs = 0.2 * rng.standard_normal(basis.n_terms)
     sur = PceSurrogate(coeffs, basis, FitReport("wlsq", 10, 10, 0.0, 1.0, 10))
-    exact = higher_moments(sur, scheme="tensor-gauss")
-    sampled = higher_moments(sur, scheme="surrogate-mc", mc_samples=10**6, mc_seed=1)
+    exact = higher_moments(sur)  # m <= 4: tensor Gauss quadrature
+    sampled = _sample_moments_surrogate(sur, 10**6, seed=1)
     assert sampled.skewness == pytest.approx(exact.skewness, abs=0.1)
     assert sampled.kurtosis == pytest.approx(exact.kurtosis, abs=0.3)
-    with pytest.raises(ValueError):
-        higher_moments(sur, scheme="bogus")
 
 
 def _mixed_space(m):
@@ -124,7 +123,7 @@ def test_surrogate_mc_moments_equal_dense_reference():
     coeffs = np.random.default_rng(8).standard_normal(basis.n_terms)
     sur = PceSurrogate(coeffs, basis, FitReport("segpc", 6, 66, 0.0, 1.0, 12))
     n = 200_000
-    report = higher_moments(sur, scheme="surrogate-mc", mc_samples=n)
+    report = _sample_moments_surrogate(sur, n, seed=0)
     acc = RunningMoments()
     points = space.sample_pool(n, seed=0).points
     for start in range(0, n, 100_000):
