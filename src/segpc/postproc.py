@@ -2,10 +2,17 @@
 
 With an orthonormal basis the mean and variance are read off the spectral
 coefficients (mean = c_0, variance = sum of the remaining squared
-coefficients).  Third and fourth moments of the surrogate are integrated
-exactly by tensor Gauss quadrature for small dimensions, or estimated by
-seeded sampling of the surrogate otherwise, and converted to skewness and
-kurtosis through the raw-to-central moment identities
+coefficients).  Third and fourth moments of a degree-p surrogate are
+polynomial integrals of degree <= 4p, so a rule exact to that degree gives
+them exactly:
+
+- m <= 4: the tensor Gauss rule with 2p + 1 points per dimension;
+- m > 4: the sparse rule at level 2p + 1, while its tensor blocks hold at
+  most :data:`SURROGATE_MC_SAMPLES` rows before merging (m <= 22 at p = 2);
+- beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate.
+
+Sampling accumulates central moments directly; the exact raw moments are
+converted to skewness and kurtosis through the raw-to-central identities
 
     skew = (E[M^3] - 3 E[M] var - E[M]^3) / std^3
     kurt = (E[M^4] - 4 E[M] E[M^3] + 6 E[M]^2 var + 3 E[M]^4) / var^2
@@ -18,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import RunningMoments, tensor_rule
+from .quadrature import RunningMoments, smolyak_row_count, smolyak_rule, tensor_rule
 
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
 
-#: sample count for surrogate sampling of higher moments
+#: sample count for surrogate sampling of higher moments, and the most rows
+#: a sparse rule may hold before merging to be used instead
 SURROGATE_MC_SAMPLES = 1_000_000
 
 
@@ -66,17 +74,6 @@ def moments_from_coefficients(surrogate):
     return mean, variance
 
 
-def _raw_moments_tensor_gauss(surrogate):
-    # exactness for the quartic of a degree-p expansion needs
-    # ceil((4p + 1) / 2) Gauss points per dimension
-    n_per_dim = max(1, math.ceil((4 * surrogate.order + 1) / 2))
-    rule = tensor_rule(surrogate.space, n_per_dim)
-    vals = surrogate.eval(rule.nodes)
-    raw3 = float(rule.weights @ vals**3)
-    raw4 = float(rule.weights @ vals**4)
-    return raw3, raw4
-
-
 def _sample_moments_surrogate(surrogate, n, seed, chunk_size=100_000):
     acc = RunningMoments()
     pool = surrogate.space.sample_pool(n, seed)
@@ -85,29 +82,44 @@ def _sample_moments_surrogate(surrogate, n, seed, chunk_size=100_000):
     return acc
 
 
+def _skewness_kurtosis(surrogate, mean, variance):
+    """Skewness and kurtosis of the surrogate, exact wherever a rule is cheap."""
+    space = surrogate.space
+    # 2p + 1 Gauss points per dimension, or the sparse rule of that level,
+    # integrate the degree-4p quartic of a degree-p expansion exactly
+    n_exact = 2 * surrogate.order + 1
+    if space.m <= 4:
+        rule = tensor_rule(space, n_exact)
+    elif smolyak_row_count(space.m, n_exact) <= SURROGATE_MC_SAMPLES:
+        rule = smolyak_rule(space, n_exact)
+    else:
+        acc = _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
+        return acc.skewness, acc.kurtosis
+    vals = surrogate.eval(rule.nodes)
+    raw3 = float(rule.weights @ vals**3)
+    raw4 = float(rule.weights @ vals**4)
+    skewness = (raw3 - 3.0 * mean * variance - mean**3) / math.sqrt(variance) ** 3
+    kurtosis = (
+        raw4 - 4.0 * mean * raw3 + 6.0 * mean**2 * variance + 3.0 * mean**4
+    ) / variance**2
+    return skewness, kurtosis
+
+
 def higher_moments(surrogate):
     """First four moments of a fitted surrogate.
 
-    E[M^3] and E[M^4] are integrated exactly by tensor Gauss quadrature for
-    m <= 4; otherwise the surrogate is sampled :data:`SURROGATE_MC_SAMPLES`
-    times with seed 0.  Skewness and kurtosis are NaN below chaos order 2 or
-    for zero variance.
+    E[M^3] and E[M^4] are integrated exactly by the tensor Gauss rule for
+    m <= 4 and by the level-(2p + 1) sparse rule for m > 4.  When that sparse
+    rule's blocks would hold more than :data:`SURROGATE_MC_SAMPLES` rows, the
+    surrogate is sampled that many times with seed 0 instead.  Skewness and
+    kurtosis are NaN below chaos order 2 or for zero variance.
     """
     mean, variance = moments_from_coefficients(surrogate)
     std = math.sqrt(variance)
     skewness = float("nan")
     kurtosis = float("nan")
     if surrogate.order >= MIN_ORDER_HIGHER_MOMENTS and variance > 0.0:
-        if surrogate.basis.m <= 4:
-            raw3, raw4 = _raw_moments_tensor_gauss(surrogate)
-            skewness = (raw3 - 3.0 * mean * variance - mean**3) / std**3
-            kurtosis = (
-                raw4 - 4.0 * mean * raw3 + 6.0 * mean**2 * variance + 3.0 * mean**4
-            ) / variance**2
-        else:
-            acc = _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
-            skewness = acc.skewness
-            kurtosis = acc.kurtosis
+        skewness, kurtosis = _skewness_kurtosis(surrogate, mean, variance)
     return MomentsReport(
         mean=mean,
         std=std,

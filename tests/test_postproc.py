@@ -18,7 +18,9 @@ from segpc import (
     predicted_cost,
     sobol_total,
 )
+import segpc.postproc as postproc
 from segpc.postproc import _sample_moments_surrogate
+from segpc.quadrature import tensor_rule
 
 
 def make_surrogate(space, order, coeffs, method="wlsq"):
@@ -130,6 +132,61 @@ def test_surrogate_mc_moments_equal_dense_reference():
         acc.add(dense_basis_eval(basis, points[start : start + 100_000]) @ coeffs)
     assert report.skewness == acc.skewness
     assert report.kurtosis == acc.kurtosis
+
+
+def _random_surrogate(space, order, seed):
+    basis = ChaosBasis(space, order)
+    coeffs = np.random.default_rng(seed).standard_normal(basis.n_terms)
+    return PceSurrogate(coeffs, basis, FitReport("wlsq", 1, 1, 0.0, 1.0, 1))
+
+
+@pytest.mark.parametrize("m, order", [(5, 2), (5, 3), (6, 2)])
+def test_higher_moments_exact_beyond_four_dimensions(m, order):
+    # oracle: central moments under the tensor Gauss rule with 2p + 1 points
+    # per dimension, exact for the degree-4p integrands
+    sur = _random_surrogate(_mixed_space(m), order, seed=m + order)
+    rule = tensor_rule(sur.space, 2 * order + 1)
+    vals = sur.eval(rule.nodes)
+    mean = rule.weights @ vals
+    var = rule.weights @ (vals - mean) ** 2
+    want_skew = rule.weights @ (vals - mean) ** 3 / var**1.5
+    want_kurt = rule.weights @ (vals - mean) ** 4 / var**2
+    report = higher_moments(sur)
+    assert report.skewness == pytest.approx(want_skew, rel=1e-9)
+    assert report.kurtosis == pytest.approx(want_kurt, rel=1e-9)
+
+
+def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("surrogate sampled where a sparse rule is exact")
+
+    monkeypatch.setattr(postproc, "_sample_moments_surrogate", refuse)
+    report = higher_moments(_random_surrogate(_mixed_space(10), 2, seed=3))
+    assert math.isfinite(report.skewness)
+    assert report.kurtosis >= 1.0 + report.skewness**2
+
+
+def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
+    # the m = 5, p = 2 sparse rule's blocks hold 3206 rows before merging
+    sur = _random_surrogate(_mixed_space(5), 2, seed=5)
+    calls = []
+
+    def spy(surrogate, n, seed):
+        calls.append((n, seed))
+        return _sample_moments_surrogate(surrogate, n, seed)
+
+    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 3205)
+    monkeypatch.setattr(postproc, "_sample_moments_surrogate", spy)
+    report = higher_moments(sur)
+    assert calls == [(3205, 0)]
+    want = _sample_moments_surrogate(sur, 3205, seed=0)
+    assert report.skewness == want.skewness
+    assert report.kurtosis == want.kurtosis
+
+    calls.clear()
+    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 3206)
+    higher_moments(sur)
+    assert calls == []
 
 
 def test_basis_pickle_round_trip_evaluates_identically():

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from tests_support import reference_smolyak_rule
 
 from segpc import (
     ChaosBasis,
@@ -19,6 +21,7 @@ from segpc import (
     tensor_rule,
 )
 from segpc.models import Model
+from segpc.quadrature import smolyak_node_count, smolyak_row_count
 
 
 def test_gauss_hermite_closed_forms():
@@ -103,6 +106,36 @@ def test_smolyak_weights_sum_and_merge_idempotent():
         seen[key] = weight
 
 
+def _mixed_space(m):
+    return StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(m)])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 3, 6, 10])
+def test_smolyak_matches_reference_bit_for_bit(m, level):
+    space = _mixed_space(m)
+    got = smolyak_rule(space, level)
+    want = reference_smolyak_rule(space, level)
+    assert got.nodes.shape == want.nodes.shape
+    # same nodes in the same order, signed zeros included, and same weights
+    assert np.array_equal(got.nodes.view(np.uint64), want.nodes.view(np.uint64))
+    assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
+    assert got.n_nodes == smolyak_node_count(m, level)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_smolyak_row_count_matches_enumeration(m):
+    # brute force over every multi-level k in [1, level]^m with a nonzero
+    # combination coefficient (level <= |k| <= level + m - 1)
+    for level in range(1, 6):
+        want = sum(
+            math.prod(2 * k - 1 for k in k_vec)
+            for k_vec in itertools.product(range(1, level + 1), repeat=m)
+            if level <= sum(k_vec) <= level + m - 1
+        )
+        assert smolyak_row_count(m, level) == want
+
+
 def test_smolyak_node_guard(monkeypatch):
     import segpc.quadrature as quad
 
@@ -113,6 +146,18 @@ def test_smolyak_node_guard(monkeypatch):
     monkeypatch.setattr(quad, "MAX_RULE_NODES", 10)
     with pytest.raises(ValueError):
         quad.tensor_rule(space, 4)
+
+
+def test_smolyak_guard_refuses_one_node_over(monkeypatch):
+    import segpc.quadrature as quad
+
+    space = _mixed_space(4)
+    n_nodes = smolyak_rule(space, 4).n_nodes
+    monkeypatch.setattr(quad, "MAX_RULE_NODES", n_nodes - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        quad.smolyak_rule(space, 4)
+    monkeypatch.setattr(quad, "MAX_RULE_NODES", n_nodes)
+    assert quad.smolyak_rule(space, 4).n_nodes == n_nodes
 
 
 def test_smolyak_validation():

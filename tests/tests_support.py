@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.sparse.linalg
 
 from segpc import Model, ModelEvaluation, univariate_table
 from segpc.burgers import _direct_jacobian
+from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
 
 
 class PolyModel(Model):
@@ -73,3 +76,48 @@ def discrete_qoi_gradient(state):
     m = state.s_full.shape[0] - 2
     # u-block rows of the inlet nodes (0, j), j = 1 .. N-2
     return (y ** np.arange(1, m + 1)[:, None] - y ** (m + 1)) @ adjoint[1 : n - 1]
+
+
+def _compositions(total, parts):
+    """Tuples of ``parts`` positive ints summing to ``total``, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def reference_smolyak_rule(space, level):
+    """Sparse combination rule merged one node at a time through a dict.
+
+    Walks the multi-levels k (|k| ascending, then lexicographic), builds each
+    tensor block with ``meshgrid`` and merges its rows in order, keyed by the
+    coordinates rounded to ``MERGE_DECIMALS``: a node keeps its first
+    appearance's rounded coordinates, and its weights are summed in order of
+    appearance.  ``smolyak_rule`` must match it bit for bit.
+    """
+    m = space.m
+    q_top = level + m - 1
+    merged = {}
+    for total in range(max(m, q_top - m + 1), q_top + 1):
+        coeff = (-1) ** (q_top - total) * math.comb(m - 1, q_top - total)
+        for k_vec in _compositions(total, m):
+            rules = [
+                gauss_rule(family, 2 * k - 1)
+                for family, k in zip(space.families, k_vec)
+            ]
+            grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=1)
+            wts = np.ones(pts.shape[0]) * coeff
+            for wg in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
+                wts *= wg.ravel()
+            for row, w in zip(np.round(pts, MERGE_DECIMALS), wts):
+                key = tuple(row)
+                if key in merged:
+                    merged[key] = (merged[key][0], merged[key][1] + w)
+                else:
+                    merged[key] = (row, w)
+    nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), m)
+    weights = np.array([entry[1] for entry in merged.values()])
+    return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak", level=level)
