@@ -264,21 +264,35 @@ def resolve_reference(config):
     raise ConfigError(f"reference.kind must be 'analytic' or 'mc-file', got {kind!r}")
 
 
-def build_plan(space, basis, pool_size, seed, n_points):
-    """QR-ranked design extended with pool-order points beyond the P+1 ranking.
+def rank_pool(space, basis, pool_size, seed):
+    """Seeded candidate pool, its weights and its pivoted-QR ranking.
 
-    The pivoted QR ranks at most P+1 points; oversampled fits draw the
-    remainder from the seeded pool in draw order (an i.i.d. continuation).
-    Returns (points, w_sqrt).
+    Pool -> coherence weights -> measurement -> ``qr_select`` of up to P+1
+    points.  The ranking depends only on (basis, pool size, seed), so one
+    call serves every method fitted at an order.  Returns
+    (pool, weights, plan).
     """
     pool = space.sample_pool(pool_size, seed)
     weights = coherence_weights(space, pool.points)
     meas = build_measurement(basis, pool, weights)
-    plan = qr_select(meas, min(basis.n_terms, pool.q))
+    return pool, weights, qr_select(meas, min(basis.n_terms, pool.q))
+
+
+def build_plan(ranked, n_points):
+    """The first ``n_points`` design points of a ``rank_pool`` ranking.
+
+    The pivoted QR ranks at most P+1 points; oversampled fits draw the
+    remainder from the seeded pool in draw order (an i.i.d. continuation).
+    Every method at an order slices the same ranking.  Returns
+    (points, w_sqrt).
+    """
+    pool, weights, plan = ranked
     if n_points <= plan.n_selected:
         return plan.points[:n_points], plan.w_sqrt[:n_points]
     extra_needed = n_points - plan.n_selected
-    unselected = np.setdiff1d(np.arange(pool.q), plan.selected)
+    taken = np.zeros(pool.q, dtype=bool)
+    taken[plan.selected] = True
+    unselected = np.flatnonzero(~taken)
     if extra_needed > unselected.size:
         raise ConfigError(
             f"pool of {pool.q} cannot supply {n_points} sample points"
@@ -289,8 +303,12 @@ def build_plan(space, basis, pool_size, seed, n_points):
     return points, w_sqrt
 
 
-def run_fit(config):
-    """Fit a surrogate per the configured method; returns (surrogate, report)."""
+def run_fit(config, ranked=None):
+    """Fit a surrogate per the configured method; returns (surrogate, report).
+
+    ``ranked`` is a ``rank_pool`` result for this order, pool and seed, made
+    here when not given; the sparse-grid method does not use it.
+    """
     _require(config.model is not None, "fit needs a 'model' config entry")
     _require(config.order is not None, "fit needs a chaos order ('order' or --order)")
     method = config.method
@@ -305,14 +323,30 @@ def run_fit(config):
     else:
         base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, space.m)
         n_points = math.ceil(config.oversample * base)
-        points, w_sqrt = build_plan(space, basis, config.pool, config.seed, n_points)
+        if ranked is None:
+            ranked = rank_pool(space, basis, config.pool, config.seed)
+        points, w_sqrt = build_plan(ranked, n_points)
         if method == "wlsq":
             values, gradients = evaluate_values(model, points, workers=config.workers), None
         else:
             values, gradients = evaluate_with_gradients(model, points, workers=config.workers)
         surrogate = fit_wlsq(basis, points, w_sqrt, values, gradients)
+        _note_rank_deficiency(method, basis, surrogate.fit_report)
     report = higher_moments(surrogate)
     return surrogate, report
+
+
+def _note_rank_deficiency(method, basis, fit_report):
+    """One stderr line when a regression fit resolves fewer than P+1 directions."""
+    n_points, m = fit_report.n_points, basis.m
+    if fit_report.rank >= basis.n_terms:
+        return
+    note = (f"segpc: note: {method} fit at order {basis.order} has rank {fit_report.rank} "
+            f"of P+1 = {basis.n_terms} from {n_points} points")
+    if basis.order >= 2 and n_points < m + 1:
+        note += (f": fewer than m+1 = {m + 1} points at order >= 2 leave the "
+                 "directions orthogonal to their affine span unresolved")
+    print(note, file=sys.stderr)
 
 
 def cmd_fit(config):
@@ -339,10 +373,15 @@ def cmd_convergence(config):
     reference = resolve_reference(config)
     _require(reference is not None, "convergence needs a 'reference' config entry")
     rows = []
+    rankings = {}  # order -> rank_pool result, shared by segpc and wlsq
     for method in config.methods:
         for order in orders:
+            if method != "smolyak" and order not in rankings:
+                space = config.model.space
+                rankings[order] = rank_pool(space, ChaosBasis(space, order),
+                                            config.pool, config.seed)
             sub = _copy_config(config, method=method, order=order)
-            _, report = run_fit(sub)
+            _, report = run_fit(sub, rankings.get(order))
             rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
@@ -364,10 +403,7 @@ def cmd_select_points(config):
         config.pool >= basis.n_terms,
         f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns",
     )
-    pool = config.space.sample_pool(config.pool, config.seed)
-    weights = coherence_weights(config.space, pool.points)
-    meas = build_measurement(basis, pool, weights)
-    plan = qr_select(meas, basis.n_terms)
+    _, _, plan = rank_pool(config.space, basis, config.pool, config.seed)
     header = ["rank", "pool_index"] + [f"xi_{k + 1}" for k in range(config.space.m)] + ["r_abs"]
     rows = []
     for rank, (idx, point, r_val) in enumerate(

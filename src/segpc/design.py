@@ -5,7 +5,9 @@ that maximize (greedily) the determinant of the weighted information matrix.
 This is done with Householder QR with column pivoting applied to the
 transposed, row-weighted measurement matrix: pivot order ranks the candidate
 points, and the diagonal magnitudes |R_ii| track the incremental contribution
-of each pivot to |det|.
+of each pivot to |det|.  The factorization is one call to LAPACK ``geqp3``
+(the BLAS-3 pivoted QR) made in place on that temporary matrix: no Q factor
+is formed and R is never copied out, only its diagonal is read.
 
 The per-point weights come from asymptotic sampling theory: for Gaussian
 dimensions ``exp(-||xi||^2 / 4)`` over the Gaussian coordinates jointly, for
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import RankDeficientError
 from .spaces import Gaussian
@@ -135,6 +137,9 @@ def qr_select(meas, n_sel):
 
     Raises
     ------
+    ValueError
+        If ``n_sel`` is out of range or the weighted measurement holds a NaN
+        or an infinity.
     RankDeficientError
         If a pivot magnitude collapses below ``RANK_TOL`` times the leading
         one before ``n_sel`` points are found (pool too small or degenerate).
@@ -147,15 +152,22 @@ def qr_select(meas, n_sel):
             f"cannot select {n_sel} points: pool has {meas.q}, basis has "
             f"{n_terms} terms"
         )
-    # mode="r": the Q factor is never read, so LAPACK never forms it
-    r_mat, piv = scipy.linalg.qr(meas.weighted().T, mode="r", pivoting=True)
-    r_diag = np.abs(np.diag(r_mat))[:n_sel]
+    # (W^(1/2) psi)^T is a Fortran-ordered temporary that nothing else reads,
+    # so geqp3 factors it in place; the workspace query keeps LAPACK's block
+    # size, and with it the pivots and |R_ii| bits, equal to scipy.linalg.qr's
+    a = np.asarray_chkfinite(meas.weighted().T)
+    (geqp3,) = get_lapack_funcs(("geqp3",), (a,))
+    lwork = int(geqp3(a, lwork=-1, overwrite_a=True)[-2][0].real)
+    r_fact, piv, _, _, info = geqp3(a, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK geqp3")
+    r_diag = np.abs(np.diagonal(r_fact)[:n_sel])
     if r_diag[0] == 0.0 or np.any(r_diag < RANK_TOL * r_diag[0]):
         raise RankDeficientError(
             "candidate pool is numerically rank deficient for this basis; "
             "enlarge the pool or lower the chaos order"
         )
-    selected = piv[:n_sel].copy()
+    selected = piv[:n_sel] - 1  # geqp3 pivots are 1-based
     sub = meas.psi[selected] * meas.w_sqrt[selected, None]
     cond_number = float(np.linalg.cond(sub))
     return DesignPlan(

@@ -6,6 +6,7 @@ import pytest
 
 from segpc import ChaosBasis, build_measurement, coherence_weights, fit_wlsq, ode_model
 from segpc import predicted_cost, qr_select
+import segpc.cli
 from segpc.cli import main
 
 
@@ -178,6 +179,55 @@ def test_convergence_with_mc_reference_file(tmp_path):
     rows = read_rows(out / "convergence.csv")
     assert len(rows) == 2
     assert float(rows[1]["err_mean"]) < 0.01
+
+
+def test_convergence_ranks_each_order_once(tmp_path, monkeypatch):
+    calls = []
+    real_qr_select = segpc.cli.qr_select
+
+    def counting_qr_select(meas, n_sel):
+        calls.append(n_sel)
+        return real_qr_select(meas, n_sel)
+
+    monkeypatch.setattr(segpc.cli, "qr_select", counting_qr_select)
+    common = {"model": {"name": "ishigami"}, "pool": 2000, "oversample": 1.5,
+              "reference": {"kind": "analytic"}}
+    cfg = write_config(tmp_path / "conv.json",
+                       {**common, "orders": [2, 3], "methods": ["segpc", "wlsq", "smolyak"]})
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfg, "--seed", "6", "--out", str(out)]) == 0
+    # segpc and wlsq share one ranking per order; smolyak needs none
+    assert len(calls) == 2
+    rows = read_rows(out / "convergence.csv")
+    assert [(r["method"], r["p"]) for r in rows] == [
+        (method, p) for method in ("segpc", "wlsq", "smolyak") for p in ("2", "3")
+    ]
+    # each row equals a separate fit at the same seed, which ranks its own pool
+    for row in rows:
+        fit_cfg = write_config(tmp_path / "fit.json",
+                               {**common, "method": row["method"], "order": int(row["p"])})
+        fit_out = tmp_path / f"fit_{row['method']}_{row['p']}"
+        assert main(["fit", "--config", fit_cfg, "--seed", "6", "--out", str(fit_out)]) == 0
+        assert read_rows(fit_out / "moments.csv") == [row]
+
+
+def test_fit_notes_structural_rank_deficiency(tmp_path, capsys):
+    # Ishigami order 2: 10 terms, ceil(10 / 4) = 3 se-gPC points < m + 1 = 4
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "ishigami"}, "method": "segpc", "order": 2, "pool": 2000},
+    )
+    assert main(["fit", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "rank 9 of P+1 = 10 from 3 points" in err
+    assert "fewer than m+1 = 4 points at order >= 2" in err
+    saved = json.loads((tmp_path / "a" / "surrogate.json").read_text(encoding="utf-8"))
+    assert saved["fit_report"]["rank"] == 9
+    # order 3: 20 terms from 5 points, full rank, nothing on stderr
+    assert main(["fit", "--config", cfg, "--seed", "3", "--order", "3",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_deterministic_outputs_byte_identical(tmp_path):

@@ -14,6 +14,7 @@ from segpc import (
     qr_select,
 )
 from segpc.errors import RankDeficientError
+from tests_support import reference_qr_ranking
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,44 @@ def test_qr_select_validation(gauss2):
         qr_select(meas, 0)
     with pytest.raises(ValueError):
         qr_select(meas, basis.n_terms + 1)
+
+
+@pytest.mark.parametrize(
+    "marginals, order, q",
+    [
+        ([Gaussian(), Gaussian()], 4, 3000),
+        ([Uniform(), Uniform(), Uniform()], 5, 2000),
+        # 165 terms: past LAPACK's crossover, geqp3 runs blocked and its bits
+        # depend on the workspace size
+        ([Gaussian(), Uniform(), Gaussian()], 8, 1000),
+        ([Uniform(), Gaussian()], 4, 7),
+    ],
+    ids=["gaussian", "uniform", "mixed", "pool-below-terms"],
+)
+def test_qr_select_matches_scipy_qr(marginals, order, q):
+    space = StochasticSpace(marginals)
+    basis = ChaosBasis(space, order)
+    pool = space.sample_pool(q, seed=q)
+    meas = build_measurement(basis, pool, coherence_weights(space, pool.points))
+    psi, w_sqrt = meas.psi.copy(), meas.w_sqrt.copy()
+    n_sel = min(basis.n_terms, q)
+    plan = qr_select(meas, n_sel)
+    want_selected, want_r_diag = reference_qr_ranking(meas, n_sel)
+    assert np.array_equal(plan.selected, want_selected)
+    assert np.array_equal(plan.r_diag, want_r_diag)
+    # the in-place factorization overwrites a temporary, never the measurement
+    assert np.array_equal(meas.psi, psi)
+    assert np.array_equal(meas.w_sqrt, w_sqrt)
+
+
+def test_qr_select_rejects_non_finite_weights(gauss2):
+    basis = ChaosBasis(gauss2, 2)
+    pool = gauss2.sample_pool(50, seed=4)
+    weights = coherence_weights(gauss2, pool.points)
+    weights[7] = np.nan
+    meas = build_measurement(basis, pool, weights)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        qr_select(meas, basis.n_terms)
 
 
 def test_qr_select_rank_deficient_pool():

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from segpc import Model, ModelEvaluation, univariate_table
@@ -121,3 +122,14 @@ def reference_smolyak_rule(space, level):
     nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), m)
     weights = np.array([entry[1] for entry in merged.values()])
     return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak", level=level)
+
+
+def reference_qr_ranking(meas, n_sel):
+    """Pivot order and |R_ii| of ``scipy.linalg.qr`` on ``(W^(1/2) psi)^T``.
+
+    The copying, R-forming call ``qr_select`` made before it called LAPACK
+    ``geqp3`` in place; ``qr_select`` must match it bit for bit.  Returns
+    (selected, r_diag) for the first ``n_sel`` pivots.
+    """
+    r_mat, piv = scipy.linalg.qr(meas.weighted().T, mode="r", pivoting=True)
+    return piv[:n_sel], np.abs(np.diag(r_mat))[:n_sel]
