@@ -13,7 +13,6 @@ from segpc import (
     StochasticSpace,
     build_measurement,
     coherence_weights,
-    condition_diagnostics,
     qr_select,
 )
 
@@ -34,7 +33,6 @@ for order in (2, 4):
     else:
         print(f"  ranks 2-6:  radii {np.round(radii[1:6], 2)}  (inner ring)")
         print(f"  ranks 7-15: radii {np.round(radii[6:], 2)}  (outer ring)")
-    diag = condition_diagnostics(meas, plan)
-    print(f"  condition number {diag['cond_number']:.2f}, "
-          f"log|det| {diag['log_det_magnitude']:.2f}")
+    print(f"  condition number {plan.cond_number:.2f}, "
+          f"log|det| {np.sum(np.log(plan.r_diag)):.2f}")
     print(f"  pivot magnitudes |R_ii|: {np.round(plan.r_diag, 2)}")

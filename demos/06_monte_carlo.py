@@ -1,8 +1,8 @@
-"""Streaming Monte-Carlo moments and the baseline they provide.
+"""Monte-Carlo moments and the baseline they provide.
 
-The single-pass accumulator digests the sample stream chunk by chunk, so the
-memory footprint is independent of the sample count, and a fixed seed makes
-the whole estimate reproducible bit for bit.
+The moments are computed in two passes over the per-sample trace, which is
+held in memory and returned beside them.  A fixed seed makes the whole
+estimate reproducible bit for bit.
 """
 
 import numpy as np

@@ -17,7 +17,6 @@ from .design import (
     WeightedMeasurement,
     build_measurement,
     coherence_weights,
-    condition_diagnostics,
     qr_select,
 )
 from .regression import (
@@ -29,7 +28,6 @@ from .regression import (
 )
 from .quadrature import (
     QuadratureRule,
-    RunningMoments,
     gauss_rule,
     monte_carlo_moments,
     quadrature_fit,
@@ -81,14 +79,12 @@ __all__ = [
     "coherence_weights",
     "build_measurement",
     "qr_select",
-    "condition_diagnostics",
     "PceSurrogate",
     "FitReport",
     "fit_wlsq",
     "fit_segpc",
     "segpc_point_count",
     "QuadratureRule",
-    "RunningMoments",
     "gauss_rule",
     "tensor_rule",
     "smolyak_rule",

@@ -303,19 +303,17 @@ def build_plan(ranked, n_points):
     return points, w_sqrt
 
 
-def run_fit(config, ranked=None):
-    """Fit a surrogate per the configured method; returns (surrogate, report).
+def run_fit(config, method, order, ranked=None):
+    """Fit a surrogate by ``method`` at chaos ``order``; returns (surrogate, report).
 
     ``ranked`` is a ``rank_pool`` result for this order, pool and seed, made
     here when not given; the sparse-grid method does not use it.
     """
     _require(config.model is not None, "fit needs a 'model' config entry")
-    _require(config.order is not None, "fit needs a chaos order ('order' or --order)")
-    method = config.method
+    _require(order is not None, "fit needs a chaos order ('order' or --order)")
     _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}")
     model = config.model
     space = model.space
-    order = config.order
     basis = ChaosBasis(space, order)
     if method == "smolyak":
         rule = smolyak_rule(space, order + 1)
@@ -351,7 +349,7 @@ def _note_rank_deficiency(method, basis, fit_report):
 
 def cmd_fit(config):
     reference = resolve_reference(config)
-    surrogate, report = run_fit(config)
+    surrogate, report = run_fit(config, config.method, config.order)
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
     row = moments_row(config.model.name, config.space.m, config.order, report, reference)
@@ -380,19 +378,11 @@ def cmd_convergence(config):
                 space = config.model.space
                 rankings[order] = rank_pool(space, ChaosBasis(space, order),
                                             config.pool, config.seed)
-            sub = _copy_config(config, method=method, order=order)
-            _, report = run_fit(sub, rankings.get(order))
+            _, report = run_fit(config, method, order, rankings.get(order))
             rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
     return 0
-
-
-def _copy_config(config, **overrides):
-    clone = RunConfig.__new__(RunConfig)
-    clone.__dict__.update(config.__dict__)
-    clone.__dict__.update(overrides)
-    return clone
 
 
 def cmd_select_points(config):

@@ -178,22 +178,3 @@ def qr_select(meas, n_sel):
         cond_number=cond_number,
     )
 
-
-def condition_diagnostics(meas, plan):
-    """Determinant magnitude and condition number of a full-size selection.
-
-    Requires a plan with exactly P + 1 points.  ``det_magnitude`` is the
-    product of the |R_ii| (may overflow to inf for very large bases; the log
-    variant is reported alongside).
-    """
-    if plan.n_selected != meas.n_terms:
-        raise ValueError(
-            f"diagnostics need a square selection: plan has {plan.n_selected} "
-            f"points, basis has {meas.n_terms} terms"
-        )
-    log_det = float(np.sum(np.log(plan.r_diag)))
-    return {
-        "cond_number": plan.cond_number,
-        "det_magnitude": float(np.prod(plan.r_diag)),
-        "log_det_magnitude": log_det,
-    }

@@ -11,8 +11,9 @@ them exactly:
   most :data:`SURROGATE_MC_SAMPLES` rows before merging (m <= 22 at p = 2);
 - beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate.
 
-Sampling accumulates central moments directly; the exact raw moments are
-converted to skewness and kurtosis through the raw-to-central identities
+Sampled values give central moments directly (two passes over the held
+values); the exact raw moments are converted to skewness and kurtosis
+through the raw-to-central identities
 
     skew = (E[M^3] - 3 E[M] var - E[M]^3) / std^3
     kurt = (E[M^4] - 4 E[M] E[M^3] + 6 E[M]^2 var + 3 E[M]^4) / var^2
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import RunningMoments, smolyak_row_count, smolyak_rule, tensor_rule
+from .quadrature import sample_moments, smolyak_row_count, smolyak_rule, tensor_rule
 
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
@@ -33,6 +34,9 @@ MIN_ORDER_HIGHER_MOMENTS = 2
 #: sample count for surrogate sampling of higher moments, and the most rows
 #: a sparse rule may hold before merging to be used instead
 SURROGATE_MC_SAMPLES = 1_000_000
+
+#: surrogate samples evaluated per basis-matrix block
+SURROGATE_EVAL_CHUNK = 100_000
 
 
 @dataclass
@@ -74,12 +78,14 @@ def moments_from_coefficients(surrogate):
     return mean, variance
 
 
-def _sample_moments_surrogate(surrogate, n, seed, chunk_size=100_000):
-    acc = RunningMoments()
+def _sample_moments_surrogate(surrogate, n, seed):
+    """Skewness and kurtosis of ``n`` seeded samples of the surrogate."""
     pool = surrogate.space.sample_pool(n, seed)
-    for start in range(0, n, chunk_size):
-        acc.add(surrogate.eval(pool.points[start : start + chunk_size]))
-    return acc
+    values = np.concatenate([
+        surrogate.eval(pool.points[start : start + SURROGATE_EVAL_CHUNK])
+        for start in range(0, n, SURROGATE_EVAL_CHUNK)
+    ])
+    return sample_moments(values)[2:]
 
 
 def _skewness_kurtosis(surrogate, mean, variance):
@@ -93,8 +99,7 @@ def _skewness_kurtosis(surrogate, mean, variance):
     elif smolyak_row_count(space.m, n_exact) <= SURROGATE_MC_SAMPLES:
         rule = smolyak_rule(space, n_exact)
     else:
-        acc = _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
-        return acc.skewness, acc.kurtosis
+        return _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
     vals = surrogate.eval(rule.nodes)
     raw3 = float(rule.weights @ vals**3)
     raw4 = float(rule.weights @ vals**4)

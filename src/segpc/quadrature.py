@@ -10,10 +10,10 @@ rows of integer ids: a node keeps its first appearance in the formula and
 sums its weights in that order (negative merged weights are inherent to the
 formula and retained).
 
-Monte-Carlo moments use a single-pass, numerically stable accumulation of the
-first four central moments.  Sample points are drawn once from a single
-seeded PCG64 stream and evaluated in fixed-order chunks, so results are
-identical for any worker count.
+Monte-Carlo moments are computed in two passes over the held sample trace
+(mean first, then the centered power sums).  Sample points are drawn once
+from a single seeded PCG64 stream and their values are reassembled in draw
+order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -261,109 +261,45 @@ def quadrature_fit(basis, rule, model, workers=1):
     return PceSurrogate(coeff, basis, report)
 
 
-class RunningMoments:
-    """Single-pass accumulator for the first four central moments.
+def sample_moments(values):
+    """Mean, unbiased variance, skewness and kurtosis of a held sample.
 
-    Chunks are reduced with numpy and merged with the pairwise update
-    formulas, which keeps the accumulation stable for long streams.
+    Two passes: the mean, then sums of the centered powers.  Skewness and
+    kurtosis are standardized central-moment ratios (normal -> 0 and 3), NaN
+    when the sample has no spread.
     """
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self._m3 = 0.0
-        self._m4 = 0.0
-
-    def add(self, values):
-        values = np.asarray(values, dtype=float).ravel()
-        nb = values.size
-        if nb == 0:
-            return
-        mean_b = float(values.mean())
-        centered = values - mean_b
-        m2_b = float(np.sum(centered**2))
-        m3_b = float(np.sum(centered**3))
-        m4_b = float(np.sum(centered**4))
-        na = self.n
-        n = na + nb
-        delta = mean_b - self.mean
-        self._m4 = (
-            self._m4
-            + m4_b
-            + delta**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
-            + 6.0 * delta**2 * (na * na * m2_b + nb * nb * self._m2) / n**2
-            + 4.0 * delta * (na * m3_b - nb * self._m3) / n
-        )
-        self._m3 = (
-            self._m3
-            + m3_b
-            + delta**3 * na * nb * (na - nb) / n**2
-            + 3.0 * delta * (na * m2_b - nb * self._m2) / n
-        )
-        self._m2 = self._m2 + m2_b + delta**2 * na * nb / n
-        self.mean = self.mean + delta * nb / n
-        self.n = n
-
-    @property
-    def variance(self):
-        """Unbiased sample variance."""
-        if self.n < 2:
-            return float("nan")
-        return self._m2 / (self.n - 1)
-
-    @property
-    def std(self):
-        var = self.variance
-        return math.sqrt(var) if var == var else float("nan")
-
-    @property
-    def skewness(self):
-        """Standardized third central-moment ratio; NaN for zero variance."""
-        if self.n < 2 or self._m2 <= 0.0:
-            return float("nan")
-        m2 = self._m2 / self.n
-        return (self._m3 / self.n) / m2**1.5
-
-    @property
-    def kurtosis(self):
-        """Standardized fourth central-moment ratio (normal -> 3)."""
-        if self.n < 2 or self._m2 <= 0.0:
-            return float("nan")
-        m2 = self._m2 / self.n
-        return (self._m4 / self.n) / (m2 * m2)
+    n = values.size
+    mean = float(values.mean())
+    centered = values - mean
+    m2 = float(np.sum(centered**2))
+    m3 = float(np.sum(centered**3))
+    m4 = float(np.sum(centered**4))
+    variance = m2 / (n - 1)
+    if m2 <= 0.0:
+        return mean, variance, float("nan"), float("nan")
+    m2n = m2 / n
+    return mean, variance, (m3 / n) / m2n**1.5, (m4 / n) / (m2n * m2n)
 
 
-def monte_carlo_moments(space, model, n, seed, workers=1, chunk_size=65536):
+def monte_carlo_moments(space, model, n, seed, workers=1):
     """Seeded Monte-Carlo estimate of the first four QoI moments.
 
     Returns a ``(MomentsReport, samples)`` pair; ``samples`` is the per-sample
-    QoI trace in draw order.  Mean and variance use the unbiased estimators;
-    skewness and kurtosis are standardized central-moment ratios (NaN when the
-    variance vanishes).
+    QoI trace in draw order, and the moments are :func:`sample_moments` of it.
     """
     from .postproc import MomentsReport
 
     if n < 2:
         raise ValueError(f"Monte-Carlo needs at least 2 samples, got {n}")
     pool = space.sample_pool(n, seed)
-    chunks = [
-        pool.points[start : start + chunk_size]
-        for start in range(0, n, chunk_size)
-    ]
-    acc = RunningMoments()
-    traces = []
-    for chunk in chunks:
-        vals = evaluate_values(model, chunk, workers=workers)
-        acc.add(vals)
-        traces.append(vals)
-    samples = np.concatenate(traces)
+    samples = evaluate_values(model, pool.points, workers=workers)
+    mean, variance, skewness, kurtosis = sample_moments(samples)
     report = MomentsReport(
-        mean=acc.mean,
-        std=acc.std,
-        variance=acc.variance,
-        skewness=acc.skewness,
-        kurtosis=acc.kurtosis,
+        mean=mean,
+        std=math.sqrt(variance),
+        variance=variance,
+        skewness=skewness,
+        kurtosis=kurtosis,
         method="mc",
         evaluation_count=n,
     )

@@ -10,7 +10,6 @@ from segpc import (
     Uniform,
     build_measurement,
     coherence_weights,
-    condition_diagnostics,
     qr_select,
 )
 from segpc.errors import RankDeficientError
@@ -180,21 +179,6 @@ def test_qr_permutation_equivalence(gauss2):
     got = {tuple(np.round(p, 12)) for p in plan.points}
     want = {tuple(np.round(p, 12)) for p in plan2.points}
     assert got == want
-
-
-def test_condition_diagnostics(gauss2):
-    basis = ChaosBasis(gauss2, 1)
-    pool = gauss2.sample_pool(1000, seed=2)
-    meas = build_measurement(basis, pool, coherence_weights(gauss2, pool.points))
-    plan = qr_select(meas, basis.n_terms)
-    diag = condition_diagnostics(meas, plan)
-    assert diag["det_magnitude"] == pytest.approx(float(np.prod(plan.r_diag)))
-    assert diag["log_det_magnitude"] == pytest.approx(
-        float(np.sum(np.log(plan.r_diag)))
-    )
-    short = qr_select(meas, 2)
-    with pytest.raises(ValueError):
-        condition_diagnostics(meas, short)
 
 
 def test_orthogonal_submatrix_condition_is_one():

@@ -10,7 +10,6 @@ from segpc import (
     FitReport,
     Gaussian,
     PceSurrogate,
-    RunningMoments,
     StochasticSpace,
     Uniform,
     higher_moments,
@@ -20,7 +19,7 @@ from segpc import (
 )
 import segpc.postproc as postproc
 from segpc.postproc import _sample_moments_surrogate
-from segpc.quadrature import tensor_rule
+from segpc.quadrature import sample_moments, tensor_rule
 
 
 def make_surrogate(space, order, coeffs, method="wlsq"):
@@ -108,9 +107,9 @@ def test_higher_moments_surrogate_mc_close_to_quadrature():
     coeffs = 0.2 * rng.standard_normal(basis.n_terms)
     sur = PceSurrogate(coeffs, basis, FitReport("wlsq", 10, 10, 0.0, 1.0, 10))
     exact = higher_moments(sur)  # m <= 4: tensor Gauss quadrature
-    sampled = _sample_moments_surrogate(sur, 10**6, seed=1)
-    assert sampled.skewness == pytest.approx(exact.skewness, abs=0.1)
-    assert sampled.kurtosis == pytest.approx(exact.kurtosis, abs=0.3)
+    skewness, kurtosis = _sample_moments_surrogate(sur, 10**6, seed=1)
+    assert skewness == pytest.approx(exact.skewness, abs=0.1)
+    assert kurtosis == pytest.approx(exact.kurtosis, abs=0.3)
 
 
 def _mixed_space(m):
@@ -118,20 +117,20 @@ def _mixed_space(m):
 
 
 def test_surrogate_mc_moments_equal_dense_reference():
-    # the surrogate MC must reproduce, bit for bit, the moments of the dense
-    # tensor-product evaluation streamed over the same 10^5-point chunks
+    # the surrogate MC must reproduce, bit for bit, the sample moments of
+    # the dense tensor-product evaluation over the same 10^5-point chunks
     space = _mixed_space(10)
     basis = ChaosBasis(space, 2)
     coeffs = np.random.default_rng(8).standard_normal(basis.n_terms)
     sur = PceSurrogate(coeffs, basis, FitReport("segpc", 6, 66, 0.0, 1.0, 12))
     n = 200_000
-    report = _sample_moments_surrogate(sur, n, seed=0)
-    acc = RunningMoments()
     points = space.sample_pool(n, seed=0).points
-    for start in range(0, n, 100_000):
-        acc.add(dense_basis_eval(basis, points[start : start + 100_000]) @ coeffs)
-    assert report.skewness == acc.skewness
-    assert report.kurtosis == acc.kurtosis
+    values = np.concatenate([
+        dense_basis_eval(basis, points[start : start + 100_000]) @ coeffs
+        for start in range(0, n, 100_000)
+    ])
+    want = sample_moments(values)[2:]
+    assert _sample_moments_surrogate(sur, n, seed=0) == want
 
 
 def _random_surrogate(space, order, seed):
@@ -179,9 +178,7 @@ def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
     monkeypatch.setattr(postproc, "_sample_moments_surrogate", spy)
     report = higher_moments(sur)
     assert calls == [(3205, 0)]
-    want = _sample_moments_surrogate(sur, 3205, seed=0)
-    assert report.skewness == want.skewness
-    assert report.kurtosis == want.kurtosis
+    assert (report.skewness, report.kurtosis) == _sample_moments_surrogate(sur, 3205, seed=0)
 
     calls.clear()
     monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 3206)

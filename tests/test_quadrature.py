@@ -8,7 +8,6 @@ from tests_support import reference_smolyak_rule
 from segpc import (
     ChaosBasis,
     Gaussian,
-    RunningMoments,
     StochasticSpace,
     Uniform,
     gauss_rule,
@@ -21,7 +20,7 @@ from segpc import (
     tensor_rule,
 )
 from segpc.models import Model
-from segpc.quadrature import smolyak_node_count, smolyak_row_count
+from segpc.quadrature import sample_moments, smolyak_node_count, smolyak_row_count
 
 
 def test_gauss_hermite_closed_forms():
@@ -206,21 +205,19 @@ def test_quadrature_fit_ode_smolyak_mean():
     assert abs(sur.coefficients[0] - ode_mean(1.0)) < 1e-4
 
 
-def test_running_moments_matches_numpy():
+def test_sample_moments_matches_numpy():
     rng = np.random.default_rng(0)
     data = rng.gamma(2.0, 1.5, size=10000)
-    acc = RunningMoments()
-    for chunk in np.array_split(data, 7):
-        acc.add(chunk)
-    assert acc.mean == pytest.approx(data.mean(), rel=1e-12)
-    assert acc.variance == pytest.approx(data.var(ddof=1), rel=1e-10)
+    mean, variance, skewness, kurtosis = sample_moments(data)
+    assert mean == data.mean()
+    assert variance == pytest.approx(data.var(ddof=1), rel=1e-10)
     centered = data - data.mean()
     want_skew = np.mean(centered**3) / np.mean(centered**2) ** 1.5
     want_kurt = np.mean(centered**4) / np.mean(centered**2) ** 2
-    assert acc.skewness == pytest.approx(want_skew, rel=1e-9)
-    assert acc.kurtosis == pytest.approx(want_kurt, rel=1e-9)
+    assert skewness == pytest.approx(want_skew, rel=1e-9)
+    assert kurtosis == pytest.approx(want_kurt, rel=1e-9)
     # Pearson inequality holds for any nondegenerate sample
-    assert acc.kurtosis >= 1.0 + acc.skewness**2
+    assert kurtosis >= 1.0 + skewness**2
 
 
 class LinearModel(Model):
@@ -270,6 +267,19 @@ def test_monte_carlo_determinism_and_worker_invariance():
     rep_b, trace_b = monte_carlo_moments(space, LinearModel(space), 5000, seed=9)
     assert np.array_equal(trace_a, trace_b)
     assert rep_a.mean == rep_b.mean
+
+
+def test_monte_carlo_moments_are_sample_moments_of_the_trace():
+    # the report holds the moments of the whole trace, bit for bit, for any
+    # worker count
+    model = ishigami_model()
+    report, trace = monte_carlo_moments(model.space, model, 70_000, seed=4)
+    moments = (report.mean, report.variance, report.skewness, report.kurtosis)
+    assert moments == sample_moments(trace)
+    assert report.std == math.sqrt(report.variance)
+    report2, trace2 = monte_carlo_moments(model.space, model, 70_000, seed=4, workers=2)
+    assert report2 == report
+    assert np.array_equal(trace2, trace)
 
 
 class SquareModel(Model):
