@@ -510,10 +510,16 @@ class BurgersModel(Model):
         s_mean = (
             NOMINAL_INLET_COEFFS.copy() if s_mean is None else np.asarray(s_mean, float)
         )
+        if s_mean.ndim != 1 or s_mean.size == 0:
+            raise ValueError(f"s_mean must be a non-empty list, got shape {s_mean.shape}")
         if s_std is None:
             s_std = np.abs(s_mean) / 5.0
         else:
             s_std = np.asarray(s_std, dtype=float)
+        if s_std.shape != s_mean.shape:
+            raise ValueError(
+                f"s_std has shape {s_std.shape}, s_mean has shape {s_mean.shape}"
+            )
         if np.any(s_std <= 0):
             raise ValueError("all inlet-coefficient standard deviations must be > 0")
         super().__init__(

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .parallel import evaluate_values, evaluate_with_gradients
 from .postproc import higher_moments, sobol_total
 from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule, tensor_rule
 from .regression import fit_wlsq, segpc_point_count
-from .spaces import Gaussian, StochasticSpace, Uniform
+from .spaces import MARGINALS, StochasticSpace
 
 METHODS = ("segpc", "wlsq", "smolyak")
 
@@ -60,15 +61,12 @@ def build_space(entries):
     for i, entry in enumerate(entries):
         _require(isinstance(entry, dict), f"space[{i}] must be an object")
         kind = entry.get("kind")
-        if kind == "gaussian":
-            marginal, defaults = Gaussian, {"mean": 0.0, "std": 1.0}
-        elif kind == "uniform":
-            marginal, defaults = Uniform, {"lower": -1.0, "upper": 1.0}
-        else:
-            raise ConfigError(f"space[{i}].kind must be 'gaussian' or 'uniform', got {kind!r}")
+        kinds = " or ".join(map(repr, MARGINALS))
+        _require(kind in list(MARGINALS), f"space[{i}].kind must be {kinds}, got {kind!r}")
+        marginal = MARGINALS[kind]
         params = {
-            key: _number(float, entry.get(key, default), f"space[{i}].{key}")
-            for key, default in defaults.items()
+            f.name: _number(float, entry.get(f.name, f.default), f"space[{i}].{f.name}")
+            for f in fields(marginal)
         }
         try:
             marginals.append(marginal(**params))
@@ -141,6 +139,9 @@ class RunConfig:
         self.space = build_space(data["space"]) if "space" in data else (
             self.model.space if self.model is not None else None
         )
+        _require(self.model is None or "space" not in data,
+                 "config fields 'model' and 'space' exclude each other: "
+                 "a model brings its own space")
         _require(self.pool >= 1, f"pool size must be >= 1, got {self.pool}")
         _require(self.oversample >= 1.0, f"oversampling ratio must be >= 1, got {self.oversample}")
         _require(self.workers >= 1, f"worker count must be >= 1, got {self.workers}")
@@ -353,7 +354,7 @@ def cmd_fit(config):
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
     row = moments_row(config.model.name, config.space.m, config.order, report, reference)
-    if config.space.m >= 1 and report.variance > 0:
+    if report.variance > 0:
         sobol = sobol_total(surrogate)
         comments = ["sobol_total=" + ";".join(repr(float(x)) for x in sobol.total_indices)]
     else:

@@ -3,7 +3,9 @@
 A model binds a stochastic space to a scalar quantity of interest.  It is
 evaluated at *standardized* coordinates; internally it maps them to physical
 ones, and gradients are returned already chain-ruled back to standardized
-coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).
+coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).  The analytic models state
+their value and gradient once each, as vectorized numpy formulas over rows of
+physical points.
 
 Every evaluation is stateless from the caller's view, so evaluations at
 distinct points may run concurrently.
@@ -54,7 +56,13 @@ class Model:
 
 
 class AnalyticModel(Model):
-    """Model defined by closed-form value and gradient in physical coordinates."""
+    """Model defined by closed-form value and gradient in physical coordinates.
+
+    A subclass states its QoI once: ``_phys_value`` maps an (n, m) array of
+    physical points to n values and ``_phys_grad`` to their (n, m) physical
+    gradients.  ``values``, ``value`` and ``value_and_grad`` all run these
+    numpy formulas, so a point gives the same bits through every call.
+    """
 
     has_gradient = True
 
@@ -64,23 +72,19 @@ class AnalyticModel(Model):
     def _phys_grad(self, x):
         raise NotImplementedError
 
+    def _physical(self, xi):
+        return self.space.destandardize(np.atleast_2d(np.asarray(xi, dtype=float)))
+
     def value(self, xi):
-        x = self.space.destandardize(np.asarray(xi, dtype=float))
-        return float(self._phys_value(x))
+        return float(self._phys_value(self._physical(xi))[0])
 
     def values(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        x = self.space.destandardize(points)
-        return np.asarray(self._phys_value_batch(x), dtype=float)
-
-    def _phys_value_batch(self, x):
-        return np.array([self._phys_value(row) for row in x])
+        return self._phys_value(self._physical(points))
 
     def value_and_grad(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        x = self.space.destandardize(xi)
-        grad = np.asarray(self._phys_grad(x), dtype=float) * self.space.scales
-        return ModelEvaluation(value=float(self._phys_value(x)), gradient=grad)
+        x = self._physical(xi)
+        grad = self._phys_grad(x)[0] * self.space.scales
+        return ModelEvaluation(value=float(self._phys_value(x)[0]), gradient=grad)
 
 
 class ExponentialDecayModel(AnalyticModel):
@@ -99,13 +103,10 @@ class ExponentialDecayModel(AnalyticModel):
         self.t = float(t)
 
     def _phys_value(self, x):
-        return math.exp(-x[0] * self.t)
-
-    def _phys_value_batch(self, x):
         return np.exp(-x[:, 0] * self.t)
 
     def _phys_grad(self, x):
-        return np.array([-self.t * math.exp(-x[0] * self.t)])
+        return -self.t * np.exp(-x[:, :1] * self.t)
 
 
 def ode_model(t):
@@ -145,24 +146,17 @@ class IshigamiModel(AnalyticModel):
 
     def _phys_value(self, x):
         return (
-            math.sin(x[0])
-            + self.alpha * math.sin(x[1]) ** 2
-            + self.beta * x[2] ** 4 * math.sin(x[0])
-        )
-
-    def _phys_value_batch(self, x):
-        return (
             np.sin(x[:, 0])
             + self.alpha * np.sin(x[:, 1]) ** 2
             + self.beta * x[:, 2] ** 4 * np.sin(x[:, 0])
         )
 
     def _phys_grad(self, x):
-        return np.array(
+        return np.column_stack(
             [
-                math.cos(x[0]) * (1.0 + self.beta * x[2] ** 4),
-                2.0 * self.alpha * math.sin(x[1]) * math.cos(x[1]),
-                4.0 * self.beta * x[2] ** 3 * math.sin(x[0]),
+                np.cos(x[:, 0]) * (1.0 + self.beta * x[:, 2] ** 4),
+                2.0 * self.alpha * np.sin(x[:, 1]) * np.cos(x[:, 1]),
+                4.0 * self.beta * x[:, 2] ** 3 * np.sin(x[:, 0]),
             ]
         )
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import InsufficientSamplesError, RankDeficientError, UnsupportedModelError
 from .orthopoly import ChaosBasis
 from .parallel import evaluate_with_gradients
-from .spaces import Gaussian, StochasticSpace, Uniform
+from .spaces import MARGINALS, StochasticSpace
 
 #: relative singular-value cutoff used to declare a regression rank deficient
 _RCOND = 1e-12
@@ -95,20 +95,12 @@ class PceSurrogate:
         return grads @ self.coefficients
 
     def to_dict(self):
-        marginals = []
-        for marg in self.space.marginals:
-            if isinstance(marg, Gaussian):
-                marginals.append({"kind": "gaussian", "mean": marg.mean, "std": marg.std})
-            else:
-                marginals.append(
-                    {"kind": "uniform", "lower": marg.lower, "upper": marg.upper}
-                )
         return {
             "schema": "segpc/surrogate-v1",
             "dim": self.basis.m,
             "order": self.order,
             "families": list(self.basis.families),
-            "marginals": marginals,
+            "marginals": [{"kind": marg.kind, **asdict(marg)} for marg in self.space.marginals],
             "coefficients": self.coefficients.tolist(),
             "fit_report": asdict(self.fit_report),
         }
@@ -117,12 +109,10 @@ class PceSurrogate:
     def from_dict(cls, data):
         marginals = []
         for entry in data["marginals"]:
-            if entry["kind"] == "gaussian":
-                marginals.append(Gaussian(mean=entry["mean"], std=entry["std"]))
-            elif entry["kind"] == "uniform":
-                marginals.append(Uniform(lower=entry["lower"], upper=entry["upper"]))
-            else:
+            marginal = MARGINALS.get(entry["kind"])
+            if marginal is None:
                 raise ValueError(f"unknown marginal kind {entry['kind']!r}")
+            marginals.append(marginal(**{f.name: entry[f.name] for f in fields(marginal)}))
         basis = ChaosBasis(StochasticSpace(marginals), data["order"])
         report = FitReport(**data["fit_report"])
         return cls(np.asarray(data["coefficients"]), basis, report)

@@ -5,6 +5,11 @@ a Gaussian marginal maps to N(0, 1), a uniform marginal to U(-1, 1).  Physical
 coordinates appear only inside models, which call :meth:`StochasticSpace.
 destandardize` before evaluating the underlying problem.
 
+Each marginal states its map to physical coordinates once, as an affine
+triple ``(base, shift, scale)`` with ``x = base + (xi + shift) * scale``, and
+its JSON form once, as ``{"kind": kind, **fields}``; :data:`MARGINALS` maps
+each kind to its class.
+
 Sampling uses numpy's ``default_rng`` (PCG64).  Gaussian draws use numpy's
 ziggurat implementation of ``standard_normal``; uniform draws come straight
 from the PCG64 stream.  Pools generated with the same seed are bit-identical.
@@ -24,6 +29,8 @@ class Gaussian:
     mean: float = 0.0
     std: float = 1.0
 
+    #: name of the marginal in config and surrogate JSON
+    kind = "gaussian"
     #: polynomial family orthonormal under the standardized density
     family = "hermite"
 
@@ -32,15 +39,9 @@ class Gaussian:
             raise ValueError(f"Gaussian marginal needs std > 0, got {self.std}")
 
     @property
-    def scale(self):
-        """dx/dxi of the affine map from standardized to physical."""
-        return self.std
-
-    def standardize(self, x):
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def destandardize(self, xi):
-        return self.mean + self.std * np.asarray(xi, dtype=float)
+    def affine(self):
+        """(base, shift, scale) of the map x = base + (xi + shift) * scale."""
+        return self.mean, 0.0, self.std
 
     def sample_standard(self, rng, q):
         return rng.standard_normal(q)
@@ -53,6 +54,7 @@ class Uniform:
     lower: float = -1.0
     upper: float = 1.0
 
+    kind = "uniform"
     family = "legendre"
 
     def __post_init__(self):
@@ -62,22 +64,15 @@ class Uniform:
             )
 
     @property
-    def scale(self):
-        return 0.5 * (self.upper - self.lower)
-
-    def standardize(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (x - self.lower) / (self.upper - self.lower) - 1.0
-
-    def destandardize(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.lower + 0.5 * (xi + 1.0) * (self.upper - self.lower)
+    def affine(self):
+        return self.lower, 1.0, 0.5 * (self.upper - self.lower)
 
     def sample_standard(self, rng, q):
         return rng.uniform(-1.0, 1.0, q)
 
 
-Marginal = Gaussian | Uniform
+#: marginal class by its ``kind``
+MARGINALS = {cls.kind: cls for cls in (Gaussian, Uniform)}
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,8 @@ class StochasticSpace:
             if not isinstance(marg, (Gaussian, Uniform)):
                 raise ValueError(f"unsupported marginal type: {type(marg).__name__}")
         self._marginals = marginals
-        self._scales = np.array([marg.scale for marg in marginals])
+        affine = np.array([marg.affine for marg in marginals]).T.copy()
+        self._base, self._shift, self._scales = affine
 
     @property
     def marginals(self):
@@ -160,18 +156,12 @@ class StochasticSpace:
     def standardize(self, x):
         """Map physical coordinates to standardized ones (vectorized over rows)."""
         x = self._check_shape(x, "physical point")
-        out = np.empty_like(x)
-        for k, marg in enumerate(self._marginals):
-            out[..., k] = marg.standardize(x[..., k])
-        return out
+        return (x - self._base) / self._scales - self._shift
 
     def destandardize(self, xi):
         """Map standardized coordinates back to physical ones."""
         xi = self._check_shape(xi, "standard point")
-        out = np.empty_like(xi)
-        for k, marg in enumerate(self._marginals):
-            out[..., k] = marg.destandardize(xi[..., k])
-        return out
+        return self._base + (xi + self._shift) * self._scales
 
     def sample_pool(self, q, seed):
         """Draw q independent standardized points with a fixed seed.

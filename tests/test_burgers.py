@@ -333,3 +333,24 @@ def test_model_failure_names_point(monkeypatch):
 def test_model_validation():
     with pytest.raises(ValueError):
         burgers_model(s_mean=[0.1, -0.2], s_std=[0.1, 0.0])
+
+
+@pytest.mark.parametrize(
+    "s_mean, s_std",
+    [
+        ([-0.5, -0.1, 0.1], [0.1]),
+        ([-0.5, -0.1, 0.1], [0.1, 0.1, 0.1, 0.1]),
+        ([-0.5, -0.1, 0.1], 0.1),
+        ([], None),
+        (0.3, None),
+        ([[-0.5, -0.1]], None),
+    ],
+    ids=["std-short", "std-long", "std-scalar", "mean-empty", "mean-scalar", "mean-2d"],
+)
+def test_model_rejects_inlet_shapes_before_solving(monkeypatch, s_mean, s_std):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("nominal flow solved before the inlet shapes were checked")
+
+    monkeypatch.setattr(segpc.burgers, "burgers_solve", no_solve)
+    with pytest.raises(ValueError, match="s_mean|s_std"):
+        burgers_model(s_mean=s_mean, s_std=s_std, n_grid=11)

@@ -110,6 +110,21 @@ def test_select_points_pool_too_small(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "select-points"])
+def test_model_and_space_together_exit_2(tmp_path, capsys, command):
+    # a model brings its own space; a second one in the config would be ignored
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "ishigami"}, "space": [{"kind": "uniform"}],
+         "method": "wlsq", "order": 2, "pool": 500},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'model'" in err and "'space'" in err
+    assert not out.exists()
+
+
 def test_mc_trace_and_moments(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -324,6 +339,8 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"model": {"name": "burgers", "n_grid": "fine"}}, "model.n_grid"),
         ({"model": {"name": "ode", "t": -1}}, "model: time"),
         ({"space": [{"kind": "gaussian", "std": 0}]}, "space[0]"),
+        ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1, 0.1],
+                    "s_std": [0.1]}}, "model: s_std"),
         ({"order": "two"}, "'order'"),
         ({"samples": "many"}, "'samples'"),
         ({"orders": [1, "two"]}, "orders[1]"),
@@ -331,6 +348,7 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
     ],
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
          "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
+         "model-inlet-shapes",
          "order", "samples", "orders-entry", "orders-not-a-list"],
 )
 def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):

@@ -100,8 +100,11 @@ def test_analytic_gradients_match_finite_differences(factory):
 
 
 def test_batched_values_match_scalar():
-    model = ishigami_model()
-    pts = model.space.sample_pool(32, seed=5).points
-    batched = model.values(pts)
-    scalar = np.array([model.value(xi) for xi in pts])
-    assert np.allclose(batched, scalar)
+    # one formula per model, so a wlsq fit and an se-gPC fit see the same bits
+    for model in (ode_model(1.7), ishigami_model()):
+        pts = model.space.sample_pool(4096, seed=5).points
+        batched = model.values(pts)
+        scalar = np.array([model.value(xi) for xi in pts])
+        with_grad = np.array([model.value_and_grad(xi).value for xi in pts])
+        assert np.array_equal(batched, scalar), model.name
+        assert np.array_equal(batched, with_grad), model.name

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from segpc import (
     qr_select,
     segpc_point_count,
 )
+from segpc.cli import build_space
 from segpc.errors import InsufficientSamplesError, UnsupportedModelError
 from segpc.regression import _RCOND
 
@@ -286,7 +288,17 @@ def test_surrogate_json_roundtrip(tmp_path):
     sur = fit_wlsq(basis, plan.points, plan.w_sqrt, values)
     path = tmp_path / "surrogate.json"
     sur.save_json(path)
+    saved = json.loads(path.read_text(encoding="utf-8"))["marginals"]
+    assert saved == [
+        {"kind": "gaussian", "mean": 1.0, "std": 2.0},
+        {"kind": "uniform", "lower": -3.0, "upper": 4.0},
+    ]
+    assert [list(entry) for entry in saved] == [["kind", "mean", "std"],
+                                                ["kind", "lower", "upper"]]
+    # the saved entries are a config 'space'
+    assert build_space(saved).marginals == space.marginals
     loaded = type(sur).load_json(path)
+    assert loaded.space.marginals == space.marginals
     assert np.array_equal(loaded.coefficients, sur.coefficients)
     assert loaded.basis.families == sur.basis.families
     assert loaded.order == sur.order

@@ -9,16 +9,37 @@ from segpc import Gaussian, StochasticSpace, Uniform
 
 
 def test_gaussian_standardize_examples():
-    marg = Gaussian(mean=4.0, std=0.4)
-    assert marg.standardize(4.0) == pytest.approx(0.0)
+    space = StochasticSpace([Gaussian(mean=4.0, std=0.4)])
+    assert space.standardize([4.0]) == pytest.approx([0.0])
     # affine map evaluated directly
-    assert Gaussian(0.75, 0.16).destandardize(2.0) == pytest.approx(1.07)
+    assert StochasticSpace([Gaussian(0.75, 0.16)]).destandardize([2.0]) == pytest.approx([1.07])
 
 
 def test_uniform_standardize_endpoint():
-    marg = Uniform(-math.pi, math.pi)
-    assert marg.standardize(math.pi) == pytest.approx(1.0)
-    assert marg.standardize(-math.pi) == pytest.approx(-1.0)
+    space = StochasticSpace([Uniform(-math.pi, math.pi)])
+    assert space.standardize([math.pi]) == pytest.approx([1.0])
+    assert space.standardize([-math.pi]) == pytest.approx([-1.0])
+
+
+def test_affine_map_matches_closed_forms():
+    # x = base + (xi + shift) * scale gives the bits of each marginal's own map
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        mean, lower = rng.uniform(-50.0, 50.0, 2)
+        std, width = rng.uniform(1e-3, 50.0, 2)
+        upper = lower + width
+        space = StochasticSpace([Gaussian(mean, std), Uniform(lower, upper)])
+        xi = np.column_stack([rng.standard_normal(2000), rng.uniform(-1.0, 1.0, 2000)])
+        x = np.column_stack([mean + std * rng.standard_normal(2000),
+                             rng.uniform(lower, upper, 2000)])
+        assert np.array_equal(space.destandardize(xi), np.column_stack([
+            mean + std * xi[:, 0],
+            lower + 0.5 * (xi[:, 1] + 1.0) * (upper - lower),
+        ]))
+        assert np.array_equal(space.standardize(x), np.column_stack([
+            (x[:, 0] - mean) / std,
+            2.0 * (x[:, 1] - lower) / (upper - lower) - 1.0,
+        ]))
 
 
 def test_invalid_marginals_rejected():
@@ -47,9 +68,9 @@ def test_roundtrip_identity_seeded():
 )
 def test_roundtrip_gaussian_property(mean, std, xi):
     # cancellation in (x - mean) grows with |mean| / std
-    marg = Gaussian(mean, std)
+    space = StochasticSpace([Gaussian(mean, std)])
     tol = 1e-14 * (1.0 + abs(mean) / std)
-    assert marg.standardize(marg.destandardize(xi)) == pytest.approx(xi, abs=tol)
+    assert space.standardize(space.destandardize([xi]))[0] == pytest.approx(xi, abs=tol)
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,9 +80,9 @@ def test_roundtrip_gaussian_property(mean, std, xi):
     xi=st.floats(-1, 1),
 )
 def test_roundtrip_uniform_property(lower, width, xi):
-    marg = Uniform(lower, lower + width)
+    space = StochasticSpace([Uniform(lower, lower + width)])
     tol = 1e-14 * (1.0 + abs(lower) / width) * 4
-    assert marg.standardize(marg.destandardize(xi)) == pytest.approx(xi, abs=tol)
+    assert space.standardize(space.destandardize([xi]))[0] == pytest.approx(xi, abs=tol)
 
 
 def test_sample_pool_domains_and_determinism():
