@@ -30,8 +30,15 @@ pair of triangular solves.  A chord step that leaves more than
 :data:`CHORD_CONTRACTION` times the previous residual restarts the solve
 from the start state with damped Newton, logged at DEBUG on the
 ``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
-from its own nominal state, so it factors one Jacobian per process.  The
-adjoint system below is factored per state.
+from its own nominal state, so it factors one Jacobian per process.
+
+Given a start state, the adjoint system below is solved the same way: by
+refinement lambda <- lambda + L0^{-1} (r - A lambda) on the LU L0 of the
+adjoint operator at that state, factored once on first use and cached on it.
+Each sweep costs one sparse product and one pair of triangular solves; a sweep
+that fails the same contraction test falls back to factoring the sample's own
+operator, with the same DEBUG line.  :class:`BurgersModel` passes its nominal
+state, so it factors one adjoint operator per process too.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -81,9 +88,18 @@ from .spaces import Gaussian, StochasticSpace
 #: fill-reducing column ordering for every sparse LU factorization here
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
-#: a warm solve's chord step must cut the max-norm residual below this
-#: fraction of the previous one; otherwise the solve falls back to Newton
+#: a warm solve's chord step, or a refinement sweep of the adjoint, must cut
+#: the max-norm residual below this fraction of the previous one; otherwise
+#: the solve falls back to Newton, the adjoint to a fresh LU
 CHORD_CONTRACTION = 0.7
+
+#: a refined adjoint stops once its max-norm residual is below this fraction
+#: of the right-hand side's; a fresh LU leaves ~1e-13 of it at N = 21
+ADJOINT_RTOL = 2e-13
+
+#: most refinement sweeps of one adjoint solve; 30 sweeps cost about one
+#: fresh factorization and solve
+ADJOINT_MAX_SWEEPS = 30
 
 _log = logging.getLogger(__name__)
 
@@ -107,13 +123,14 @@ class BurgersState:
     residual_history: np.ndarray
     #: LU factorizations this solve made
     factorizations: int = 0
-    # LU of the Newton Jacobian at this state, built by the first solve that
-    # starts from it
+    # LUs of the Newton Jacobian and of the adjoint operator at this state,
+    # built by the first direct or adjoint solve that starts from it
     _chord_lu: object = field(default=None, init=False, repr=False, compare=False)
+    _adjoint_lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         # SuperLU objects do not pickle; each process factors its own copy
-        return {**self.__dict__, "_chord_lu": None}
+        return {**self.__dict__, "_chord_lu": None, "_adjoint_lu": None}
 
     @property
     def h(self):
@@ -265,6 +282,43 @@ def _residual(x, nu, h, b):
     return np.bincount(pattern.rows, data * x[pattern.cols], minlength=x.size) - b
 
 
+def _refine(lu, x, res, residual, tol, max_steps, fallback):
+    """Steps x <- x - LU^{-1} F(x) from ``x``, whose residual F(x) is ``res``.
+
+    ``residual`` maps x to F(x).  Returns ``(x, F(x), history)`` once the
+    max-norm residual is at most ``tol``, ``history`` holding the max norms
+    from the first one on.  A step that leaves more than
+    :data:`CHORD_CONTRACTION` times the previous residual, or ``max_steps``
+    steps short of ``tol``, returns None instead, logged at DEBUG with the
+    caller's ``fallback``.
+    """
+    history = [float(np.max(np.abs(res)))]
+    ratio = float("nan")
+    while history[-1] > tol and len(history) <= max_steps:
+        x = x + lu.solve(-res)
+        res = residual(x)
+        history.append(float(np.max(np.abs(res))))
+        ratio = history[-1] / history[-2]
+        if not ratio < CHORD_CONTRACTION:
+            break
+    if history[-1] <= tol:
+        return x, res, history
+    _log.debug(
+        "step %d on the start state's LU: residual %.3e, contraction ratio %.3g; "
+        + fallback,
+        len(history) - 1, history[-1], ratio,
+    )
+    return None
+
+
+def _check_start(start, n, re):
+    if start.n_grid != n or start.re != float(re):
+        raise ValueError(
+            f"start state is for N={start.n_grid}, Re={start.re}; "
+            f"this solve is for N={n}, Re={float(re)}"
+        )
+
+
 def _factorize(matrix, residual, iterations):
     try:
         return scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC)
@@ -323,11 +377,7 @@ def burgers_solve(
         u[:, [0, -1]] = 0.0
         v[:, [0, -1]] = 0.0
     else:
-        if start.n_grid != n or start.re != float(re):
-            raise ValueError(
-                f"start state is for N={start.n_grid}, Re={start.re}; "
-                f"this solve is for N={n}, Re={float(re)}"
-            )
+        _check_start(start, n, re)
         u[:] = start.u
         v[:] = start.v
         u[0, 1:-1] = u_in[1:-1]
@@ -338,25 +388,6 @@ def burgers_solve(
         res_new = _residual(x_new, nu, h, b)
         return x_new, res_new, float(np.max(np.abs(res_new)))
 
-    def chord(lu, x, res, res_norm):
-        """Converged (x, res, res_norm, history), or None if the steps stall."""
-        history = [res_norm]
-        ratio = float("nan")
-        for _ in range(max_iter):
-            x, res, res_norm = step(x, lu.solve(-res))
-            ratio = res_norm / history[-1]
-            history.append(res_norm)
-            if res_norm <= tol:
-                return x, res, res_norm, history
-            if not ratio < CHORD_CONTRACTION:
-                break
-        _log.debug(
-            "chord iteration %d: residual %.3e, contraction ratio %.3g; "
-            "damped Newton restarts from the start state",
-            len(history) - 1, res_norm, ratio,
-        )
-        return None
-
     res = _residual(x, nu, h, b)
     res_norm = float(np.max(np.abs(res)))
     history = [res_norm]
@@ -366,9 +397,13 @@ def burgers_solve(
             jac = _direct_jacobian(start.u, start.v, nu, h, newton=True)
             start._chord_lu = _factorize(jac, res_norm, 0)
             factorizations += 1
-        converged = chord(start._chord_lu, x, res, res_norm)
+        converged = _refine(
+            start._chord_lu, x, res, functools.partial(_residual, nu=nu, h=h, b=b),
+            tol, max_iter, "damped Newton restarts from the start state",
+        )
         if converged is not None:
-            x, res, res_norm, history = converged
+            x, res, history = converged
+            res_norm = history[-1]
     for iteration in range(max_iter):
         if res_norm <= tol:
             break
@@ -418,13 +453,8 @@ def burgers_qoi(state):
     return float(np.trapezoid(energy, dx=state.h))
 
 
-def burgers_adjoint(state):
-    """Solve the continuous adjoint system and integrate the sensitivities.
-
-    Returns the adjoint fields and the total gradient dk_e/ds_i for the m
-    free inlet coefficients (the corner-closure pathway through s_{m+1} is
-    included).
-    """
+def _adjoint_system(state):
+    """Adjoint operator (CSC) at ``state`` and its right-hand side."""
     n = state.n_grid
     nu = 1.0 / state.re
     h = state.h
@@ -449,16 +479,53 @@ def burgers_adjoint(state):
     rhs = np.zeros((2, n, n))
     rhs[0, -1, 1:-1] = -u[-1, 1:-1]
     rhs[1, -1, 1:-1] = -v[-1, 1:-1]
+    return matrix, rhs.ravel()
+
+
+def _factorize_adjoint(matrix):
     try:
-        solution = scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC).solve(
-            rhs.ravel()
-        )
+        return scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC)
     except RuntimeError as exc:
         raise AdjointSolveError(f"adjoint factorization failed: {exc}") from exc
+
+
+def burgers_adjoint(state, start=None):
+    """Solve the continuous adjoint system and integrate the sensitivities.
+
+    Returns the adjoint fields and the total gradient dk_e/ds_i for the m
+    free inlet coefficients (the corner-closure pathway through s_{m+1} is
+    included).  Without ``start`` the adjoint operator at ``state`` is
+    factored and solved.  ``start`` is a state on the same grid and Reynolds
+    number (the nominal flow, say): the system is then refined from zero on
+    the LU of the adjoint operator at ``start``, factored on first use and
+    kept on ``start``, until the max-norm residual is below
+    :data:`ADJOINT_RTOL` times the right-hand side's.  Where a sweep fails
+    the contraction test, or :data:`ADJOINT_MAX_SWEEPS` sweeps fall short,
+    the operator at ``state`` is factored after all.
+    """
+    n = state.n_grid
+    matrix, rhs = _adjoint_system(state)
+    solution = None
+    if start is not None:
+        _check_start(start, n, state.re)
+        if start._adjoint_lu is None:
+            start._adjoint_lu = _factorize_adjoint(_adjoint_system(start)[0])
+        refined = _refine(
+            start._adjoint_lu, np.zeros_like(rhs), -rhs, lambda x: matrix @ x - rhs,
+            ADJOINT_RTOL * float(np.max(np.abs(rhs))), ADJOINT_MAX_SWEEPS,
+            "the adjoint operator is factored afresh",
+        )
+        if refined is not None:
+            solution = refined[0]
+    if solution is None:
+        solution = _factorize_adjoint(matrix).solve(rhs)
     if not np.all(np.isfinite(solution)):
         raise AdjointSolveError("adjoint solve produced non-finite values")
     u_adj, v_adj = solution.reshape(2, n, n)
 
+    u = state.u
+    nu = 1.0 / state.re
+    h = state.h
     y = state.y
     m_free = state.s_full.shape[0] - 2
     # (1/Re) du+/dx at the inlet equals the adjoint momentum flux
@@ -490,6 +557,14 @@ def _located(xi):
         raise AdjointSolveError(message) from exc
 
 
+def _floats(name, value):
+    """``value`` as a float array, or a ValueError naming the argument."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}") from None
+
+
 class BurgersModel(Model):
     """Exit kinetic energy of the Burgers flow as a function of the inlet.
 
@@ -498,24 +573,20 @@ class BurgersModel(Model):
     the mean inlet is solved cold once, at construction; every evaluation
     warm-starts from that state with chord steps on its Newton Jacobian's LU,
     falling back to damped Newton from the same state where the chord steps
-    stall.  The LU is factored by the first evaluation in each process and is
-    not pickled, so results do not depend on the order or the process in
-    which points are evaluated.
+    stall; gradients refine their adjoint on the LU of the adjoint operator at
+    that state.  Each LU is factored by the first evaluation that needs it in
+    each process and is not pickled, so results do not depend on the order or
+    the process in which points are evaluated.
     """
 
     name = "burgers"
     has_gradient = True
 
     def __init__(self, s_mean=None, s_std=None, re=250.0, n_grid=31):
-        s_mean = (
-            NOMINAL_INLET_COEFFS.copy() if s_mean is None else np.asarray(s_mean, float)
-        )
+        s_mean = NOMINAL_INLET_COEFFS.copy() if s_mean is None else _floats("s_mean", s_mean)
         if s_mean.ndim != 1 or s_mean.size == 0:
             raise ValueError(f"s_mean must be a non-empty list, got shape {s_mean.shape}")
-        if s_std is None:
-            s_std = np.abs(s_mean) / 5.0
-        else:
-            s_std = np.asarray(s_std, dtype=float)
+        s_std = np.abs(s_mean) / 5.0 if s_std is None else _floats("s_std", s_std)
         if s_std.shape != s_mean.shape:
             raise ValueError(
                 f"s_std has shape {s_std.shape}, s_mean has shape {s_mean.shape}"
@@ -548,7 +619,7 @@ class BurgersModel(Model):
     def value_and_grad(self, xi):
         with _located(xi):
             state = self._solve(xi)
-            adjoint = burgers_adjoint(state)
+            adjoint = burgers_adjoint(state, start=self._nominal)
         grad = adjoint.gradient * self.space.scales
         return ModelEvaluation(value=burgers_qoi(state), gradient=grad)
 

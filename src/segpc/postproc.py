@@ -2,37 +2,42 @@
 
 With an orthonormal basis the mean and variance are read off the spectral
 coefficients (mean = c_0, variance = sum of the remaining squared
-coefficients).  Third and fourth moments of a degree-p surrogate are
-polynomial integrals of degree <= 4p, so a rule exact to that degree gives
-them exactly:
+coefficients).  Skewness and kurtosis are the third and fourth central
+moments over powers of the standard deviation, and both central moments are
+taken of the centred surrogate M - c_0 directly, exactly where that is cheap:
 
-- m <= 4: the tensor Gauss rule with 2p + 1 points per dimension;
-- m > 4: the sparse rule at level 2p + 1, while its tensor blocks hold at
-  most :data:`SURROGATE_MC_SAMPLES` rows before merging (m <= 22 at p = 2);
+- m <= 4: the tensor Gauss rule with 2p + 1 points per dimension, exact for
+  the degree-4p integrands, over the centred node values;
+- m > 4: the coefficients d of the squared centred expansion
+  (M - c_0)^2 = sum_g d_g psi_g, from which E[(M - c_0)^4] = sum d_g^2 and
+  E[(M - c_0)^3] = sum c_g d_g, with no rule and no surrogate evaluation,
+  while that expansion holds at most :data:`SURROGATE_MC_SAMPLES` rows
+  before merging (m <= 50 at p = 2, m <= 17 at p = 3);
 - beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate.
 
-Sampled values give central moments directly (two passes over the held
-values); the exact raw moments are converted to skewness and kurtosis
-through the raw-to-central identities
-
-    skew = (E[M^3] - 3 E[M] var - E[M]^3) / std^3
-    kurt = (E[M^4] - 4 E[M] E[M^3] + 6 E[M]^2 var + 3 E[M]^4) / var^2
+A product of two orthonormal polynomials of one variable expands exactly as
+phi_a phi_b = sum_l L[a, b, l] phi_l, L[a, b, l] = E[phi_a phi_b phi_l],
+where parity leaves only l = |a - b|, |a - b| + 2, ..., a + b; a product
+of two basis terms factors by dimension, so it expands over the dimensions
+both terms involve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import sample_moments, smolyak_row_count, smolyak_rule, tensor_rule
+from .orthopoly import univariate_table
+from .quadrature import gauss_rule, sample_moments, tensor_rule
 
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
 
 #: sample count for surrogate sampling of higher moments, and the most rows
-#: a sparse rule may hold before merging to be used instead
+#: the squared expansion may hold before merging to be used instead
 SURROGATE_MC_SAMPLES = 1_000_000
 
 #: surrogate samples evaluated per basis-matrix block
@@ -88,34 +93,152 @@ def _sample_moments_surrogate(surrogate, n, seed):
     return sample_moments(values)[2:]
 
 
-def _skewness_kurtosis(surrogate, mean, variance):
-    """Skewness and kurtosis of the surrogate, exact wherever a rule is cheap."""
-    space = surrogate.space
-    # 2p + 1 Gauss points per dimension, or the sparse rule of that level,
-    # integrate the degree-4p quartic of a degree-p expansion exactly
-    n_exact = 2 * surrogate.order + 1
-    if space.m <= 4:
-        rule = tensor_rule(space, n_exact)
-    elif smolyak_row_count(space.m, n_exact) <= SURROGATE_MC_SAMPLES:
-        rule = smolyak_rule(space, n_exact)
+@functools.lru_cache(maxsize=None)
+def _product_table(family, order):
+    """L[a, b, l] = E[phi_a phi_b phi_l] for a, b <= order and l <= 2 order.
+
+    The integrands have degree <= 4 order, so the (2 order + 1)-point Gauss
+    rule gives them exactly.  Cached, so the array is read-only.
+    """
+    nodes, weights = gauss_rule(family, 2 * order + 1)
+    phi = univariate_table(family, 2 * order, nodes)[0]
+    low = phi[:, : order + 1]
+    table = np.einsum("n,na,nb,nl->abl", weights, low, low, phi)
+    table.setflags(write=False)
+    return table
+
+
+def _rank_in_group(sizes):
+    """0, 1, ..., size - 1 for each entry of ``sizes``, concatenated."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _square_row_count(m, order):
+    """Rows of :func:`_central_moments_from_square` before merging, from (m, p) alone.
+
+    Each pair i <= j of non-constant terms gives prod_k (min(a_k, b_k) + 1)
+    rows over the dimensions k both involve.  Summed over ordered pairs that
+    is a coefficient sum of the m-th power of the bivariate series
+    sum_{a, b <= p} (min(a, b) + 1) x^a y^b, truncated at degree p in x and
+    in y; the diagonal i = j has the series sum_a (a + 1) (x y)^a, and each
+    of the P + 1 pairs with the constant term counts 1.
+    """
+    n_terms = math.comb(m + order, m)
+    if n_terms * (n_terms - 1) // 2 > SURROGATE_MC_SAMPLES:
+        return math.inf  # every pair gives a row at least
+    deg = np.arange(order + 1)
+    lag = deg[:, None] - deg[None, :]
+
+    def truncated_power_sum(series):
+        # the operator multiplying a truncated series by ``series``, on the
+        # flattened (x degree, y degree) grid
+        lag_x, lag_y = lag[:, None, :, None], lag[None, :, None, :]
+        shifted = series[np.maximum(lag_x, 0), np.maximum(lag_y, 0)]
+        step = np.where((lag_x >= 0) & (lag_y >= 0), shifted, 0.0)
+        size = (order + 1) ** 2
+        return float(np.linalg.matrix_power(step.reshape(size, size), m)[:, 0].sum())
+
+    ordered = truncated_power_sum(np.minimum.outer(deg, deg) + 1.0)
+    diagonal = truncated_power_sum(np.diag(deg + 1.0))
+    return (ordered + diagonal) / 2 - n_terms
+
+
+def _central_moments_from_square(surrogate):
+    """E[(M - c_0)^3] and E[(M - c_0)^4] from the square of the centred expansion.
+
+    (M - c_0)^2 = sum_{i <= j} (2 - [i = j]) c_i c_j psi_i psi_j, and each
+    product expands over the dimensions both terms involve by the tables of
+    :func:`_product_table`.  The expanded rows are merged into the
+    coefficients d_g of the square on int64 keys: a multi-index of degree
+    <= 2p is its nonzero (dimension, degree) codes k 2p + g, sorted and
+    packed in base 2pm + 1.  The keys stay below (2pm + 1)^min(m, 2p), which
+    fits int64 for every m > 4 and p within the row cap of
+    :func:`_square_row_count` (the largest is 73^8, at m = 9, p = 4).  Returns
+    (sum_{|g| <= p} c_g d_g, sum d_g^2).
+    """
+    basis = surrogate.basis
+    order = basis.order
+    idx = basis.index_set.indices
+    n_terms, m = idx.shape
+    coeff = np.array(surrogate.coefficients, dtype=float)
+    coeff[0] = 0.0
+    width = 2 * order
+    families = sorted(set(basis.families))
+    tables = np.stack([_product_table(f, order) for f in families])
+    family_of = np.array([families.index(f) for f in basis.families])
+
+    # each term's nonzero exponents as ``order`` (dimension, degree) slots;
+    # an empty slot has dimension -1 and code 0
+    term, dim = np.nonzero(idx)
+    slot = _rank_in_group(np.count_nonzero(idx, axis=1))
+    dims = np.full((n_terms, order), -1)
+    degs = np.zeros((n_terms, order), dtype=np.int64)
+    dims[term, slot] = dim
+    degs[term, slot] = idx[term, dim]
+    term_codes = np.where(dims >= 0, dims * width + degs, 0)
+
+    # pairs i <= j of non-constant terms; row codes hold a's slots, then b's
+    first = np.repeat(np.arange(1, n_terms), np.arange(n_terms - 1, 0, -1))
+    second = first + _rank_in_group(np.arange(n_terms - 1, 0, -1))
+    weight = coeff[first] * coeff[second]
+    weight[first != second] *= 2.0
+    codes = np.concatenate([term_codes[first], term_codes[second]], axis=1)
+    # a's slot u expands where b involves its dimension: min(a, b) + 1 rows of
+    # degree |a - b| + 2t, the shared dimension's code moving to a's slot
+    for u in range(order):
+        k = dims[first, u]
+        match = (dims[second] == k[:, None]) & (k[:, None] >= 0)
+        shared = match.any(axis=1)
+        v = np.argmax(match, axis=1)
+        a = degs[first, u]
+        b = degs[second, v]
+        reps = np.where(shared, np.minimum(a, b) + 1, 1)
+        take = np.repeat(np.arange(reps.size), reps)
+        first, second, weight, codes = first[take], second[take], weight[take], codes[take]
+        rows = np.flatnonzero(shared[take])
+        src = take[rows]
+        g = np.abs(a[src] - b[src]) + 2 * _rank_in_group(reps)[rows]
+        codes[rows, u] = np.where(g > 0, k[src] * width + g, 0)
+        codes[rows, order + v[src]] = 0
+        weight[rows] *= tables[family_of[k[src]], a[src], b[src], g]
+
+    keep = min(m, width)
+    powers = (width * m + 1) ** np.arange(keep, dtype=np.int64)
+
+    def keys(code_rows):
+        return np.sort(code_rows, axis=1)[:, width - keep :] @ powers
+
+    merged, row_of = np.unique(keys(codes), return_inverse=True)
+    square = np.bincount(row_of, weights=weight)
+    term_keys = keys(np.concatenate([term_codes, np.zeros_like(term_codes)], axis=1))
+    at = np.minimum(np.searchsorted(merged, term_keys), merged.size - 1)
+    present = merged[at] == term_keys
+    return float(coeff[present] @ square[at[present]]), float(square @ square)
+
+
+def _skewness_kurtosis(surrogate, variance):
+    """Skewness and kurtosis of the surrogate, exact wherever that is cheap."""
+    m, order = surrogate.space.m, surrogate.order
+    if m <= 4:
+        # 2p + 1 Gauss points per dimension integrate the degree-4p quartic
+        rule = tensor_rule(surrogate.space, 2 * order + 1)
+        centred = surrogate.eval(rule.nodes) - surrogate.coefficients[0]
+        third = float(rule.weights @ centred**3)
+        fourth = float(rule.weights @ centred**4)
+    elif _square_row_count(m, order) <= SURROGATE_MC_SAMPLES:
+        third, fourth = _central_moments_from_square(surrogate)
     else:
         return _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
-    vals = surrogate.eval(rule.nodes)
-    raw3 = float(rule.weights @ vals**3)
-    raw4 = float(rule.weights @ vals**4)
-    skewness = (raw3 - 3.0 * mean * variance - mean**3) / math.sqrt(variance) ** 3
-    kurtosis = (
-        raw4 - 4.0 * mean * raw3 + 6.0 * mean**2 * variance + 3.0 * mean**4
-    ) / variance**2
-    return skewness, kurtosis
+    return third / math.sqrt(variance) ** 3, fourth / variance**2
 
 
 def higher_moments(surrogate):
     """First four moments of a fitted surrogate.
 
-    E[M^3] and E[M^4] are integrated exactly by the tensor Gauss rule for
-    m <= 4 and by the level-(2p + 1) sparse rule for m > 4.  When that sparse
-    rule's blocks would hold more than :data:`SURROGATE_MC_SAMPLES` rows, the
+    The mean and variance come from the coefficients.  The third and fourth
+    central moments are exact: from the tensor Gauss rule for m <= 4, and
+    from the square of the centred expansion for m > 4 while it holds at
+    most :data:`SURROGATE_MC_SAMPLES` rows before merging.  Beyond that the
     surrogate is sampled that many times with seed 0 instead.  Skewness and
     kurtosis are NaN below chaos order 2 or for zero variance.
     """
@@ -124,7 +247,7 @@ def higher_moments(surrogate):
     skewness = float("nan")
     kurtosis = float("nan")
     if surrogate.order >= MIN_ORDER_HIGHER_MOMENTS and variance > 0.0:
-        skewness, kurtosis = _skewness_kurtosis(surrogate, mean, variance)
+        skewness, kurtosis = _skewness_kurtosis(surrogate, variance)
     return MomentsReport(
         mean=mean,
         std=std,

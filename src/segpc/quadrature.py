@@ -124,17 +124,6 @@ def _truncated_power(series, m):
     return power
 
 
-def smolyak_row_count(m, level):
-    """Rows of the sparse rule's tensor blocks before duplicates are merged.
-
-    The sum of prod_i (2 * k_i - 1) over the multi-levels k with a nonzero
-    combination coefficient, whose excesses |k| - m run from
-    max(0, level - m) to level - 1.
-    """
-    rows = _truncated_power([2 * j + 1 for j in range(level)], m)
-    return sum(rows[max(0, level - m) :])
-
-
 def smolyak_node_count(m, level):
     """Distinct nodes of the sparse rule, counted without building it.
 

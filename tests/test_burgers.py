@@ -260,15 +260,61 @@ def test_model_pickles_without_chord_factorization():
     values = [model.value(xi) for xi in points]
     evaluations = [model.value_and_grad(xi) for xi in points]
     assert model._nominal._chord_lu is not None
+    assert model._nominal._adjoint_lu is not None
     payload = pickle.dumps(model)
     assert b"SuperLU" not in payload
     copy = pickle.loads(payload)
     assert copy._nominal._chord_lu is None
+    assert copy._nominal._adjoint_lu is None
     for xi, value, ev in zip(points, values, evaluations):
         assert copy.value(xi) == value
         ev_copy = copy.value_and_grad(xi)
         assert ev_copy.value == ev.value
         assert np.array_equal(ev_copy.gradient, ev.gradient)
+
+
+def test_model_gradient_matches_fresh_adjoint(monkeypatch):
+    # value_and_grad refines each adjoint on the nominal operator's LU.  Its
+    # distance from a fresh LU is set against the round-off floor: how far a
+    # fresh LU under another column ordering lands from the same one
+    model = burgers_model(n_grid=21)
+    points = model.space.sample_pool(200, seed=9).points
+    refined = np.array([model.value_and_grad(xi).gradient for xi in points])
+    states = [model._solve(xi) for xi in points]
+    fresh = np.array([burgers_adjoint(state).gradient for state in states])
+    monkeypatch.setattr(segpc.burgers, "PERMC_SPEC", "COLAMD")
+    reordered = np.array([burgers_adjoint(state).gradient for state in states])
+    fresh *= model.space.scales
+    reordered *= model.space.scales
+
+    def worst(gradients):
+        return np.max(np.abs(gradients - fresh).max(axis=1) / np.abs(fresh).max(axis=1))
+
+    assert 0.0 < worst(reordered) < 1e-11
+    assert worst(refined) < 10.0 * worst(reordered)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("CHORD_CONTRACTION", 0.0), ("ADJOINT_MAX_SWEEPS", 1)]
+)
+def test_adjoint_falls_back_to_a_fresh_lu(monkeypatch, caplog, name, value):
+    # a sweep that does not contract, or a sweep budget that falls short,
+    # leaves the sample's own operator to be factored, as without a start
+    nominal = burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=21)
+    space = burgers_model(n_grid=21).space
+    s0 = space.destandardize(space.sample_pool(5, seed=2).points[0])
+    state = burgers_solve(s0, re=250.0, n_grid=21, start=nominal)
+    monkeypatch.setattr(segpc.burgers, name, value)
+    with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+        refined = burgers_adjoint(state, start=nominal)
+    [record] = caplog.records
+    assert "the adjoint operator is factored afresh" in record.getMessage()
+    iteration, _, ratio = record.args
+    assert iteration == 1
+    assert ratio < CHORD_CONTRACTION
+    fresh = burgers_adjoint(state)
+    for got, want in ((refined.u_adj, fresh.u_adj), (refined.gradient, fresh.gradient)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("where", ["nominal", "warm-sample"])
@@ -303,6 +349,9 @@ def test_warm_start_rejects_other_problem(nominal_state):
         burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=11, start=nominal_state)
     with pytest.raises(ValueError):
         burgers_solve(NOMINAL_INLET_COEFFS, re=100.0, n_grid=21, start=nominal_state)
+    coarse = burgers_solve(NOMINAL_INLET_COEFFS, re=250.0, n_grid=11)
+    with pytest.raises(ValueError):
+        burgers_adjoint(coarse, start=nominal_state)
 
 
 def test_model_value_at_nominal(nominal_state):

@@ -125,6 +125,22 @@ def test_model_and_space_together_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["s_mean", "s_std"])
+def test_fit_non_numeric_inlet_exits_2(tmp_path, capsys, field):
+    # a JSON object where the inlet list belongs names the field, no traceback
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "burgers", "n_grid": 11, field: {"a": 1}},
+         "method": "segpc", "order": 2, "pool": 500},
+    )
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert f"configuration error: model: {field} must be a list of numbers" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_mc_trace_and_moments(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

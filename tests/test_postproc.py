@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from tests_support import dense_basis_eval
+from tests_support import dense_basis_eval, sparse_combination_blocks
 
 from segpc import (
     ChaosBasis,
@@ -19,7 +19,7 @@ from segpc import (
 )
 import segpc.postproc as postproc
 from segpc.postproc import _sample_moments_surrogate
-from segpc.quadrature import sample_moments, tensor_rule
+from segpc.quadrature import QuadratureRule, sample_moments, tensor_rule
 
 
 def make_surrogate(space, order, coeffs, method="wlsq"):
@@ -139,25 +139,66 @@ def _random_surrogate(space, order, seed):
     return PceSurrogate(coeffs, basis, FitReport("wlsq", 1, 1, 0.0, 1.0, 1))
 
 
-@pytest.mark.parametrize("m, order", [(5, 2), (5, 3), (6, 2)])
+def _centred_rule_moments(surrogate, rule):
+    """Third and fourth central moments of the surrogate under ``rule``."""
+    centred = surrogate.eval(rule.nodes) - surrogate.coefficients[0]
+    return rule.weights @ centred**3, rule.weights @ centred**4
+
+
+def _assert_moments(report, third, fourth, rel):
+    variance = report.variance
+    assert report.skewness == pytest.approx(third / math.sqrt(variance) ** 3, rel=rel)
+    assert report.kurtosis == pytest.approx(fourth / variance**2, rel=rel)
+
+
+@pytest.mark.parametrize("m, order", [(5, 2), (5, 3), (6, 2), (6, 3)])
 def test_higher_moments_exact_beyond_four_dimensions(m, order):
     # oracle: central moments under the tensor Gauss rule with 2p + 1 points
     # per dimension, exact for the degree-4p integrands
     sur = _random_surrogate(_mixed_space(m), order, seed=m + order)
-    rule = tensor_rule(sur.space, 2 * order + 1)
-    vals = sur.eval(rule.nodes)
-    mean = rule.weights @ vals
-    var = rule.weights @ (vals - mean) ** 2
-    want_skew = rule.weights @ (vals - mean) ** 3 / var**1.5
-    want_kurt = rule.weights @ (vals - mean) ** 4 / var**2
+    third, fourth = _centred_rule_moments(sur, tensor_rule(sur.space, 2 * order + 1))
+    _assert_moments(higher_moments(sur), third, fourth, rel=1e-12)
+
+
+def test_higher_moments_match_centred_sparse_rule_at_m10():
+    # the level-(2p + 1) sparse rule is exact for degree-4p integrands too.
+    # Its blocks are summed unmerged: smolyak_rule rounds merged nodes to 12
+    # decimals, which alone moves these skewnesses by up to ~1e-11
+    sur = _random_surrogate(_mixed_space(10), 2, seed=10)
+    nodes, weights = map(np.concatenate, zip(*sparse_combination_blocks(sur.space, 5)))
+    rule = QuadratureRule(nodes=nodes, weights=weights, kind="smolyak")
+    third, fourth = _centred_rule_moments(sur, rule)
+    _assert_moments(higher_moments(sur), third, fourth, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_higher_moments_of_hermite_quadratic(m):
+    # the first degree-2 term, M = psi_2(xi_m) = (xi_m^2 - 1) / sqrt(2): a
+    # centred chi-square with one degree of freedom over sqrt(2), skewness
+    # 2 sqrt(2) and kurtosis 15
+    sur = make_surrogate(StochasticSpace([Gaussian()] * m), 2, [0.0] * (m + 1) + [1.0])
     report = higher_moments(sur)
-    assert report.skewness == pytest.approx(want_skew, rel=1e-9)
-    assert report.kurtosis == pytest.approx(want_kurt, rel=1e-9)
+    assert report.skewness == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    assert report.kurtosis == pytest.approx(15.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_higher_moments_far_from_zero_mean(m):
+    # mean/std = 1000: both branches take central moments of M - c_0, so the
+    # raw moments' cancellation never enters
+    sur = _random_surrogate(_mixed_space(m), 2, seed=m)
+    coeffs = sur.coefficients.copy()
+    coeffs[0] = 1000.0 * math.sqrt(np.sum(coeffs[1:] ** 2))
+    shifted = PceSurrogate(coeffs, sur.basis, sur.fit_report)
+    third, fourth = _centred_rule_moments(shifted, tensor_rule(sur.space, 5))
+    report = higher_moments(shifted)
+    assert report.mean / report.std == pytest.approx(1000.0)
+    _assert_moments(report, third, fourth, rel=1e-12)
 
 
 def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("surrogate sampled where a sparse rule is exact")
+        raise AssertionError("surrogate sampled where the squared expansion is exact")
 
     monkeypatch.setattr(postproc, "_sample_moments_surrogate", refuse)
     report = higher_moments(_random_surrogate(_mixed_space(10), 2, seed=3))
@@ -165,8 +206,26 @@ def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
     assert report.kurtosis >= 1.0 + report.skewness**2
 
 
+@pytest.mark.parametrize("m, order", [(2, 3), (5, 2), (5, 3), (6, 2), (7, 4)])
+def test_square_row_count_matches_enumeration(m, order):
+    # brute force over the pairs i <= j of non-constant terms: each gives
+    # min(a_k, b_k) + 1 rows per dimension k that both involve
+    idx = ChaosBasis(_mixed_space(m), order).index_set.indices[1:]
+    want = 0
+    for i, a in enumerate(idx):
+        shared = (a > 0) & (idx[i:] > 0)
+        want += int(np.prod(np.where(shared, np.minimum(a, idx[i:]) + 1, 1), axis=1).sum())
+    assert postproc._square_row_count(m, order) == want
+
+
+def test_square_row_cap_covers_forty_inputs_at_order_two():
+    assert postproc._square_row_count(40, 2) <= postproc.SURROGATE_MC_SAMPLES
+    # the cap falls before the pairs alone exceed it
+    assert postproc._square_row_count(60, 2) == math.inf
+
+
 def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
-    # the m = 5, p = 2 sparse rule's blocks hold 3206 rows before merging
+    # the m = 5, p = 2 squared expansion holds 330 rows before merging
     sur = _random_surrogate(_mixed_space(5), 2, seed=5)
     calls = []
 
@@ -174,14 +233,14 @@ def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
         calls.append((n, seed))
         return _sample_moments_surrogate(surrogate, n, seed)
 
-    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 3205)
+    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 329)
     monkeypatch.setattr(postproc, "_sample_moments_surrogate", spy)
     report = higher_moments(sur)
-    assert calls == [(3205, 0)]
-    assert (report.skewness, report.kurtosis) == _sample_moments_surrogate(sur, 3205, seed=0)
+    assert calls == [(329, 0)]
+    assert (report.skewness, report.kurtosis) == _sample_moments_surrogate(sur, 329, seed=0)
 
     calls.clear()
-    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 3206)
+    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 330)
     higher_moments(sur)
     assert calls == []
 

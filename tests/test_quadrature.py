@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from segpc import (
     tensor_rule,
 )
 from segpc.models import Model
-from segpc.quadrature import sample_moments, smolyak_node_count, smolyak_row_count
+from segpc.quadrature import sample_moments, smolyak_node_count
 
 
 def test_gauss_hermite_closed_forms():
@@ -120,19 +119,6 @@ def test_smolyak_matches_reference_bit_for_bit(m, level):
     assert np.array_equal(got.nodes.view(np.uint64), want.nodes.view(np.uint64))
     assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
     assert got.n_nodes == smolyak_node_count(m, level)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_smolyak_row_count_matches_enumeration(m):
-    # brute force over every multi-level k in [1, level]^m with a nonzero
-    # combination coefficient (level <= |k| <= level + m - 1)
-    for level in range(1, 6):
-        want = sum(
-            math.prod(2 * k - 1 for k in k_vec)
-            for k_vec in itertools.product(range(1, level + 1), repeat=m)
-            if level <= sum(k_vec) <= level + m - 1
-        )
-        assert smolyak_row_count(m, level) == want
 
 
 def test_smolyak_node_guard(monkeypatch):

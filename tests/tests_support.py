@@ -89,18 +89,14 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def reference_smolyak_rule(space, level):
-    """Sparse combination rule merged one node at a time through a dict.
+def sparse_combination_blocks(space, level):
+    """The tensor blocks of the level-``level`` sparse rule, unmerged and unrounded.
 
-    Walks the multi-levels k (|k| ascending, then lexicographic), builds each
-    tensor block with ``meshgrid`` and merges its rows in order, keyed by the
-    coordinates rounded to ``MERGE_DECIMALS``: a node keeps its first
-    appearance's rounded coordinates, and its weights are summed in order of
-    appearance.  ``smolyak_rule`` must match it bit for bit.
+    Yields ``(nodes, weights)`` per multi-level k (|k| ascending, then
+    lexicographic), the weights carrying the combination coefficient.
     """
     m = space.m
     q_top = level + m - 1
-    merged = {}
     for total in range(max(m, q_top - m + 1), q_top + 1):
         coeff = (-1) ** (q_top - total) * math.comb(m - 1, q_top - total)
         for k_vec in _compositions(total, m):
@@ -113,13 +109,27 @@ def reference_smolyak_rule(space, level):
             wts = np.ones(pts.shape[0]) * coeff
             for wg in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
                 wts *= wg.ravel()
-            for row, w in zip(np.round(pts, MERGE_DECIMALS), wts):
-                key = tuple(row)
-                if key in merged:
-                    merged[key] = (merged[key][0], merged[key][1] + w)
-                else:
-                    merged[key] = (row, w)
-    nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), m)
+            yield pts, wts
+
+
+def reference_smolyak_rule(space, level):
+    """Sparse combination rule merged one node at a time through a dict.
+
+    Walks the blocks of :func:`sparse_combination_blocks` and merges their
+    rows in order, keyed by the coordinates rounded to ``MERGE_DECIMALS``: a
+    node keeps its first appearance's rounded coordinates, and its weights
+    are summed in order of appearance.  ``smolyak_rule`` must match it bit
+    for bit.
+    """
+    merged = {}
+    for pts, wts in sparse_combination_blocks(space, level):
+        for row, w in zip(np.round(pts, MERGE_DECIMALS), wts):
+            key = tuple(row)
+            if key in merged:
+                merged[key] = (merged[key][0], merged[key][1] + w)
+            else:
+                merged[key] = (row, w)
+    nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), space.m)
     weights = np.array([entry[1] for entry in merged.values()])
     return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak", level=level)
 
