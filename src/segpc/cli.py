@@ -134,6 +134,11 @@ class RunConfig:
             _number(int, order, f"orders[{i}]") for i, order in enumerate(orders)
         ]
         self.methods = data.get("methods", list(METHODS))
+        _require(isinstance(self.methods, list) and self.methods,
+                 f"config field 'methods' must be a non-empty list, got {self.methods!r}")
+        for i, method in enumerate(self.methods):
+            _require(method in METHODS,
+                     f"config field 'methods[{i}]' must be one of {METHODS}, got {method!r}")
         self.reference = data.get("reference")
         self.model = build_model(data["model"]) if "model" in data else None
         self.space = build_space(data["space"]) if "space" in data else (
@@ -214,12 +219,13 @@ def moments_row(model_name, m, order, report, reference=None):
 
 def analytic_reference(model):
     """First-four-moment reference for the analytic models via dense quadrature."""
-    if model.space.m > 4:
+    try:
+        rule = tensor_rule(model.space, 60)
+    except ValueError as exc:
         raise ConfigError(
             "analytic reference is only available for low-dimensional built-in "
-            "models; supply a Monte-Carlo reference file instead"
-        )
-    rule = tensor_rule(model.space, 60)
+            f"models; supply a Monte-Carlo reference file instead ({exc})"
+        ) from None
     values = model.values(rule.nodes)
     mean = float(rule.weights @ values)
     centered = values - mean
@@ -367,8 +373,6 @@ def cmd_convergence(config):
     _require(config.model is not None, "convergence needs a 'model' config entry")
     orders = config.orders
     _require(orders is not None and len(orders) >= 1, "convergence needs 'orders' (e.g. [1,2,3])")
-    for method in config.methods:
-        _require(method in METHODS, f"methods entries must be in {METHODS}, got {method!r}")
     reference = resolve_reference(config)
     _require(reference is not None, "convergence needs a 'reference' config entry")
     rows = []

@@ -116,31 +116,17 @@ def _rank_in_group(sizes):
 def _square_row_count(m, order):
     """Rows of :func:`_central_moments_from_square` before merging, from (m, p) alone.
 
-    Each pair i <= j of non-constant terms gives prod_k (min(a_k, b_k) + 1)
-    rows over the dimensions k both involve.  Summed over ordered pairs that
-    is a coefficient sum of the m-th power of the bivariate series
-    sum_{a, b <= p} (min(a, b) + 1) x^a y^b, truncated at degree p in x and
-    in y; the diagonal i = j has the series sum_a (a + 1) (x y)^a, and each
-    of the P + 1 pairs with the constant term counts 1.
+    A pair of terms a, b gives prod_k (min(a_k, b_k) + 1) rows: one per
+    multi-index g below both.  Each g of degree d lies below C(m + p - d, m)
+    terms, and C(m + d - 1, d) multi-indices have degree d, so the ordered
+    pairs give sum_d C(m + d - 1, d) C(m + p - d, m)^2 rows and the diagonal
+    sum_d C(m + d - 1, d) C(m + p - d, m).  Pairs i <= j hold half their
+    sum; the P + 1 of them with the constant term give one row each.
     """
-    n_terms = math.comb(m + order, m)
-    if n_terms * (n_terms - 1) // 2 > SURROGATE_MC_SAMPLES:
-        return math.inf  # every pair gives a row at least
-    deg = np.arange(order + 1)
-    lag = deg[:, None] - deg[None, :]
-
-    def truncated_power_sum(series):
-        # the operator multiplying a truncated series by ``series``, on the
-        # flattened (x degree, y degree) grid
-        lag_x, lag_y = lag[:, None, :, None], lag[None, :, None, :]
-        shifted = series[np.maximum(lag_x, 0), np.maximum(lag_y, 0)]
-        step = np.where((lag_x >= 0) & (lag_y >= 0), shifted, 0.0)
-        size = (order + 1) ** 2
-        return float(np.linalg.matrix_power(step.reshape(size, size), m)[:, 0].sum())
-
-    ordered = truncated_power_sum(np.minimum.outer(deg, deg) + 1.0)
-    diagonal = truncated_power_sum(np.diag(deg + 1.0))
-    return (ordered + diagonal) / 2 - n_terms
+    above = [math.comb(m + order - d, m) for d in range(order + 1)]
+    at_degree = [math.comb(m + d - 1, d) for d in range(order + 1)]
+    pairs = sum(n * a * (a + 1) for n, a in zip(at_degree, above)) // 2
+    return pairs - math.comb(m + order, m)
 
 
 def _central_moments_from_square(surrogate):

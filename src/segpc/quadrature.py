@@ -4,11 +4,11 @@ Gauss rules are built from the Jacobi-matrix eigenproblem of the orthonormal
 recurrence (Golub-Welsch) and normalized to the probability measure, so the
 weights of every rule sum to 1.  Sparse rules use the standard combination
 formula over 1D Gauss rules with linear growth n_level = 2 * level - 1;
-chaos order p maps to level p + 1.  Duplicate nodes across the combination
-terms are merged on their coordinates rounded to 12 decimals, compared as
-rows of integer ids: a node keeps its first appearance in the formula and
-sums its weights in that order (negative merged weights are inherent to the
-formula and retained).
+chaos order p maps to level p + 1.  The tensor blocks of the formula are
+stacked in order and merged once on their coordinates rounded to 12
+decimals: a node keeps its first appearance in the formula and sums its
+weights in that order (negative merged weights are inherent to the formula
+and retained).
 
 Monte-Carlo moments are computed in two passes over the held sample trace
 (mean first, then the centered power sums).  Sample points are drawn once
@@ -18,7 +18,6 @@ order, so results are identical for any worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,12 +106,6 @@ def _compositions_min1(total, parts):
             yield (head,) + tail
 
 
-def _index_rows(tuples, width):
-    """Integer tuples of length ``width`` as the rows of an array."""
-    rows = list(tuples)
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
-
-
 def _truncated_power(series, m):
     """Coefficients of series(x)^m up to the degree of ``series``."""
     power = [1] + [0] * (len(series) - 1)
@@ -148,13 +141,13 @@ def smolyak_rule(space, level):
     single-node rule at the origin; for m = 1 the rule coincides with the
     (2 * level - 1)-point Gauss rule.
 
-    A dimension at level 1 holds only the origin, so each ordered tuple of
-    levels >= 2 gets its small tensor grid built once, scattered over every
-    ascending set of dimensions that carries it.  Rows then merge in the
-    order of the combination formula (|k| ascending, k lexicographic, each
-    block in ``meshgrid`` order): a node keeps the rounded coordinates of its
-    first appearance and sums its weights in order of appearance.  A rule of
-    more than :data:`MAX_RULE_NODES` nodes is refused before it is built.
+    Each multi-level's tensor block is built in turn (|k| ascending, k
+    lexicographic, each block in ``meshgrid`` order), its weights the
+    coefficient times the 1D weights in dimension order.  The rows then merge
+    once on their coordinates rounded to :data:`MERGE_DECIMALS`: a node keeps
+    the rounded coordinates of its first appearance and sums its weights in
+    order of appearance.  A rule of more than :data:`MAX_RULE_NODES` nodes is
+    refused before any block is built.
     """
     if level < 1:
         raise ValueError(f"sparse rule level must be >= 1, got {level}")
@@ -163,70 +156,31 @@ def smolyak_rule(space, level):
         raise ValueError(
             f"sparse rule exceeds {MAX_RULE_NODES} nodes (m={m}, level={level})"
         )
-    # every rounded 1D node in one table: the 2k - 1 nodes of dimension d at
-    # level k start at family_start[d] + (k - 1)**2
-    families = sorted(set(space.families))
-    rules_1d = [
-        gauss_rule(family, 2 * k_level - 1)
-        for family in families
-        for k_level in range(1, level + 1)
-    ]
-    table = np.round(np.concatenate([r[0] for r in rules_1d]), MERGE_DECIMALS)
-    table_weights = np.concatenate([r[1] for r in rules_1d])
-    family_start = level**2 * np.array([families.index(f) for f in space.families])
-    id_type = np.min_scalar_type(table.size)
-
-    # tensor blocks grouped by level pattern, each tagged with its multi-level
-    sources, weights, k_vecs, sizes = [], [], [], []
-    for excess in range(max(0, level - m), level):
-        q_gap = level - 1 - excess
-        coeff = float((-1) ** q_gap * math.comb(m - 1, q_gap))
-        for parts in range(min(excess, m) + 1):
-            dims = _index_rows(itertools.combinations(range(m), parts), parts)
-            blocks = np.arange(dims.shape[0])
-            for pattern in _compositions_min1(excess, parts):
-                levels = [head + 1 for head in pattern]
-                local = _index_rows(
-                    itertools.product(*[range(2 * k - 1) for k in levels]), parts
-                )
-                src = np.empty((dims.shape[0], local.shape[0], m), dtype=id_type)
-                src[:] = family_start
-                wts = np.full((dims.shape[0], local.shape[0]), coeff)
-                k_vec = np.ones((dims.shape[0], m), dtype=np.intp)
-                for i, k_level in enumerate(levels):
-                    col = (
-                        family_start[dims[:, i], None] + (k_level - 1) ** 2 + local[:, i]
-                    )
-                    src[blocks, :, dims[:, i]] = col
-                    wts *= table_weights[col]
-                    k_vec[blocks, dims[:, i]] = k_level
-                sources.append(src.reshape(-1, m))
-                weights.append(wts.ravel())
-                k_vecs.append(k_vec)
-                sizes.append(np.full(dims.shape[0], local.shape[0]))
-
-    # rows in the combination formula's order: blocks by |k|, then k
-    k_vecs = np.concatenate(k_vecs)
-    block_order = np.lexsort(tuple(k_vecs.T[::-1]) + (k_vecs.sum(axis=1),))
-    block_rank = np.argsort(block_order)
-    in_order = np.argsort(np.repeat(block_rank, np.concatenate(sizes)), kind="stable")
-    source = np.concatenate(sources)[in_order]
-    row_weights = np.concatenate(weights)[in_order]
-
-    # merge rows with equal rounded coordinates; the stable sort keeps each
-    # node's rows in order, so a node's first sorted row is its first appearance
-    merge_id = np.unique(table, return_inverse=True)[1].astype(id_type)[source]
-    order = np.lexsort(tuple(merge_id.T[::-1]))
-    ranked = merge_id[order]
-    new_node = np.ones(order.size, dtype=bool)
-    new_node[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first_rows = order[new_node]
-    rank = np.argsort(np.argsort(first_rows))
-    node_of_row = np.empty(order.size, dtype=np.intp)
-    node_of_row[order] = rank[np.cumsum(new_node) - 1]
-    # bincount adds in row order: each node's weights in order of appearance
-    node_weights = np.bincount(node_of_row, weights=row_weights)
-    nodes = table[source[np.sort(first_rows)]]
+    rules_1d = {
+        (family, k): gauss_rule(family, 2 * k - 1)
+        for family in set(space.families)
+        for k in range(1, level + 1)
+    }
+    rows, row_weights = [], []
+    for total in range(max(m, level), level + m):
+        gap = level + m - 1 - total
+        coeff = float((-1) ** gap * math.comb(m - 1, gap))
+        for k_vec in _compositions_min1(total, m):
+            block = [rules_1d[family, k] for family, k in zip(space.families, k_vec)]
+            index = np.indices([2 * k - 1 for k in k_vec]).reshape(m, -1)
+            rows.append(np.stack([nodes[i] for (nodes, _), i in zip(block, index)], axis=1))
+            weights = np.full(index.shape[1], coeff)
+            for (_, w_1d), i in zip(block, index):
+                weights *= w_1d[i]
+            row_weights.append(weights)
+    rows = np.round(np.concatenate(rows), MERGE_DECIMALS)
+    _, first, node_of_row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # number the nodes by first appearance; bincount adds each node's weights
+    # in row order, which is their order of appearance
+    by_appearance = np.argsort(first)
+    node_of_row = np.argsort(by_appearance)[node_of_row]
+    node_weights = np.bincount(node_of_row, weights=np.concatenate(row_weights))
+    nodes = rows[first[by_appearance]]
     return QuadratureRule(nodes=nodes, weights=node_weights, kind="smolyak", level=level)
 
 

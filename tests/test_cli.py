@@ -361,11 +361,17 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"samples": "many"}, "'samples'"),
         ({"orders": [1, "two"]}, "orders[1]"),
         ({"orders": 3}, "'orders' must be a list"),
+        ({"methods": []}, "'methods'"),
+        ({"methods": "wlsq"}, "'methods'"),
+        ({"methods": ["wlsq", "krylov"]}, "methods[1]"),
+        ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1, 0.1, 0.01]}},
+         "analytic reference is only available"),
     ],
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
          "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
          "model-inlet-shapes",
-         "order", "samples", "orders-entry", "orders-not-a-list"],
+         "order", "samples", "orders-entry", "orders-not-a-list",
+         "methods-empty", "methods-not-a-list", "methods-entry", "analytic-too-large"],
 )
 def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):
     # a points file is a readable CSV without the moment columns

@@ -23,6 +23,6 @@ def test_cli_matrix_writes_every_output(tmp_path):
         for name, (command, _, _) in matrix.RUNS.items()
         for leaf in ["config.json", *OUTPUTS[command]]
     )
-    assert len(matrix.RUNS) == 12
+    assert len(matrix.RUNS) == 13
     assert files == expected
-    assert len(files) == 34
+    assert len(files) == 37

@@ -206,7 +206,7 @@ def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
     assert report.kurtosis >= 1.0 + report.skewness**2
 
 
-@pytest.mark.parametrize("m, order", [(2, 3), (5, 2), (5, 3), (6, 2), (7, 4)])
+@pytest.mark.parametrize("m, order", [(2, 3), (5, 2), (5, 3), (6, 2), (7, 4), (40, 2)])
 def test_square_row_count_matches_enumeration(m, order):
     # brute force over the pairs i <= j of non-constant terms: each gives
     # min(a_k, b_k) + 1 rows per dimension k that both involve
@@ -220,8 +220,8 @@ def test_square_row_count_matches_enumeration(m, order):
 
 def test_square_row_cap_covers_forty_inputs_at_order_two():
     assert postproc._square_row_count(40, 2) <= postproc.SURROGATE_MC_SAMPLES
-    # the cap falls before the pairs alone exceed it
-    assert postproc._square_row_count(60, 2) == math.inf
+    # 1,891 terms: the 1,786,995 pairs of non-constant terms alone exceed it
+    assert postproc._square_row_count(60, 2) > postproc.SURROGATE_MC_SAMPLES
 
 
 def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):

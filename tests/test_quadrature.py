@@ -108,17 +108,28 @@ def _mixed_space(m):
     return StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(m)])
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("m", [1, 3, 6, 10])
-def test_smolyak_matches_reference_bit_for_bit(m, level):
-    space = _mixed_space(m)
+# mixed spaces at levels 1-5, plus the all-uniform m = 3 rules that
+# `segpc convergence` builds for Ishigami at orders 6 and 8
+@pytest.mark.parametrize(
+    "space, level",
+    [
+        pytest.param(_mixed_space(m), level, id=f"{m}-{level}")
+        for m in (1, 3, 6, 10)
+        for level in range(1, 6)
+    ]
+    + [
+        pytest.param(StochasticSpace([Uniform()] * 3), level, id=f"uniform3-{level}")
+        for level in (7, 9)
+    ],
+)
+def test_smolyak_matches_reference_bit_for_bit(space, level):
     got = smolyak_rule(space, level)
     want = reference_smolyak_rule(space, level)
     assert got.nodes.shape == want.nodes.shape
     # same nodes in the same order, signed zeros included, and same weights
     assert np.array_equal(got.nodes.view(np.uint64), want.nodes.view(np.uint64))
     assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
-    assert got.n_nodes == smolyak_node_count(m, level)
+    assert got.n_nodes == smolyak_node_count(space.m, level)
 
 
 def test_smolyak_node_guard(monkeypatch):

@@ -44,6 +44,7 @@ RUNS = {
                                      "pool": 2000}),
     "fit-burgers-wlsq": ("fit", 3, {"model": BURGERS, "method": "wlsq", "order": 1,
                                     "pool": 2000, "oversample": 2.0}),
+    "fit-burgers-smolyak": ("fit", 3, {"model": BURGERS, "method": "smolyak", "order": 2}),
     "convergence-ishigami": ("convergence", 7, {"model": ISHIGAMI, "orders": [1, 2, 3],
                                                 "pool": 2000,
                                                 "reference": {"kind": "analytic"}}),
