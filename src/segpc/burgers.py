@@ -580,7 +580,6 @@ class BurgersModel(Model):
     """
 
     name = "burgers"
-    has_gradient = True
 
     def __init__(self, s_mean=None, s_std=None, re=250.0, n_grid=31):
         s_mean = NOMINAL_INLET_COEFFS.copy() if s_mean is None else _floats("s_mean", s_mean)
@@ -624,6 +623,4 @@ class BurgersModel(Model):
         return ModelEvaluation(value=burgers_qoi(state), gradient=grad)
 
 
-def burgers_model(s_mean=None, s_std=None, re=250.0, n_grid=31):
-    """Burgers inlet-uncertainty model (defaults: the 10-coefficient case)."""
-    return BurgersModel(s_mean=s_mean, s_std=s_std, re=re, n_grid=n_grid)
+burgers_model = BurgersModel

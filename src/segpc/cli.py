@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .burgers import burgers_model
+from .burgers import BurgersModel
 from .design import build_measurement, coherence_weights, qr_select
 from .errors import SegpcError
-from .models import ishigami_model, ode_model
+from .models import ExponentialDecayModel, IshigamiModel
 from .orthopoly import ChaosBasis
 from .parallel import evaluate_values, evaluate_with_gradients
 from .postproc import higher_moments, sobol_total
-from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule, tensor_rule
+from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule
 from .regression import fit_wlsq, segpc_point_count
 from .spaces import MARGINALS, StochasticSpace
 
@@ -75,30 +75,29 @@ def build_space(entries):
     return StochasticSpace(marginals)
 
 
+#: model name -> (class, {config field: its number kind, or None to pass it as given})
+MODELS = {
+    "ode": (ExponentialDecayModel, {"t": float}),
+    "ishigami": (IshigamiModel, {"alpha": float, "beta": float}),
+    "burgers": (BurgersModel, {"s_mean": None, "s_std": None, "re": float, "n_grid": int}),
+}
+
+
 def build_model(entry):
-    """Construct a built-in model from a config object."""
+    """Construct a built-in model from a config object; absent fields take its defaults."""
     _require(isinstance(entry, dict), "config field 'model' must be an object")
     name = entry.get("name")
-
-    def number(kind, key, default):
-        return _number(kind, entry.get(key, default), f"model.{key}")
-
+    _require(name in list(MODELS),
+             f"model.name must be one of {', '.join(map(repr, MODELS))}, got {name!r}")
+    cls, kinds = MODELS[name]
+    params = {
+        key: entry[key] if kind is None else _number(kind, entry[key], f"model.{key}")
+        for key, kind in kinds.items() if key in entry
+    }
     try:
-        if name == "ode":
-            return ode_model(number(float, "t", 1.0))
-        if name == "ishigami":
-            return ishigami_model(alpha=number(float, "alpha", 7.0),
-                                  beta=number(float, "beta", 0.1))
-        if name == "burgers":
-            return burgers_model(
-                s_mean=entry.get("s_mean"),
-                s_std=entry.get("s_std"),
-                re=number(float, "re", 250.0),
-                n_grid=number(int, "n_grid", 31),
-            )
+        return cls(**params)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
-    raise ConfigError(f"model.name must be one of 'ode', 'ishigami', 'burgers', got {name!r}")
 
 
 class RunConfig:
@@ -167,14 +166,6 @@ def load_config(path):
     return data
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, schema, header, rows, comments=()):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -182,9 +173,11 @@ def _write_csv(path, schema, header, rows, comments=()):
     lines.extend(f"# {comment}" for comment in comments)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(row[key]) for key in header))
+        lines.append(",".join(str(row[key]) for key in header))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+
+MOMENTS = ("mean", "std", "skewness", "kurtosis")
 
 MOMENT_COLUMNS = [
     "model", "method", "m", "p", "evaluation_count",
@@ -209,30 +202,18 @@ def moments_row(model_name, m, order, report, reference=None):
         "p": order if order is not None else "",
         **report.as_row(),
     }
-    ref = reference or {}
-    row["err_mean"] = _relative_or_abs(report.mean, ref.get("mean"))
-    row["err_std"] = _relative_or_abs(report.std, ref.get("std"))
-    row["err_skewness"] = _relative_or_abs(report.skewness, ref.get("skewness"))
-    row["err_kurtosis"] = _relative_or_abs(report.kurtosis, ref.get("kurtosis"))
+    for key in MOMENTS:
+        row[f"err_{key}"] = _relative_or_abs(row[key], (reference or {}).get(key))
     return row
 
 
 def analytic_reference(model):
-    """First-four-moment reference for the analytic models via dense quadrature."""
-    try:
-        rule = tensor_rule(model.space, 60)
-    except ValueError as exc:
-        raise ConfigError(
-            "analytic reference is only available for low-dimensional built-in "
-            f"models; supply a Monte-Carlo reference file instead ({exc})"
-        ) from None
-    values = model.values(rule.nodes)
-    mean = float(rule.weights @ values)
-    centered = values - mean
-    var = float(rule.weights @ centered**2)
-    skew = float(rule.weights @ centered**3) / var**1.5
-    kurt = float(rule.weights @ centered**4) / var**2
-    return {"mean": mean, "std": math.sqrt(var), "skewness": skew, "kurtosis": kurt}
+    """The model's exact first four moments, for the models that state them."""
+    _require(hasattr(model, "exact_moments"),
+             "analytic reference is only available for models with closed-form moments, "
+             f"not {model.name!r}; supply a Monte-Carlo reference file instead "
+             "(reference kind 'mc-file')")
+    return model.exact_moments()
 
 
 def reference_from_file(path):
@@ -250,7 +231,7 @@ def reference_from_file(path):
     values = lines[1].split(",")
     row = dict(zip(header, values))
     reference = {}
-    for key in ("mean", "std", "skewness", "kurtosis"):
+    for key in MOMENTS:
         _require(key in row, f"reference.path {path} has no {key!r} column")
         reference[key] = _number(float, row[key], f"reference.path column {key}")
     return reference

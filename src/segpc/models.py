@@ -5,7 +5,7 @@ evaluated at *standardized* coordinates; internally it maps them to physical
 ones, and gradients are returned already chain-ruled back to standardized
 coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).  The analytic models state
 their value and gradient once each, as vectorized numpy formulas over rows of
-physical points.
+physical points, and their first four moments once, in ``exact_moments``.
 
 Every evaluation is stateless from the caller's view, so evaluations at
 distinct points may run concurrently.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError
+from .quadrature import gauss_rule
 from .spaces import StochasticSpace, Uniform
 
 
@@ -34,7 +35,6 @@ class Model:
     """Base QoI contract: value M(xi) and gradient dM/dxi per sample point."""
 
     name = "model"
-    has_gradient = False
 
     def __init__(self, space):
         self.space = space
@@ -63,8 +63,6 @@ class AnalyticModel(Model):
     gradients.  ``values``, ``value`` and ``value_and_grad`` all run these
     numpy formulas, so a point gives the same bits through every call.
     """
-
-    has_gradient = True
 
     def _phys_value(self, x):
         raise NotImplementedError
@@ -96,7 +94,7 @@ class ExponentialDecayModel(AnalyticModel):
 
     name = "ode"
 
-    def __init__(self, t):
+    def __init__(self, t=1.0):
         if t < 0:
             raise ValueError(f"time must be >= 0, got {t}")
         super().__init__(StochasticSpace([Uniform(0.0, 1.0)]))
@@ -108,10 +106,25 @@ class ExponentialDecayModel(AnalyticModel):
     def _phys_grad(self, x):
         return -self.t * np.exp(-x[:, :1] * self.t)
 
+    def exact_moments(self):
+        """Mean, std, skewness and kurtosis, centred on a 60-point Gauss rule.
 
-def ode_model(t):
-    """Stochastic linear-decay benchmark at time t (m = 1, k ~ U(0, 1))."""
-    return ExponentialDecayModel(t)
+        Central moments from the closed forms E[u^n] = (1 - exp(-n t)) / (n t)
+        cancel badly at small t; at t = 0 the QoI is constant.
+        """
+        if self.t == 0.0:
+            return {"mean": 1.0, "std": 0.0, "skewness": math.nan, "kurtosis": math.nan}
+        nodes, weights = gauss_rule("legendre", 60)
+        values = self.values(nodes[:, None])
+        mean = float(weights @ values)
+        centered = values - mean
+        var = float(weights @ centered**2)
+        return {"mean": mean, "std": math.sqrt(var),
+                "skewness": float(weights @ centered**3) / var**1.5,
+                "kurtosis": float(weights @ centered**4) / var**2}
+
+
+ode_model = ExponentialDecayModel
 
 
 def ode_mean(t):
@@ -160,10 +173,24 @@ class IshigamiModel(AnalyticModel):
             ]
         )
 
+    def exact_moments(self):
+        """Closed-form mean, std, skewness and kurtosis.
 
-def ishigami_model(alpha=7.0, beta=0.1):
-    """Ishigami benchmark (m = 3, X_i ~ U(-pi, pi))."""
-    return IshigamiModel(alpha=alpha, beta=beta)
+        Y - a/2 = A + B with A = sin X1 (1 + b X3^4) and B = a (sin^2 X2 - 1/2)
+        independent and zero-mean, E[A^3] = E[B^3] = 0: the skewness is 0 and
+        E[(Y - a/2)^4] = E[A^4] + 6 E[A^2] E[B^2] + E[B^4].
+        """
+        a, b = self.alpha, self.beta
+        pi4 = math.pi**4
+        var = ishigami_variance(a, b)
+        e_a2 = 0.5 * (1.0 + 2.0 * b * pi4 / 5.0 + b**2 * pi4**2 / 9.0)
+        e_a4 = 0.375 * sum(math.comb(4, k) * b**k * pi4**k / (4 * k + 1) for k in range(5))
+        fourth = e_a4 + 6.0 * e_a2 * a**2 / 8.0 + 3.0 * a**4 / 128.0
+        return {"mean": ishigami_mean(a, b), "std": math.sqrt(var), "skewness": 0.0,
+                "kurtosis": fourth / var**2}
+
+
+ishigami_model = IshigamiModel
 
 
 def ishigami_mean(alpha=7.0, beta=0.1):

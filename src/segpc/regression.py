@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, RankDeficientError, UnsupportedModelError
+from .errors import InsufficientSamplesError, RankDeficientError
 from .orthopoly import ChaosBasis
 from .parallel import evaluate_with_gradients
 from .spaces import MARGINALS, StochasticSpace
@@ -209,8 +209,8 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
     Evaluates the model's value and gradient at the first
     ``ceil((P + 1) / (m + 1))`` points of ``plan`` (or ``n_points`` if given)
     and hands them to :func:`fit_wlsq`.  Each point costs two evaluations
-    (direct + adjoint); a budget too small for P + 1 equations is refused
-    before any model is evaluated.
+    (direct + adjoint).  A budget short of P + 1 equations is refused before
+    any evaluation; a model without gradients raises at its first one.
 
     At order 2 and above, fewer than m + 1 points cannot resolve polynomial
     directions orthogonal to the points' affine span, so the block system can
@@ -218,11 +218,6 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
     returns the minimum-norm solution (unresolvable coefficients stay zero)
     and records the rank in the fit report rather than failing.
     """
-    if not getattr(model, "has_gradient", False):
-        raise UnsupportedModelError(
-            f"model {getattr(model, 'name', model)!r} provides no gradient; "
-            "sensitivity-enhanced fitting needs one"
-        )
     n_use = segpc_point_count(basis.n_terms, basis.m) if n_points is None else int(n_points)
     if plan.n_selected < n_use:
         raise ValueError(

@@ -10,8 +10,9 @@ numbers behind that call are in the repository notes:
 - criterion 5 (p = 2 row): our selected designs condition far better than
   the reference range [8, 40] built from the literature value 16.5;
 - criterion 8 (std clause): the exit-energy response is heavy-tailed
-  (sample kurtosis 60-420); an order-2 expansion cannot represent ~40% of
-  the variance, and the n = 2000 reference itself fluctuates by ~20%.
+  (measured kurtosis 246); an order-2 expansion cannot represent ~40% of
+  the variance, and the std of the n = 2000 reference itself has a standard
+  error of about +-17.5%, sqrt((kurt - 1) / (4 n)).
 """
 
 import math
@@ -313,7 +314,8 @@ def test_criterion_8_burgers_uq_desk_scale():
         f"wlsq ({wlsq_evals} evals): mean err {err_mean_w:.2%}, std err "
         f"{err_std_w:.2%}; fewer evals: {segpc_evals} < {wlsq_evals}; "
         f"{elapsed:.0f}s [std clause expected red: an order-2 expansion "
-        "cannot carry the heavy tail and the n=2000 reference fluctuates ~20%]",
+        "cannot carry the heavy tail and the n=2000 reference's std has a ~17.5% "
+        "standard error]",
     )
 
 

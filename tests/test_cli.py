@@ -183,6 +183,15 @@ def test_convergence_with_analytic_reference(tmp_path):
     assert errs[-1] < errs[0]
 
 
+def test_analytic_reference_of_a_constant_ode():
+    # at t = 0 the QoI is 1 everywhere: no spread, undefined shape moments
+    reference = segpc.cli.analytic_reference(ode_model(0.0))
+    assert reference["mean"] == 1.0
+    assert reference["std"] == 0.0
+    assert math.isnan(reference["skewness"])
+    assert math.isnan(reference["kurtosis"])
+
+
 def test_convergence_needs_reference(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -366,12 +375,15 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"methods": ["wlsq", "krylov"]}, "methods[1]"),
         ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1, 0.1, 0.01]}},
          "analytic reference is only available"),
+        ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1]}},
+         "analytic reference is only available"),
     ],
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
          "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
          "model-inlet-shapes",
          "order", "samples", "orders-entry", "orders-not-a-list",
-         "methods-empty", "methods-not-a-list", "methods-entry", "analytic-too-large"],
+         "methods-empty", "methods-not-a-list", "methods-entry", "analytic-too-large",
+         "analytic-burgers"],
 )
 def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):
     # a points file is a readable CSV without the moment columns

@@ -11,7 +11,9 @@ from segpc import (
     ode_mean,
     ode_model,
     ode_variance,
+    tensor_rule,
 )
+from segpc.models import IshigamiModel
 
 
 def test_ode_model_values():
@@ -81,7 +83,9 @@ def test_ishigami_variance_quadrature_oracle():
     assert var == pytest.approx(ishigami_variance(), rel=1e-8)
 
 
-@pytest.mark.parametrize("factory", [lambda: ode_model(1.7), ishigami_model])
+@pytest.mark.parametrize(
+    "factory", [lambda: ode_model(1.7), pytest.param(ishigami_model, id="ishigami_model")]
+)
 def test_analytic_gradients_match_finite_differences(factory):
     model = factory()
     rng = np.random.default_rng(0)
@@ -108,3 +112,37 @@ def test_batched_values_match_scalar():
         with_grad = np.array([model.value_and_grad(xi).value for xi in pts])
         assert np.array_equal(batched, scalar), model.name
         assert np.array_equal(batched, with_grad), model.name
+
+
+def centred_moments_on_rule(model, n_per_dim):
+    """First four moments of a model on a tensor Gauss rule, centred first."""
+    rule = tensor_rule(model.space, n_per_dim)
+    values = model.values(rule.nodes)
+    mean = float(rule.weights @ values)
+    centered = values - mean
+    var = float(rule.weights @ centered**2)
+    return {
+        "mean": mean,
+        "std": math.sqrt(var),
+        "skewness": float(rule.weights @ centered**3) / var**1.5,
+        "kurtosis": float(rule.weights @ centered**4) / var**2,
+    }
+
+
+@pytest.mark.parametrize("alpha, beta", [(7.0, 0.1), (5.0, 0.2), (7.0, 0.0)])
+def test_ishigami_exact_moments_match_quadrature(alpha, beta):
+    model = IshigamiModel(alpha, beta)
+    exact = model.exact_moments()
+    oracle = centred_moments_on_rule(model, 60)
+    assert exact["std"] == math.sqrt(ishigami_variance(alpha, beta))
+    assert exact["skewness"] == 0.0
+    assert abs(oracle["skewness"]) < 1e-13
+    for key in ("mean", "std", "kurtosis"):
+        assert exact[key] == pytest.approx(oracle[key], rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0, 30.0])
+def test_ode_exact_moments_are_the_centred_60_point_rule(t):
+    # the 60-point rule is the reference, bit for bit, at every time
+    model = ode_model(t)
+    assert model.exact_moments() == centred_moments_on_rule(model, 60)

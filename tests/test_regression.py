@@ -38,7 +38,6 @@ class PolynomialModel(Model):
     """QoI equal to one basis function; exact gradients from the basis."""
 
     name = "basis-function"
-    has_gradient = True
 
     def __init__(self, space, basis, coeffs):
         super().__init__(space)

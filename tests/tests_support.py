@@ -15,7 +15,6 @@ class PolyModel(Model):
     """QoI equal to a fixed linear combination of basis functions."""
 
     name = "poly"
-    has_gradient = True
 
     def __init__(self, space, basis, coeffs):
         super().__init__(space)
