@@ -7,23 +7,13 @@ and the remaining points arrange themselves on concentric rings.
 
 import numpy as np
 
-from segpc import (
-    ChaosBasis,
-    Gaussian,
-    StochasticSpace,
-    build_measurement,
-    coherence_weights,
-    qr_select,
-)
+from segpc import ChaosBasis, Gaussian, StochasticSpace, rank_pool
 
 space = StochasticSpace([Gaussian(), Gaussian()])
 
 for order in (2, 4):
     basis = ChaosBasis(space, order)
-    pool = space.sample_pool(10000, seed=1)
-    weights = coherence_weights(space, pool.points)
-    meas = build_measurement(basis, pool, weights)
-    plan = qr_select(meas, basis.n_terms)
+    plan = rank_pool(basis, 10000, seed=1)
     radii = np.linalg.norm(plan.points, axis=1)
 
     print(f"\nchaos order p={order}: {basis.n_terms} points selected from 10000")

@@ -10,21 +10,17 @@ import numpy as np
 
 from segpc import (
     ChaosBasis,
-    build_measurement,
-    coherence_weights,
     fit_segpc,
     moments_from_coefficients,
     ode_mean,
     ode_model,
     ode_variance,
-    qr_select,
+    rank_pool,
 )
 
 space = ode_model(0.0).space
 basis = ChaosBasis(space, 6)
-pool = space.sample_pool(10000, seed=42)
-meas = build_measurement(basis, pool, coherence_weights(space, pool.points))
-plan = qr_select(meas, basis.n_terms)
+plan = rank_pool(basis, 10000, seed=42)
 
 print("fit: degree 6, top 4 of 7 ranked points, value + derivative each")
 print(f"selected k values: {np.round(space.destandardize(plan.points[:4]).ravel(), 4)}")

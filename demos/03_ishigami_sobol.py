@@ -15,13 +15,11 @@ import numpy as np
 
 from segpc import (
     ChaosBasis,
-    build_measurement,
-    coherence_weights,
     fit_segpc,
     higher_moments,
     ishigami_model,
     ishigami_sobol_total,
-    qr_select,
+    rank_pool,
     segpc_point_count,
     sobol_total,
 )
@@ -29,9 +27,7 @@ from segpc import (
 model = ishigami_model()
 space = model.space
 basis = ChaosBasis(space, 10)
-pool = space.sample_pool(10000, seed=1)
-meas = build_measurement(basis, pool, coherence_weights(space, pool.points))
-plan = qr_select(meas, basis.n_terms)
+plan = rank_pool(basis, 10000, seed=1)
 
 minimum = segpc_point_count(basis.n_terms, space.m)
 print(f"basis: m=3, p=10, {basis.n_terms} coefficients")

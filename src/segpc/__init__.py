@@ -18,6 +18,7 @@ from .design import (
     build_measurement,
     coherence_weights,
     qr_select,
+    rank_pool,
 )
 from .regression import (
     FitReport,
@@ -79,6 +80,7 @@ __all__ = [
     "coherence_weights",
     "build_measurement",
     "qr_select",
+    "rank_pool",
     "PceSurrogate",
     "FitReport",
     "fit_wlsq",

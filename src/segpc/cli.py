@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 configuration/validation error, 3 solver error.
 
 CSV files carry a schema comment line starting with ``#``; all floats are
 written with ``repr`` (shortest round-trip), undefined moments as ``nan``.
+Regression fits read ``DesignPlan.take`` of one ``rank_pool`` plan per order;
+se-gPC fits go through the library's ``fit_segpc``.
 """
 
 from __future__ import annotations
@@ -21,17 +23,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .burgers import BurgersModel
-from .design import build_measurement, coherence_weights, qr_select
+from .design import rank_pool
 from .errors import SegpcError
 from .models import ExponentialDecayModel, IshigamiModel
 from .orthopoly import ChaosBasis
-from .parallel import evaluate_values, evaluate_with_gradients
+from .parallel import evaluate_values
 from .postproc import higher_moments, sobol_total
 from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule
-from .regression import fit_wlsq, segpc_point_count
+from .regression import fit_segpc, fit_wlsq, segpc_point_count
 from .spaces import MARGINALS, StochasticSpace
 
 METHODS = ("segpc", "wlsq", "smolyak")
@@ -52,6 +52,13 @@ def _number(kind, value, field):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config field {field!r} must be a number, got {value!r}") from None
+
+
+def _order(value, field):
+    """A chaos order from the config: an int >= 0, or a ConfigError naming the field."""
+    order = _number(int, value, field)
+    _require(order >= 0, f"config field {field!r} must be >= 0, got {order}")
+    return order
 
 
 def build_space(entries):
@@ -113,24 +120,22 @@ class RunConfig:
         def number(kind, flag_name, key, default=None):
             return _number(kind, pick(flag_name, key, default), key)
 
-        def optional_int(key):
-            value = pick(key, key)
-            return None if value is None else _number(int, value, key)
-
         _require(pick("seed", "seed") is not None, "a seed is required (config 'seed' or --seed)")
         self.seed = number(int, "seed", "seed")
-        self.order = optional_int("order")
+        order = pick("order", "order")
+        self.order = None if order is None else _order(order, "order")
         self.method = pick("method", "method")
         self.pool = number(int, "pool", "pool", 10000)
         self.oversample = number(float, "oversample", "oversample", 1.0)
         self.workers = number(int, "workers", "workers", 1)
         self.out = Path(pick("out", "out", "."))
-        self.samples = optional_int("samples")
+        samples = pick("samples", "samples")
+        self.samples = None if samples is None else _number(int, samples, "samples")
         orders = data.get("orders")
         _require(orders is None or isinstance(orders, list),
                  f"config field 'orders' must be a list, got {orders!r}")
         self.orders = None if orders is None else [
-            _number(int, order, f"orders[{i}]") for i, order in enumerate(orders)
+            _order(order, f"orders[{i}]") for i, order in enumerate(orders)
         ]
         self.methods = data.get("methods", list(METHODS))
         _require(isinstance(self.methods, list) and self.methods,
@@ -252,49 +257,18 @@ def resolve_reference(config):
     raise ConfigError(f"reference.kind must be 'analytic' or 'mc-file', got {kind!r}")
 
 
-def rank_pool(space, basis, pool_size, seed):
-    """Seeded candidate pool, its weights and its pivoted-QR ranking.
-
-    Pool -> coherence weights -> measurement -> ``qr_select`` of up to P+1
-    points.  The ranking depends only on (basis, pool size, seed), so one
-    call serves every method fitted at an order.  Returns
-    (pool, weights, plan).
-    """
-    pool = space.sample_pool(pool_size, seed)
-    weights = coherence_weights(space, pool.points)
-    meas = build_measurement(basis, pool, weights)
-    return pool, weights, qr_select(meas, min(basis.n_terms, pool.q))
+def _chaos_basis(space, order):
+    """``ChaosBasis(space, order)``, or a ConfigError naming an unsupported order."""
+    try:
+        return ChaosBasis(space, order)
+    except ValueError as exc:
+        raise ConfigError(f"chaos order {order}: {exc}") from None
 
 
-def build_plan(ranked, n_points):
-    """The first ``n_points`` design points of a ``rank_pool`` ranking.
-
-    The pivoted QR ranks at most P+1 points; oversampled fits draw the
-    remainder from the seeded pool in draw order (an i.i.d. continuation).
-    Every method at an order slices the same ranking.  Returns
-    (points, w_sqrt).
-    """
-    pool, weights, plan = ranked
-    if n_points <= plan.n_selected:
-        return plan.points[:n_points], plan.w_sqrt[:n_points]
-    extra_needed = n_points - plan.n_selected
-    taken = np.zeros(pool.q, dtype=bool)
-    taken[plan.selected] = True
-    unselected = np.flatnonzero(~taken)
-    if extra_needed > unselected.size:
-        raise ConfigError(
-            f"pool of {pool.q} cannot supply {n_points} sample points"
-        )
-    extra = unselected[:extra_needed]
-    points = np.vstack([plan.points, pool.points[extra]])
-    w_sqrt = np.concatenate([plan.w_sqrt, weights[extra]])
-    return points, w_sqrt
-
-
-def run_fit(config, method, order, ranked=None):
+def run_fit(config, method, order, plan=None):
     """Fit a surrogate by ``method`` at chaos ``order``; returns (surrogate, report).
 
-    ``ranked`` is a ``rank_pool`` result for this order, pool and seed, made
+    ``plan`` is a ``rank_pool`` ranking for this order, pool and seed, made
     here when not given; the sparse-grid method does not use it.
     """
     _require(config.model is not None, "fit needs a 'model' config entry")
@@ -302,21 +276,23 @@ def run_fit(config, method, order, ranked=None):
     _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}")
     model = config.model
     space = model.space
-    basis = ChaosBasis(space, order)
+    basis = _chaos_basis(space, order)
     if method == "smolyak":
         rule = smolyak_rule(space, order + 1)
         surrogate = quadrature_fit(basis, rule, model, workers=config.workers)
     else:
         base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, space.m)
         n_points = math.ceil(config.oversample * base)
-        if ranked is None:
-            ranked = rank_pool(space, basis, config.pool, config.seed)
-        points, w_sqrt = build_plan(ranked, n_points)
-        if method == "wlsq":
-            values, gradients = evaluate_values(model, points, workers=config.workers), None
+        _require(n_points <= config.pool,
+                 f"pool of {config.pool} cannot supply {n_points} sample points")
+        if plan is None:
+            plan = rank_pool(basis, config.pool, config.seed)
+        if method == "segpc":
+            surrogate = fit_segpc(basis, plan, model, n_points, workers=config.workers)
         else:
-            values, gradients = evaluate_with_gradients(model, points, workers=config.workers)
-        surrogate = fit_wlsq(basis, points, w_sqrt, values, gradients)
+            points, w_sqrt = plan.take(n_points)
+            values = evaluate_values(model, points, workers=config.workers)
+            surrogate = fit_wlsq(basis, points, w_sqrt, values)
         _note_rank_deficiency(method, basis, surrogate.fit_report)
     report = higher_moments(surrogate)
     return surrogate, report
@@ -357,14 +333,13 @@ def cmd_convergence(config):
     reference = resolve_reference(config)
     _require(reference is not None, "convergence needs a 'reference' config entry")
     rows = []
-    rankings = {}  # order -> rank_pool result, shared by segpc and wlsq
+    plans = {}  # order -> rank_pool plan, shared by segpc and wlsq
     for method in config.methods:
         for order in orders:
-            if method != "smolyak" and order not in rankings:
-                space = config.model.space
-                rankings[order] = rank_pool(space, ChaosBasis(space, order),
-                                            config.pool, config.seed)
-            _, report = run_fit(config, method, order, rankings.get(order))
+            if method != "smolyak" and order not in plans:
+                basis = _chaos_basis(config.model.space, order)
+                plans[order] = rank_pool(basis, config.pool, config.seed)
+            _, report = run_fit(config, method, order, plans.get(order))
             rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
@@ -374,12 +349,10 @@ def cmd_convergence(config):
 def cmd_select_points(config):
     _require(config.space is not None, "select-points needs a 'space' or 'model' config entry")
     _require(config.order is not None, "select-points needs a chaos order")
-    basis = ChaosBasis(config.space, config.order)
-    _require(
-        config.pool >= basis.n_terms,
-        f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns",
-    )
-    _, _, plan = rank_pool(config.space, basis, config.pool, config.seed)
+    basis = _chaos_basis(config.space, config.order)
+    _require(config.pool >= basis.n_terms,
+             f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns")
+    plan = rank_pool(basis, config.pool, config.seed)
     header = ["rank", "pool_index"] + [f"xi_{k + 1}" for k in range(config.space.m)] + ["r_abs"]
     rows = []
     for rank, (idx, point, r_val) in enumerate(

@@ -8,6 +8,8 @@ points, and the diagonal magnitudes |R_ii| track the incremental contribution
 of each pivot to |det|.  The factorization is one call to LAPACK ``geqp3``
 (the BLAS-3 pivoted QR) made in place on that temporary matrix: no Q factor
 is formed and R is never copied out, only its diagonal is read.
+:func:`rank_pool` runs that chain on a seeded pool; :meth:`DesignPlan.take`
+alone states which points a fit reads: the pivots, then the pool in draw order.
 
 The per-point weights come from asymptotic sampling theory: for Gaussian
 dimensions ``exp(-||xi||^2 / 4)`` over the Gaussian coordinates jointly, for
@@ -111,7 +113,7 @@ def build_measurement(basis, pool, weights):
 
 @dataclass(frozen=True)
 class DesignPlan:
-    """Ranked, QR-selected sample points.
+    """Ranked, QR-selected sample points of the pool ``pool`` (weights ``pool_w_sqrt``).
 
     ``selected`` holds pool row indices in pivot order, ``r_diag`` the
     corresponding |R_ii| (non-increasing), and ``cond_number`` the 2-norm
@@ -123,10 +125,22 @@ class DesignPlan:
     w_sqrt: np.ndarray
     r_diag: np.ndarray
     cond_number: float
+    pool: np.ndarray
+    pool_w_sqrt: np.ndarray
 
     @property
     def n_selected(self):
         return self.selected.shape[0]
+
+    def take(self, n):
+        """First ``n`` (points, w_sqrt): the pivots, then the other pool rows in draw order."""
+        if n <= self.n_selected:
+            return self.points[:n], self.w_sqrt[:n]
+        rest = np.delete(np.arange(len(self.pool)), self.selected)
+        idx = np.concatenate([self.selected, rest])[:n]
+        if len(idx) < n:
+            raise ValueError(f"pool of {len(idx)} cannot supply {n} sample points")
+        return self.pool[idx], self.pool_w_sqrt[idx]
 
 
 def qr_select(meas, n_sel):
@@ -176,5 +190,13 @@ def qr_select(meas, n_sel):
         w_sqrt=meas.w_sqrt[selected],
         r_diag=r_diag,
         cond_number=cond_number,
+        pool=meas.points,
+        pool_w_sqrt=meas.w_sqrt,
     )
 
+
+def rank_pool(basis, pool_size, seed):
+    """Plan of up to P + 1 QR-ranked points of a seeded pool (one serves every fit at an order)."""
+    pool = basis.space.sample_pool(pool_size, seed)
+    meas = build_measurement(basis, pool, coherence_weights(basis.space, pool.points))
+    return qr_select(meas, min(basis.n_terms, pool.q))

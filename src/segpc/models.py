@@ -128,17 +128,23 @@ ode_model = ExponentialDecayModel
 
 
 def ode_mean(t):
-    """Closed-form mean of exp(-k t) over k ~ U(0, 1)."""
+    """Closed-form mean (1 - e^(-t)) / t of exp(-k t) over k ~ U(0, 1)."""
     if t == 0.0:
         return 1.0
-    return (1.0 - math.exp(-t)) / t
+    return -math.expm1(-t) / t
 
 
 def ode_variance(t):
-    """Closed-form variance of exp(-k t) over k ~ U(0, 1)."""
+    """Closed-form variance (1 - e^(-t)) g / (2 t^2) of exp(-k t) over k ~ U(0, 1).
+
+    g = t - 2 + (t + 2) e^(-t) = sum_{n >= 3} (-1)^(n+1) (n - 2) t^n / n! is
+    summed as that series below t = 2, where the direct form cancels.
+    """
     if t == 0.0:
         return 0.0
-    return (1.0 - math.exp(-2.0 * t)) / (2.0 * t) - ode_mean(t) ** 2
+    g = (math.fsum((-1) ** (n + 1) * (n - 2) * t**n / math.factorial(n) for n in range(3, 30))
+         if t < 2.0 else t - 2.0 + (t + 2.0) * math.exp(-t))
+    return -math.expm1(-t) * g / (2.0 * t * t)
 
 
 class IshigamiModel(AnalyticModel):

@@ -32,6 +32,7 @@ import numpy as np
 
 from .orthopoly import univariate_table
 from .quadrature import gauss_rule, sample_moments, tensor_rule
+from .regression import segpc_point_count
 
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
@@ -279,7 +280,7 @@ def predicted_cost(method, m, p):
         raise ValueError(f"cost model needs m >= 1 and p >= 1, got m={m}, p={p}")
     n_terms = math.comb(p + m, m)
     if method == "segpc":
-        return 2 * math.ceil(n_terms / (m + 1))
+        return 2 * segpc_point_count(n_terms, m)
     if method == "wlsq":
         return n_terms
     if method == "smolyak":

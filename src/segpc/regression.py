@@ -14,8 +14,7 @@ least squares); forming the normal equations would square the condition
 number.  The reported condition number comes from the singular values of
 that same solve, taken over the resolved subspace: the largest over the
 smallest singular value above the rank cutoff.  :func:`fit_segpc` evaluates
-a model's values and gradients at the leading points of a design plan and
-fits them.
+a model's values and gradients at a design plan's leading points and fits them.
 """
 
 from __future__ import annotations
@@ -206,11 +205,11 @@ def segpc_point_count(n_terms, m):
 def fit_segpc(basis, plan, model, n_points=None, workers=1):
     """Sensitivity-enhanced fit at the top-ranked design points.
 
-    Evaluates the model's value and gradient at the first
-    ``ceil((P + 1) / (m + 1))`` points of ``plan`` (or ``n_points`` if given)
+    Evaluates the model's value and gradient at ``plan.take(n_points)``, by
+    default ``ceil((P + 1) / (m + 1))`` points (more than P + 1 may be asked),
     and hands them to :func:`fit_wlsq`.  Each point costs two evaluations
-    (direct + adjoint).  A budget short of P + 1 equations is refused before
-    any evaluation; a model without gradients raises at its first one.
+    (direct + adjoint).  A budget short of P + 1 equations or past the pool is
+    refused before any evaluation; a model without gradients raises at its first one.
 
     At order 2 and above, fewer than m + 1 points cannot resolve polynomial
     directions orthogonal to the points' affine span, so the block system can
@@ -219,11 +218,7 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
     and records the rank in the fit report rather than failing.
     """
     n_use = segpc_point_count(basis.n_terms, basis.m) if n_points is None else int(n_points)
-    if plan.n_selected < n_use:
-        raise ValueError(
-            f"plan provides {plan.n_selected} ranked points, fit needs {n_use}"
-        )
     _count_equations(basis, n_use, 1 + basis.m)
-    points = plan.points[:n_use]
+    points, w_sqrt = plan.take(n_use)
     values, gradients = evaluate_with_gradients(model, points, workers=workers)
-    return fit_wlsq(basis, points, plan.w_sqrt[:n_use], values, gradients)
+    return fit_wlsq(basis, points, w_sqrt, values, gradients)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from segpc import ChaosBasis, build_measurement, coherence_weights, fit_wlsq, ode_model
-from segpc import predicted_cost, qr_select
+from segpc import ChaosBasis, build_measurement, coherence_weights, fit_segpc, fit_wlsq
+from segpc import ode_model, predicted_cost, qr_select, rank_pool
 import segpc.cli
+import segpc.design
 from segpc.cli import main
 
 
@@ -108,6 +109,18 @@ def test_select_points_pool_too_small(tmp_path):
     )
     assert main(["select-points", "--config", cfg, "--seed", "1",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_select_points_order_too_large_exits_2(tmp_path, capsys):
+    # m=10 at order 40 would need an index set of ~10^10 terms
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "burgers", "n_grid": 11}, "order": 40, "pool": 100},
+    )
+    assert main(["select-points", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "chaos order 40" in err and "index set would hold" in err
 
 
 @pytest.mark.parametrize("command", ["fit", "select-points"])
@@ -223,13 +236,13 @@ def test_convergence_with_mc_reference_file(tmp_path):
 
 def test_convergence_ranks_each_order_once(tmp_path, monkeypatch):
     calls = []
-    real_qr_select = segpc.cli.qr_select
+    real_qr_select = segpc.design.qr_select
 
     def counting_qr_select(meas, n_sel):
         calls.append(n_sel)
         return real_qr_select(meas, n_sel)
 
-    monkeypatch.setattr(segpc.cli, "qr_select", counting_qr_select)
+    monkeypatch.setattr(segpc.design, "qr_select", counting_qr_select)
     common = {"model": {"name": "ishigami"}, "pool": 2000, "oversample": 1.5,
               "reference": {"kind": "analytic"}}
     cfg = write_config(tmp_path / "conv.json",
@@ -350,6 +363,9 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
     grads = np.array([ev.gradient for ev in evals])
     want = fit_wlsq(basis, points, weights[idx], values, grads)
     assert saved["coefficients"] == want.coefficients.tolist()
+    # the library fit continues past the pivots the same way
+    library = fit_segpc(basis, rank_pool(basis, 500, 4), model, n_points=5)
+    assert saved["coefficients"] == library.coefficients.tolist()
 
 
 @pytest.mark.parametrize(
@@ -367,8 +383,10 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
         ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1, 0.1],
                     "s_std": [0.1]}}, "model: s_std"),
         ({"order": "two"}, "'order'"),
+        ({"order": -1}, "'order' must be >= 0"),
         ({"samples": "many"}, "'samples'"),
         ({"orders": [1, "two"]}, "orders[1]"),
+        ({"orders": [1, -2]}, "'orders[1]' must be >= 0"),
         ({"orders": 3}, "'orders' must be a list"),
         ({"methods": []}, "'methods'"),
         ({"methods": "wlsq"}, "'methods'"),
@@ -381,7 +399,8 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
          "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
          "model-inlet-shapes",
-         "order", "samples", "orders-entry", "orders-not-a-list",
+         "order", "order-negative", "samples", "orders-entry", "orders-entry-negative",
+         "orders-not-a-list",
          "methods-empty", "methods-not-a-list", "methods-entry", "analytic-too-large",
          "analytic-burgers"],
 )

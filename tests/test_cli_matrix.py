@@ -26,14 +26,14 @@ def load_matrix():
 
 
 def expected_files(matrix):
-    """The 37 files of the 13 runs: each run's config plus its command's outputs."""
+    """The 40 files of the 14 runs: each run's config plus its command's outputs."""
     files = sorted(
         f"{name}/{leaf}"
         for name, (command, _, _) in matrix.RUNS.items()
         for leaf in ["config.json", *OUTPUTS[command]]
     )
-    assert len(matrix.RUNS) == 13
-    assert len(files) == 37
+    assert len(matrix.RUNS) == 14
+    assert len(files) == 40
     return files
 
 

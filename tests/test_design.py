@@ -11,6 +11,7 @@ from segpc import (
     build_measurement,
     coherence_weights,
     qr_select,
+    rank_pool,
 )
 from segpc.errors import RankDeficientError
 from tests_support import reference_qr_ranking
@@ -227,3 +228,36 @@ def test_greedy_det_dominates_random_subsets(gauss2):
         _, logdet = np.linalg.slogdet(weighted[idx])
         log_dets.append(logdet)
     assert greedy_logdet >= np.quantile(log_dets, 0.99)
+
+
+def test_plan_take_continues_past_pivots_in_draw_order(gauss2):
+    basis = ChaosBasis(gauss2, 1)
+    pool = gauss2.sample_pool(40, seed=3)
+    meas = build_measurement(basis, pool, coherence_weights(gauss2, pool.points))
+    plan = qr_select(meas, basis.n_terms)
+    # the plan keeps the measurement's pool arrays themselves, not copies
+    assert plan.pool is meas.points and plan.pool_w_sqrt is meas.w_sqrt
+    points, w_sqrt = plan.take(2)
+    assert np.array_equal(points, plan.points[:2]) and np.array_equal(w_sqrt, plan.w_sqrt[:2])
+    points, w_sqrt = plan.take(7)
+    extra = [i for i in range(pool.q) if i not in set(plan.selected)][:4]
+    idx = np.concatenate([plan.selected, extra])
+    assert np.array_equal(points, pool.points[idx])
+    assert np.array_equal(w_sqrt, meas.w_sqrt[idx])
+    points, _ = plan.take(pool.q)
+    assert sorted(map(tuple, points)) == sorted(map(tuple, pool.points))
+    with pytest.raises(ValueError, match="pool of 40 cannot supply 41 sample points"):
+        plan.take(pool.q + 1)
+
+
+def test_rank_pool_is_the_selection_chain(gauss2):
+    basis = ChaosBasis(gauss2, 2)
+    plan = rank_pool(basis, 500, 8)
+    pool = gauss2.sample_pool(500, 8)
+    meas = build_measurement(basis, pool, coherence_weights(gauss2, pool.points))
+    want = qr_select(meas, basis.n_terms)
+    assert np.array_equal(plan.selected, want.selected)
+    assert np.array_equal(plan.r_diag, want.r_diag)
+    assert np.array_equal(plan.pool, pool.points)
+    # a pool smaller than P + 1 is ranked in full
+    assert rank_pool(basis, 4, 8).n_selected == 4

@@ -45,6 +45,19 @@ def test_ode_closed_forms():
         assert ode_variance(t) == pytest.approx(var, rel=1e-6)
 
 
+@pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 5.0, 30.0, 100.0])
+def test_ode_closed_forms_match_high_precision(t):
+    # the closed forms must not cancel at small t: compare with 50-digit values
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        tt = mpmath.mpf(t)
+        mean = -mpmath.expm1(-tt) / tt
+        var = -mpmath.expm1(-2 * tt) / (2 * tt) - mean**2
+        want_mean, want_var = float(mean), float(var)
+    assert ode_mean(t) == pytest.approx(want_mean, rel=1e-14, abs=0.0)
+    assert ode_variance(t) == pytest.approx(want_var, rel=1e-14, abs=0.0)
+
+
 def test_ode_model_rejects_negative_time():
     with pytest.raises(ValueError):
         ode_model(-1.0)

@@ -11,14 +11,13 @@ from segpc import (
     ModelEvaluation,
     StochasticSpace,
     Uniform,
-    build_measurement,
     coherence_weights,
     fit_segpc,
     fit_wlsq,
     moments_from_coefficients,
     ode_mean,
     ode_model,
-    qr_select,
+    rank_pool,
     segpc_point_count,
 )
 from segpc.cli import build_space
@@ -28,10 +27,7 @@ from segpc.regression import _RCOND
 
 def make_plan(space, order, q=2000, seed=0):
     basis = ChaosBasis(space, order)
-    pool = space.sample_pool(q, seed=seed)
-    weights = coherence_weights(space, pool.points)
-    meas = build_measurement(basis, pool, weights)
-    return basis, qr_select(meas, basis.n_terms)
+    return basis, rank_pool(basis, q, seed)
 
 
 class PolynomialModel(Model):
@@ -53,6 +49,18 @@ class PolynomialModel(Model):
     def value_and_grad(self, xi):
         grad = self.basis.grad(xi) @ self.coeffs
         return ModelEvaluation(self.value(xi), grad)
+
+
+class CountingModel(PolynomialModel):
+    """PolynomialModel that records every point it evaluates with a gradient."""
+
+    def __init__(self, space, basis, coeffs):
+        super().__init__(space, basis, coeffs)
+        self.calls = []
+
+    def value_and_grad(self, xi):
+        self.calls.append(xi)
+        return super().value_and_grad(xi)
 
 
 def test_fit_wlsq_constant():
@@ -156,17 +164,10 @@ def test_fit_wlsq_gradient_mismatch():
 def test_fit_segpc_refuses_budget_before_evaluating():
     space = StochasticSpace([Gaussian()])
     basis, plan = make_plan(space, 6)
-    calls = []
-
-    class Counting(PolynomialModel):
-        def value_and_grad(self, xi):
-            calls.append(xi)
-            return super().value_and_grad(xi)
-
-    model = Counting(space, basis, np.zeros(basis.n_terms))
+    model = CountingModel(space, basis, np.zeros(basis.n_terms))
     with pytest.raises(InsufficientSamplesError):
         fit_segpc(basis, plan, model, n_points=3)  # 6 equations, 7 unknowns
-    assert calls == []
+    assert model.calls == []
 
 
 def test_segpc_point_counts():
@@ -224,18 +225,13 @@ def test_fit_segpc_requires_gradient():
 
 
 def test_fit_segpc_plan_too_small():
+    # p=6, m=1: the minimum budget of 4 points cannot come from a 2-point pool
     space = StochasticSpace([Gaussian()])
-    basis, plan = make_plan(space, 6)
-    model = PolynomialModel(space, basis, np.zeros(basis.n_terms))
-    short = type(plan)(
-        selected=plan.selected[:2],
-        points=plan.points[:2],
-        w_sqrt=plan.w_sqrt[:2],
-        r_diag=plan.r_diag[:2],
-        cond_number=plan.cond_number,
-    )
-    with pytest.raises(ValueError):
-        fit_segpc(basis, short, model)
+    basis, plan = make_plan(space, 6, q=2)
+    model = CountingModel(space, basis, np.zeros(basis.n_terms))
+    with pytest.raises(ValueError, match="pool of 2 cannot supply 4"):
+        fit_segpc(basis, plan, model)
+    assert model.calls == []
 
 
 def test_fit_segpc_rank_deficient_minimum_norm():

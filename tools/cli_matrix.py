@@ -4,10 +4,11 @@
 
 Each run gets its own directory under OUT_DIR holding its ``config.json`` and
 the files ``segpc`` wrote there.  The runs cover ``fit`` with every method on
-the ODE, Ishigami and 10-input Burgers (N = 11) models, ``convergence``
-against an analytic reference, ``select-points`` on a mixed Gaussian/uniform
-space, and ``mc`` on Ishigami and Burgers.  Configs and seeds are fixed, so
-a refactor that keeps the numbers shows no difference in
+the ODE, Ishigami and 10-input Burgers (N = 11) models plus one se-gPC fit
+oversampled past P + 1 points, ``convergence`` against an analytic
+reference, ``select-points`` on a mixed Gaussian/uniform space, and ``mc``
+on Ishigami and Burgers.  Configs and seeds are fixed, so a refactor that
+keeps the numbers shows no difference in
 
     diff -r OUT_DIR_BEFORE OUT_DIR_AFTER
 
@@ -32,6 +33,9 @@ BURGERS = {"name": "burgers", "n_grid": 11}
 #: run name -> (subcommand, seed, config)
 RUNS = {
     "fit-ode-segpc": ("fit", 3, {"model": ODE, "method": "segpc", "order": 7, "pool": 2000}),
+    # 5 se-gPC points for P+1 = 3: the plan continues past its pivots
+    "fit-ode-segpc-oversampled": ("fit", 3, {"model": ODE, "method": "segpc", "order": 2,
+                                             "pool": 500, "oversample": 2.5}),
     "fit-ode-wlsq": ("fit", 3, {"model": ODE, "method": "wlsq", "order": 4, "pool": 2000,
                                 "oversample": 1.5}),
     "fit-ode-smolyak": ("fit", 3, {"model": ODE, "method": "smolyak", "order": 3}),
