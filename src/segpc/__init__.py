@@ -8,7 +8,6 @@ Monte-Carlo baselines and built-in model problems.
 from .spaces import Gaussian, SamplePool, StochasticSpace, Uniform
 from .orthopoly import (
     ChaosBasis,
-    MultiIndexSet,
     build_index_set,
     univariate_table,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "StochasticSpace",
     "SamplePool",
     "ChaosBasis",
-    "MultiIndexSet",
     "build_index_set",
     "univariate_table",
     "DesignPlan",

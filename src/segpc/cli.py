@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``fit``, ``convergence``, ``select-points``, ``mc``.  A run is
-described by a JSON config document; every recognized command-line flag
-overrides its config field.  The seed must be given explicitly (config or
-``--seed``): there is no silent default, so identical config + seed yields
-byte-identical output files.
+described by a JSON config document.  :data:`FIELDS` states each run input
+once (kind, default, least value, help); its config key and its flag share
+one name, and the flag wins over the config.  :data:`COMMANDS` gives each
+subcommand the flags it reads and the fields it needs: any other flag, and
+any config key nothing reads, exits 2.  The seed must be given explicitly
+(config or ``--seed``): there is no silent default, so identical config +
+seed yields byte-identical output files.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver error.
 
@@ -37,6 +40,20 @@ from .spaces import MARGINALS, StochasticSpace
 METHODS = ("segpc", "wlsq", "smolyak")
 
 
+#: run input -> (kind, default or None, least value or None, help); each name
+#: is both its config key and its ``--flag``
+FIELDS = {
+    "seed": (int, None, 0, "RNG seed (required here or in the config)"),
+    "out": (Path, ".", None, "output directory"),
+    "method": (str, None, None, "fit method: " + ", ".join(METHODS)),
+    "order": (int, None, 0, "chaos order p"),
+    "pool": (int, 10000, 1, "candidate pool size"),
+    "oversample": (float, 1.0, 1.0, "equations / unknowns ratio (>= 1)"),
+    "workers": (int, 1, 1, "worker processes for model evaluations"),
+    "samples": (int, None, None, "Monte-Carlo sample count"),
+}
+
+
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
@@ -51,14 +68,35 @@ def _number(kind, value, field):
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"config field {field!r} must be a number, got {value!r}") from None
+        what = "a path" if kind is Path else "a number"
+        raise ConfigError(f"config field {field!r} must be {what}, got {value!r}") from None
 
 
-def _order(value, field):
-    """A chaos order from the config: an int >= 0, or a ConfigError naming the field."""
-    order = _number(int, value, field)
-    _require(order >= 0, f"config field {field!r} must be >= 0, got {order}")
-    return order
+def _field(name, value, label):
+    """``value`` as FIELDS[name]: its kind, at least its least value; errors name ``label``."""
+    kind, _, least, _ = FIELDS[name]
+    value = _number(kind, value, label)
+    _require(least is None or value >= least,
+             f"config field {label!r} must be >= {least}, got {value}")
+    return value
+
+
+def _method(value, label):
+    _require(value in METHODS, f"config field {label!r} must be one of {METHODS}, got {value!r}")
+
+
+def _known(entry, keys, prefix=""):
+    """Refuse a config key that nothing reads, naming it."""
+    for key in entry:
+        _require(key in keys, f"unknown config key {prefix + key!r}; known here: {', '.join(keys)}")
+
+
+def _checked(what, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or a ConfigError naming ``what`` when it refuses them."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def build_space(entries):
@@ -71,14 +109,12 @@ def build_space(entries):
         kinds = " or ".join(map(repr, MARGINALS))
         _require(kind in list(MARGINALS), f"space[{i}].kind must be {kinds}, got {kind!r}")
         marginal = MARGINALS[kind]
+        _known(entry, ["kind", *(f.name for f in fields(marginal))], f"space[{i}].")
         params = {
             f.name: _number(float, entry.get(f.name, f.default), f"space[{i}].{f.name}")
             for f in fields(marginal)
         }
-        try:
-            marginals.append(marginal(**params))
-        except ValueError as exc:
-            raise ConfigError(f"space[{i}]: {exc}") from None
+        marginals.append(_checked(f"space[{i}]", marginal, **params))
     return StochasticSpace(marginals)
 
 
@@ -97,53 +133,40 @@ def build_model(entry):
     _require(name in list(MODELS),
              f"model.name must be one of {', '.join(map(repr, MODELS))}, got {name!r}")
     cls, kinds = MODELS[name]
+    _known(entry, ["name", *kinds], "model.")
     params = {
         key: entry[key] if kind is None else _number(kind, entry[key], f"model.{key}")
         for key, kind in kinds.items() if key in entry
     }
-    try:
-        return cls(**params)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    return _checked("model", cls, **params)
 
 
 class RunConfig:
-    """Validated run configuration: config file fields with flag overrides."""
+    """Validated run configuration: each field from its flag, else the config, else its default."""
 
     def __init__(self, data, args):
-        def pick(flag_name, key, default=None):
-            value = getattr(args, flag_name, None)
-            if value is not None:
-                return value
-            return data.get(key, default)
-
-        def number(kind, flag_name, key, default=None):
-            return _number(kind, pick(flag_name, key, default), key)
-
-        _require(pick("seed", "seed") is not None, "a seed is required (config 'seed' or --seed)")
-        self.seed = number(int, "seed", "seed")
-        order = pick("order", "order")
-        self.order = None if order is None else _order(order, "order")
-        self.method = pick("method", "method")
-        self.pool = number(int, "pool", "pool", 10000)
-        self.oversample = number(float, "oversample", "oversample", 1.0)
-        self.workers = number(int, "workers", "workers", 1)
-        self.out = Path(pick("out", "out", "."))
-        samples = pick("samples", "samples")
-        self.samples = None if samples is None else _number(int, samples, "samples")
+        _known(data, [*FIELDS, "model", "space", "orders", "methods", "reference"])
+        for name, (_, default, _, _) in FIELDS.items():
+            given = (getattr(args, name, None), data.get(name), default)
+            value = next((v for v in given if v is not None), None)
+            setattr(self, name, None if value is None else _field(name, value, name))
+        if self.method is not None:
+            _method(self.method, "method")
         orders = data.get("orders")
-        _require(orders is None or isinstance(orders, list),
-                 f"config field 'orders' must be a list, got {orders!r}")
+        _require(orders is None or (isinstance(orders, list) and orders),
+                 f"config field 'orders' must be a list of at least one order, got {orders!r}")
         self.orders = None if orders is None else [
-            _order(order, f"orders[{i}]") for i, order in enumerate(orders)
+            _field("order", order, f"orders[{i}]") for i, order in enumerate(orders)
         ]
         self.methods = data.get("methods", list(METHODS))
         _require(isinstance(self.methods, list) and self.methods,
                  f"config field 'methods' must be a non-empty list, got {self.methods!r}")
         for i, method in enumerate(self.methods):
-            _require(method in METHODS,
-                     f"config field 'methods[{i}]' must be one of {METHODS}, got {method!r}")
+            _method(method, f"methods[{i}]")
         self.reference = data.get("reference")
+        _require(self.reference is None or isinstance(self.reference, dict),
+                 f"config field 'reference' must be an object, got {self.reference!r}")
+        _known(self.reference or {}, ["kind", "path"], "reference.")
         self.model = build_model(data["model"]) if "model" in data else None
         self.space = build_space(data["space"]) if "space" in data else (
             self.model.space if self.model is not None else None
@@ -151,9 +174,6 @@ class RunConfig:
         _require(self.model is None or "space" not in data,
                  "config fields 'model' and 'space' exclude each other: "
                  "a model brings its own space")
-        _require(self.pool >= 1, f"pool size must be >= 1, got {self.pool}")
-        _require(self.oversample >= 1.0, f"oversampling ratio must be >= 1, got {self.oversample}")
-        _require(self.workers >= 1, f"worker count must be >= 1, got {self.workers}")
 
 
 def load_config(path):
@@ -246,10 +266,8 @@ def resolve_reference(config):
     ref = config.reference
     if ref is None:
         return None
-    _require(isinstance(ref, dict), f"config field 'reference' must be an object, got {ref!r}")
     kind = ref.get("kind")
     if kind == "analytic":
-        _require(config.model is not None, "analytic reference needs a model")
         return analytic_reference(config.model)
     if kind == "mc-file":
         _require("path" in ref, "config field 'reference.path' is required for kind 'mc-file'")
@@ -257,26 +275,17 @@ def resolve_reference(config):
     raise ConfigError(f"reference.kind must be 'analytic' or 'mc-file', got {kind!r}")
 
 
-def _chaos_basis(space, order):
-    """``ChaosBasis(space, order)``, or a ConfigError naming an unsupported order."""
-    try:
-        return ChaosBasis(space, order)
-    except ValueError as exc:
-        raise ConfigError(f"chaos order {order}: {exc}") from None
-
-
-def run_fit(config, method, order, plan=None):
+def run_fit(config, method, order, plans):
     """Fit a surrogate by ``method`` at chaos ``order``; returns (surrogate, report).
 
-    ``plan`` is a ``rank_pool`` ranking for this order, pool and seed, made
-    here when not given; the sparse-grid method does not use it.
+    ``plans`` maps an order to its ``rank_pool`` ranking for the configured
+    pool and seed; a regression fit ranks a missing order and stores it, so
+    fits that share ``plans`` rank each order once.  The sparse-grid method
+    ranks nothing.
     """
-    _require(config.model is not None, "fit needs a 'model' config entry")
-    _require(order is not None, "fit needs a chaos order ('order' or --order)")
-    _require(method in METHODS, f"method must be one of {METHODS}, got {method!r}")
     model = config.model
     space = model.space
-    basis = _chaos_basis(space, order)
+    basis = _checked(f"chaos order {order}", ChaosBasis, space, order)
     if method == "smolyak":
         rule = smolyak_rule(space, order + 1)
         surrogate = quadrature_fit(basis, rule, model, workers=config.workers)
@@ -285,8 +294,10 @@ def run_fit(config, method, order, plan=None):
         n_points = math.ceil(config.oversample * base)
         _require(n_points <= config.pool,
                  f"pool of {config.pool} cannot supply {n_points} sample points")
-        if plan is None:
-            plan = rank_pool(basis, config.pool, config.seed)
+        if order not in plans:
+            plans[order] = _checked(f"pool of {config.pool}", rank_pool, basis,
+                                    config.pool, config.seed)
+        plan = plans[order]
         if method == "segpc":
             surrogate = fit_segpc(basis, plan, model, n_points, workers=config.workers)
         else:
@@ -313,7 +324,7 @@ def _note_rank_deficiency(method, basis, fit_report):
 
 def cmd_fit(config):
     reference = resolve_reference(config)
-    surrogate, report = run_fit(config, config.method, config.order)
+    surrogate, report = run_fit(config, config.method, config.order, {})
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
     row = moments_row(config.model.name, config.space.m, config.order, report, reference)
@@ -327,19 +338,12 @@ def cmd_fit(config):
 
 
 def cmd_convergence(config):
-    _require(config.model is not None, "convergence needs a 'model' config entry")
-    orders = config.orders
-    _require(orders is not None and len(orders) >= 1, "convergence needs 'orders' (e.g. [1,2,3])")
     reference = resolve_reference(config)
-    _require(reference is not None, "convergence needs a 'reference' config entry")
     rows = []
-    plans = {}  # order -> rank_pool plan, shared by segpc and wlsq
+    plans = {}  # shared by segpc and wlsq
     for method in config.methods:
-        for order in orders:
-            if method != "smolyak" and order not in plans:
-                basis = _chaos_basis(config.model.space, order)
-                plans[order] = rank_pool(basis, config.pool, config.seed)
-            _, report = run_fit(config, method, order, plans.get(order))
+        for order in config.orders:
+            _, report = run_fit(config, method, order, plans)
             rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
@@ -347,12 +351,10 @@ def cmd_convergence(config):
 
 
 def cmd_select_points(config):
-    _require(config.space is not None, "select-points needs a 'space' or 'model' config entry")
-    _require(config.order is not None, "select-points needs a chaos order")
-    basis = _chaos_basis(config.space, config.order)
+    basis = _checked(f"chaos order {config.order}", ChaosBasis, config.space, config.order)
     _require(config.pool >= basis.n_terms,
              f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns")
-    plan = rank_pool(basis, config.pool, config.seed)
+    plan = _checked(f"pool of {config.pool}", rank_pool, basis, config.pool, config.seed)
     header = ["rank", "pool_index"] + [f"xi_{k + 1}" for k in range(config.space.m)] + ["r_abs"]
     rows = []
     for rank, (idx, point, r_val) in enumerate(
@@ -370,8 +372,6 @@ def cmd_select_points(config):
 
 
 def cmd_mc(config):
-    _require(config.model is not None, "mc needs a 'model' config entry")
-    _require(config.samples is not None, "mc needs a sample count ('samples' or --samples)")
     n = config.samples
     _require(n >= 2, f"mc needs at least 2 samples, got {n}")
     reference = resolve_reference(config)
@@ -387,16 +387,15 @@ def cmd_mc(config):
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", type=int, help="RNG seed (required here or in the config)")
-    parser.add_argument("--workers", type=int, help="worker processes for model evaluations")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--method", choices=METHODS, help="fit method")
-    parser.add_argument("--order", type=int, help="chaos order p")
-    parser.add_argument("--pool", type=int, help="candidate pool size")
-    parser.add_argument("--oversample", type=float, help="equations / unknowns ratio (>= 1)")
-    parser.add_argument("--samples", type=int, help="Monte-Carlo sample count (mc only)")
+#: subcommand -> (runner, the flags it reads besides --config/--seed/--out, the fields it needs)
+COMMANDS = {
+    "fit": (cmd_fit, ("method", "order", "pool", "oversample", "workers"),
+            ("seed", "model", "method", "order")),
+    "convergence": (cmd_convergence, ("pool", "oversample", "workers"),
+                    ("seed", "model", "orders", "reference")),
+    "select-points": (cmd_select_points, ("order", "pool"), ("seed", "space", "order")),
+    "mc": (cmd_mc, ("samples", "workers"), ("seed", "model", "samples")),
+}
 
 
 def main(argv=None):
@@ -405,20 +404,20 @@ def main(argv=None):
         description="Sensitivity-enhanced polynomial chaos surrogates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in (
-        ("fit", cmd_fit),
-        ("convergence", cmd_convergence),
-        ("select-points", cmd_select_points),
-        ("mc", cmd_mc),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(runner=runner)
+    for name, (_, flags, _) in COMMANDS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--config", required=True, help="path to the JSON run config")
+        for flag in ("seed", "out", *flags):
+            command.add_argument(f"--{flag}", help=FIELDS[flag][3])
     args = parser.parse_args(argv)
+    runner, _, needs = COMMANDS[args.command]
     try:
-        data = load_config(args.config)
-        config = RunConfig(data, args)
-        return args.runner(config)
+        config = RunConfig(load_config(args.config), args)
+        for name in needs:
+            _require(getattr(config, name) is not None,
+                     f"{args.command} needs config field {name!r}"
+                     + (f" or --{name}" if name in FIELDS else ""))
+        return runner(config)
     except ConfigError as exc:
         print(f"segpc: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,9 @@ from .spaces import Gaussian
 #: pivots below this fraction of the leading pivot flag a rank-deficient pool
 RANK_TOL = 1e-12
 
+#: largest measurement matrix (q x (P + 1) float64) ``build_measurement`` builds
+MAX_MEASUREMENT_BYTES = 2 * 2**30
+
 
 def coherence_weights(space, points):
     """Stability weights w^(1/2) for a set of standardized points.
@@ -96,7 +99,11 @@ class WeightedMeasurement:
 
 
 def build_measurement(basis, pool, weights):
-    """Assemble the q x (P + 1) measurement matrix for a candidate pool."""
+    """Assemble the q x (P + 1) measurement matrix for a candidate pool.
+
+    Raises ``ValueError``, before evaluating the basis, when the matrix would
+    exceed ``MAX_MEASUREMENT_BYTES``.
+    """
     points = pool.points if hasattr(pool, "points") else np.asarray(pool, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("pool must contain at least one point")
@@ -107,6 +114,13 @@ def build_measurement(basis, pool, weights):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (points.shape[0],):
         raise ValueError("one weight per pool point is required")
+    size = points.shape[0] * basis.n_terms * 8
+    if size > MAX_MEASUREMENT_BYTES:
+        raise ValueError(
+            f"measurement matrix of {points.shape[0]} points x {basis.n_terms} terms "
+            f"would take {size / 2**30:.1f} GiB; the supported maximum is "
+            f"{MAX_MEASUREMENT_BYTES / 2**30:g} GiB"
+        )
     psi = basis.eval(points)
     return WeightedMeasurement(psi=psi, w_sqrt=weights, points=points)
 

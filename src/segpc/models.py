@@ -107,19 +107,19 @@ class ExponentialDecayModel(AnalyticModel):
         return -self.t * np.exp(-x[:, :1] * self.t)
 
     def exact_moments(self):
-        """Mean, std, skewness and kurtosis, centred on a 60-point Gauss rule.
+        """Mean and std in closed form; skewness and kurtosis on a 60-point Gauss rule.
 
-        Central moments from the closed forms E[u^n] = (1 - exp(-n t)) / (n t)
-        cancel badly at small t; at t = 0 the QoI is constant.
+        The shape moments are centred sums of u - 1 = expm1(-k t), which keep
+        their digits at small t where u itself rounds to 1; at t = 0 the QoI
+        is constant.
         """
         if self.t == 0.0:
             return {"mean": 1.0, "std": 0.0, "skewness": math.nan, "kurtosis": math.nan}
         nodes, weights = gauss_rule("legendre", 60)
-        values = self.values(nodes[:, None])
-        mean = float(weights @ values)
-        centered = values - mean
+        shifted = np.expm1(-self._physical(nodes[:, None])[:, 0] * self.t)
+        centered = shifted - weights @ shifted
         var = float(weights @ centered**2)
-        return {"mean": mean, "std": math.sqrt(var),
+        return {"mean": ode_mean(self.t), "std": math.sqrt(ode_variance(self.t)),
                 "skewness": float(weights @ centered**3) / var**1.5,
                 "kurtosis": float(weights @ centered**4) / var**2}
 

@@ -34,7 +34,6 @@ recursion multiplies the non-constant factors in that same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,24 +112,13 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
-    """Total-degree exponent tuples: all alpha with |alpha|_1 <= p.
-
-    ``indices`` has shape (P + 1, m) with P + 1 = (p + m)! / (p! m!), ordered
-    by total degree then ascending lexicographically; row 0 is the zero tuple.
-    """
-
-    m: int
-    p: int
-    indices: np.ndarray
-
-    def __len__(self):
-        return self.indices.shape[0]
-
-
 def build_index_set(m, p):
-    """Construct the total-degree multi-index set for m dimensions, order p."""
+    """Total-degree exponent tuples for m dimensions: all alpha with |alpha|_1 <= p.
+
+    Returns an int64 array of shape (P + 1, m) with P + 1 = (p + m)! / (p! m!),
+    ordered by total degree then ascending lexicographically; row 0 is the
+    zero tuple.
+    """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     if p < 0:
@@ -144,22 +132,23 @@ def build_index_set(m, p):
     rows = []
     for degree in range(p + 1):
         rows.extend(_compositions(degree, m))
-    indices = np.array(rows, dtype=np.int64).reshape(count, m)
-    return MultiIndexSet(m=m, p=p, indices=indices)
+    return np.array(rows, dtype=np.int64).reshape(count, m)
 
 
 class ChaosBasis:
     """Multivariate orthonormal basis bound to a stochastic space.
 
     The family per dimension follows the marginal (Hermite for Gaussian,
-    Legendre for uniform).  Instances are immutable; evaluation and gradient
-    are pure functions, safe for data-parallel use over sample points.
+    Legendre for uniform).  Row j of ``indices`` (``build_index_set``) holds
+    the exponents of basis function j.  Instances are immutable; evaluation
+    and gradient are pure functions, safe for data-parallel use over sample
+    points.
     """
 
     def __init__(self, space, order):
         self.space = space
         self.order = int(order)
-        self.index_set = build_index_set(space.m, self.order)
+        self.indices = build_index_set(space.m, self.order)
         self.families = space.families
         width = self.order + 1
         # offdiag[n, k] is b_n of dimension k's family; row 0 is unused
@@ -168,7 +157,7 @@ class ChaosBasis:
             self._offdiag[n, :, 0] = [recurrence_offdiag(f, n) for f in self.families]
         # product plan: term j = term parent[j] * psi_{alpha_k}(x_k), with k
         # the last dimension of nonzero exponent; col[j] = k * width + alpha_k
-        idx = self.index_set.indices
+        idx = self.indices
         every = np.arange(len(idx))
         last = idx.shape[1] - 1 - np.argmax(idx[:, ::-1] > 0, axis=1)
         col = last * width + idx[every, last]
@@ -193,7 +182,7 @@ class ChaosBasis:
     @property
     def n_terms(self):
         """Number of retained basis functions, (p + m)! / (p! m!)."""
-        return len(self.index_set)
+        return len(self.indices)
 
     def __repr__(self):
         return f"ChaosBasis(m={self.m}, order={self.order}, n_terms={self.n_terms})"
@@ -269,7 +258,7 @@ class ChaosBasis:
         """
         points, single = self._as_batch(points)
         tables, dtables = self._tables(points)
-        idx = self.index_set.indices
+        idx = self.indices
         n_pts = points.shape[0]
         cols = [tables[k][:, idx[:, k]] for k in range(self.m)]
         dcols = [dtables[k][:, idx[:, k]] for k in range(self.m)]

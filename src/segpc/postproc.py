@@ -145,7 +145,7 @@ def _central_moments_from_square(surrogate):
     """
     basis = surrogate.basis
     order = basis.order
-    idx = basis.index_set.indices
+    idx = basis.indices
     n_terms, m = idx.shape
     coeff = np.array(surrogate.coefficients, dtype=float)
     coeff[0] = 0.0
@@ -254,7 +254,7 @@ def sobol_total(surrogate):
     indices unchanged.
     """
     coeff_sq = surrogate.coefficients**2
-    indices = surrogate.basis.index_set.indices
+    indices = surrogate.basis.indices
     variance = float(np.sum(coeff_sq[1:]))
     if variance <= 0.0:
         raise ValueError("total Sobol indices are undefined for zero variance")

@@ -42,7 +42,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    level: int | None = None
 
     @property
     def n_nodes(self):
@@ -181,7 +180,7 @@ def smolyak_rule(space, level):
     node_of_row = np.argsort(by_appearance)[node_of_row]
     node_weights = np.bincount(node_of_row, weights=np.concatenate(row_weights))
     nodes = rows[first[by_appearance]]
-    return QuadratureRule(nodes=nodes, weights=node_weights, kind="smolyak", level=level)
+    return QuadratureRule(nodes=nodes, weights=node_weights, kind="smolyak")
 
 
 def quadrature_fit(basis, rule, model, workers=1):

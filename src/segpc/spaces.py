@@ -91,10 +91,6 @@ class SamplePool:
     def q(self):
         return self.points.shape[0]
 
-    @property
-    def m(self):
-        return self.points.shape[1]
-
 
 class StochasticSpace:
     """Ordered collection of independent marginals.

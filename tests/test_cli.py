@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -395,6 +396,11 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
          "analytic reference is only available"),
         ({"model": {"name": "burgers", "n_grid": 11, "s_mean": [-0.5, -0.1]}},
          "analytic reference is only available"),
+        ({"space": [{"kind": "gaussian", "sd": 0.4}]}, "unknown config key 'space[0].sd'"),
+        ({"model": {"name": "ode", "time": 5}}, "unknown config key 'model.time'"),
+        ({"oversampel": 3}, "unknown config key 'oversampel'"),
+        ({"reference": {"kind": "analytic", "file": "x.csv"}},
+         "unknown config key 'reference.file'"),
     ],
     ids=["missing-file", "no-path", "not-an-object", "not-a-number",
          "no-moment-columns", "model-field", "model-grid", "model-range", "bad-marginal",
@@ -402,7 +408,8 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
          "order", "order-negative", "samples", "orders-entry", "orders-entry-negative",
          "orders-not-a-list",
          "methods-empty", "methods-not-a-list", "methods-entry", "analytic-too-large",
-         "analytic-burgers"],
+         "analytic-burgers", "space-key-unknown", "model-key-unknown", "key-unknown",
+         "reference-key-unknown"],
 )
 def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overrides, field):
     # a points file is a readable CSV without the moment columns
@@ -416,3 +423,75 @@ def test_convergence_config_mistakes_exit_2(tmp_path, monkeypatch, capsys, overr
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+#: the flags each subcommand reads; every other run-input flag is refused
+COMMAND_FLAGS = {
+    "fit": {"seed", "out", "method", "order", "pool", "oversample", "workers"},
+    "convergence": {"seed", "out", "pool", "oversample", "workers"},
+    "select-points": {"seed", "out", "order", "pool"},
+    "mc": {"seed", "out", "samples", "workers"},
+}
+FLAG_VALUES = {"seed": "1", "out": "o", "method": "wlsq", "order": "2", "pool": "50",
+               "oversample": "1.5", "workers": "1", "samples": "10"}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, command, flag):
+    # an accepted flag gets as far as reading the (missing) config file
+    argv = [command, "--config", str(tmp_path / "missing.json"), f"--{flag}", FLAG_VALUES[flag]]
+    if flag in COMMAND_FLAGS[command]:
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, key", [("0", 0), ("abc", "abc")])
+def test_flag_and_config_values_share_one_check(tmp_path, capsys, flag, key):
+    base = {"model": {"name": "ode"}, "method": "wlsq", "order": 2}
+    flag_cfg = write_config(tmp_path / "flag.json", base)
+    key_cfg = write_config(tmp_path / "key.json", {**base, "pool": key})
+    out = str(tmp_path / "o")
+    assert main(["fit", "--config", flag_cfg, "--seed", "1", "--out", out, "--pool", flag]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["fit", "--config", key_cfg, "--seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert "'pool'" in from_flag
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("fit", {"model": {"name": "ode"}, "order": 2}, "'method' or --method"),
+        ("fit", {"model": {"name": "ode"}, "method": "wlsq"}, "'order' or --order"),
+        ("fit", {"method": "wlsq", "order": 2}, "'model'"),
+        ("convergence", {"model": {"name": "ode"}, "orders": [1]}, "'reference'"),
+        ("convergence", {"model": {"name": "ode"}, "reference": {"kind": "analytic"}},
+         "'orders'"),
+        ("select-points", {"space": [{"kind": "uniform"}]}, "'order' or --order"),
+        ("select-points", {"order": 2}, "'space'"),
+        ("mc", {"model": {"name": "ode"}}, "'samples' or --samples"),
+    ],
+)
+def test_missing_field_names_command_and_field(tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert f"{command} needs config field {field}" in capsys.readouterr().err
+
+
+def test_fit_refuses_an_oversized_measurement(tmp_path, capsys):
+    # 10^6 points x 286 terms would take 2.1 GiB before the first model call
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "ishigami"}, "method": "wlsq", "order": 10, "pool": 1_000_000},
+    )
+    start = time.perf_counter()
+    assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "configuration error: pool of 1000000: measurement matrix of 1000000 points x " \
+           "286 terms would take 2.1 GiB" in err

@@ -13,6 +13,7 @@ from segpc import (
     qr_select,
     rank_pool,
 )
+import segpc.design
 from segpc.errors import RankDeficientError
 from tests_support import reference_qr_ranking
 
@@ -69,6 +70,19 @@ def test_build_measurement_validation(gauss2):
     other = StochasticSpace([Gaussian()]).sample_pool(5, seed=0)
     with pytest.raises(ValueError):
         build_measurement(basis, other, np.ones(5))
+
+
+def test_build_measurement_size_guard(gauss2, monkeypatch):
+    # 8 points x 6 terms x 8 bytes = 384 bytes: refused before the basis is evaluated
+    basis = ChaosBasis(gauss2, 2)
+    pool = gauss2.sample_pool(8, seed=0)
+    monkeypatch.setattr(segpc.design, "MAX_MEASUREMENT_BYTES", 383)
+    monkeypatch.setattr(basis, "eval", lambda points: pytest.fail("basis evaluated"))
+    with pytest.raises(ValueError, match="8 points x 6 terms"):
+        build_measurement(basis, pool, np.ones(8))
+    monkeypatch.undo()
+    monkeypatch.setattr(segpc.design, "MAX_MEASUREMENT_BYTES", 384)
+    assert build_measurement(basis, pool, np.ones(8)).psi.shape == (8, 6)
 
 
 def test_qr_select_single_point_is_max_norm(gauss2):

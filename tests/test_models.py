@@ -47,15 +47,28 @@ def test_ode_closed_forms():
 
 @pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 5.0, 30.0, 100.0])
 def test_ode_closed_forms_match_high_precision(t):
-    # the closed forms must not cancel at small t: compare with 50-digit values
+    # neither the closed forms nor the reference moments may cancel at small
+    # t: compare with central moments from E[u^n] = -expm1(-n t) / (n t) at
+    # 60 digits (the fourth is ~t^4 / 80, so ~26 digits survive at t = 1e-8)
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(60):
         tt = mpmath.mpf(t)
-        mean = -mpmath.expm1(-tt) / tt
-        var = -mpmath.expm1(-2 * tt) / (2 * tt) - mean**2
-        want_mean, want_var = float(mean), float(var)
+        raw = [mpmath.mpf(1)] + [-mpmath.expm1(-n * tt) / (n * tt) for n in range(1, 5)]
+        mean = raw[1]
+        central = [
+            mpmath.fsum(math.comb(n, j) * raw[j] * (-mean) ** (n - j) for j in range(n + 1))
+            for n in range(5)
+        ]
+        want_mean, want_var = float(mean), float(central[2])
+        want_skewness = float(central[3] / central[2] ** 1.5)
+        want_kurtosis = float(central[4] / central[2] ** 2)
     assert ode_mean(t) == pytest.approx(want_mean, rel=1e-14, abs=0.0)
     assert ode_variance(t) == pytest.approx(want_var, rel=1e-14, abs=0.0)
+    exact = ode_model(t).exact_moments()
+    assert exact["mean"] == ode_mean(t)
+    assert exact["std"] == math.sqrt(ode_variance(t))
+    assert exact["skewness"] == pytest.approx(want_skewness, rel=0.0, abs=1e-13)
+    assert exact["kurtosis"] == pytest.approx(want_kurtosis, rel=1e-14, abs=0.0)
 
 
 def test_ode_model_rejects_negative_time():
@@ -127,19 +140,23 @@ def test_batched_values_match_scalar():
         assert np.array_equal(batched, with_grad), model.name
 
 
-def centred_moments_on_rule(model, n_per_dim):
-    """First four moments of a model on a tensor Gauss rule, centred first."""
-    rule = tensor_rule(model.space, n_per_dim)
-    values = model.values(rule.nodes)
-    mean = float(rule.weights @ values)
+def centred_moments(weights, values):
+    """First four moments of ``values`` under quadrature ``weights``, centred first."""
+    mean = float(weights @ values)
     centered = values - mean
-    var = float(rule.weights @ centered**2)
+    var = float(weights @ centered**2)
     return {
         "mean": mean,
         "std": math.sqrt(var),
-        "skewness": float(rule.weights @ centered**3) / var**1.5,
-        "kurtosis": float(rule.weights @ centered**4) / var**2,
+        "skewness": float(weights @ centered**3) / var**1.5,
+        "kurtosis": float(weights @ centered**4) / var**2,
     }
+
+
+def centred_moments_on_rule(model, n_per_dim):
+    """First four moments of a model on a tensor Gauss rule, centred first."""
+    rule = tensor_rule(model.space, n_per_dim)
+    return centred_moments(rule.weights, model.values(rule.nodes))
 
 
 @pytest.mark.parametrize("alpha, beta", [(7.0, 0.1), (5.0, 0.2), (7.0, 0.0)])
@@ -156,6 +173,13 @@ def test_ishigami_exact_moments_match_quadrature(alpha, beta):
 
 @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0, 30.0])
 def test_ode_exact_moments_are_the_centred_60_point_rule(t):
-    # the 60-point rule is the reference, bit for bit, at every time
+    # mean and std are the closed forms; the shape moments are the 60-point
+    # rule centred on u - 1 = expm1(-k t), bit for bit, at every time
     model = ode_model(t)
-    assert model.exact_moments() == centred_moments_on_rule(model, 60)
+    rule = tensor_rule(model.space, 60)
+    decay = model.space.destandardize(rule.nodes)[:, 0] * t
+    shape = centred_moments(rule.weights, np.expm1(-decay))
+    assert model.exact_moments() == {
+        "mean": ode_mean(t), "std": math.sqrt(ode_variance(t)),
+        "skewness": shape["skewness"], "kurtosis": shape["kurtosis"],
+    }

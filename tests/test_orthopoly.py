@@ -86,7 +86,7 @@ def test_index_set_counts():
 
 
 def test_index_set_ordering():
-    idx = build_index_set(2, 2).indices
+    idx = build_index_set(2, 2)
     assert np.array_equal(idx[0], [0, 0])
     degrees = idx.sum(axis=1)
     assert np.all(np.diff(degrees) >= 0)

@@ -210,7 +210,7 @@ def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
 def test_square_row_count_matches_enumeration(m, order):
     # brute force over the pairs i <= j of non-constant terms: each gives
     # min(a_k, b_k) + 1 rows per dimension k that both involve
-    idx = ChaosBasis(_mixed_space(m), order).index_set.indices[1:]
+    idx = ChaosBasis(_mixed_space(m), order).indices[1:]
     want = 0
     for i, a in enumerate(idx):
         shared = (a > 0) & (idx[i:] > 0)

@@ -47,7 +47,7 @@ def dense_basis_eval(basis, points):
         univariate_table(family, basis.order, points[:, k])[0]
         for k, family in enumerate(basis.families)
     ]
-    idx = basis.index_set.indices
+    idx = basis.indices
     out = tables[0][:, idx[:, 0]].copy()
     for k in range(1, basis.m):
         out *= tables[k][:, idx[:, k]]
@@ -130,7 +130,7 @@ def reference_smolyak_rule(space, level):
                 merged[key] = (row, w)
     nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), space.m)
     weights = np.array([entry[1] for entry in merged.values()])
-    return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak", level=level)
+    return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak")
 
 
 def reference_qr_ranking(meas, n_sel):
