@@ -64,12 +64,30 @@ def _require(cond, message):
 
 
 def _number(kind, value, field):
-    """``kind(value)``, or a ConfigError naming the config field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "a path" if kind is Path else "a number"
-        raise ConfigError(f"config field {field!r} must be {what}, got {value!r}") from None
+    """``value`` as ``kind``, or a ConfigError naming the config field.
+
+    A string is read as its number, so a flag and a config entry get the
+    same check.  No number is a boolean, and an int field takes only an
+    integral number.
+    """
+    if kind not in (int, float):
+        try:
+            return kind(value)
+        except TypeError:
+            raise ConfigError(f"config field {field!r} must be a path, got {value!r}") from None
+    number = value
+    if isinstance(value, str):
+        for read in (int, float):
+            try:
+                number = read(value)
+                break
+            except ValueError:
+                pass
+    if isinstance(number, bool) or not isinstance(number, (int, float)):
+        raise ConfigError(f"config field {field!r} must be a number, got {value!r}")
+    if kind is int and isinstance(number, float) and not number.is_integer():
+        raise ConfigError(f"config field {field!r} must be an integer, got {number!r}")
+    return kind(number)
 
 
 def _field(name, value, label):

@@ -463,6 +463,60 @@ def test_flag_and_config_values_share_one_check(tmp_path, capsys, flag, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, value", [("order", 2.7), ("pool", 1.5), ("workers", 1e-3)])
+def test_int_field_refuses_a_non_integral_number(tmp_path, capsys, field, value):
+    base = {"model": {"name": "ode"}, "method": "wlsq", "order": 2, "pool": 50}
+    flag_cfg = write_config(tmp_path / "flag.json", base)
+    key_cfg = write_config(tmp_path / "key.json", {**base, field: value})
+    out = str(tmp_path / "o")
+    assert main(["fit", "--config", flag_cfg, "--seed", "1", "--out", out,
+                 f"--{field}", str(value)]) == 2
+    from_flag = capsys.readouterr().err
+    assert main(["fit", "--config", key_cfg, "--seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert f"config field {field!r} must be an integer, got {value!r}" in from_flag
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, change, label",
+    [
+        ("fit", {"seed": True}, "'seed'"),
+        ("fit", {"order": True}, "'order'"),
+        ("fit", {"oversample": True}, "'oversample'"),
+        ("fit", {"model": {"name": "ode", "t": False}}, "'model.t'"),
+        ("fit", {"model": {"name": "burgers", "n_grid": 21.5}}, "'model.n_grid'"),
+        ("convergence", {"orders": [2, 3.5], "reference": {"kind": "analytic"}}, "'orders[1]'"),
+        ("select-points", {"space": [{"kind": "uniform", "lower": True}]}, "'space[0].lower'"),
+    ],
+    ids=["seed-bool", "order-bool", "oversample-bool", "model-float-bool", "burgers-n-grid",
+         "orders-entry", "space-bound-bool"],
+)
+def test_number_fields_refuse_booleans_and_fractions(tmp_path, capsys, command, change, label):
+    config = {"model": {"name": "ode"}, "method": "wlsq", "order": 2, "pool": 50, **change}
+    if command == "select-points":
+        config = {"order": 2, "pool": 50, **change}
+    elif command == "convergence":
+        del config["method"], config["order"]
+    cfg = write_config(tmp_path / "cfg.json", config)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if "seed" not in change:
+        argv += ["--seed", "1"]
+    assert main(argv) == 2
+    assert f"config field {label} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_int_field_takes_an_integral_float(tmp_path):
+    base = {"model": {"name": "ode"}, "method": "wlsq", "order": 2, "pool": 50}
+    for name, order in (("int", 2), ("float", 2.0), ("string", "2")):
+        cfg = write_config(tmp_path / f"{name}.json", {**base, "order": order})
+        assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(tmp_path / name)]) == 0
+    want = (tmp_path / "int" / "moments.csv").read_bytes()
+    assert (tmp_path / "float" / "moments.csv").read_bytes() == want
+    assert (tmp_path / "string" / "moments.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize(
     "command, config, field",
     [

@@ -136,8 +136,8 @@ def reference_smolyak_rule(space, level):
 def reference_qr_ranking(meas, n_sel):
     """Pivot order and |R_ii| of ``scipy.linalg.qr`` on ``(W^(1/2) psi)^T``.
 
-    The copying, R-forming call ``qr_select`` made before it called LAPACK
-    ``geqp3`` in place; ``qr_select`` must match it bit for bit.  Returns
+    LAPACK ``geqp3`` behind it is the reference ranking: ``qr_select`` must
+    take the same pivots, with |R_ii| within 1e-13 relative.  Returns
     (selected, r_diag) for the first ``n_sel`` pivots.
     """
     r_mat, piv = scipy.linalg.qr(meas.weighted().T, mode="r", pivoting=True)

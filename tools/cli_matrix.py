@@ -6,9 +6,10 @@ Each run gets its own directory under OUT_DIR holding its ``config.json`` and
 the files ``segpc`` wrote there.  The runs cover ``fit`` with every method on
 the ODE, Ishigami and 10-input Burgers (N = 11) models plus one se-gPC fit
 oversampled past P + 1 points, ``convergence`` against an analytic
-reference, ``select-points`` on a mixed Gaussian/uniform space, and ``mc``
-on Ishigami and Burgers.  Configs and seeds are fixed, so a refactor that
-keeps the numbers shows no difference in
+reference, ``select-points`` on a mixed Gaussian/uniform space and on
+Ishigami at order 8 (165 terms), and ``mc`` on Ishigami and Burgers.
+Configs and seeds are fixed, so a refactor that keeps the numbers shows no
+difference in
 
     diff -r OUT_DIR_BEFORE OUT_DIR_AFTER
 
@@ -58,6 +59,9 @@ RUNS = {
                   {"kind": "gaussian"}],
         "order": 3, "pool": 2000,
     }),
+    # 165 terms: the ranking runs several blocks of picks (20 terms above fit in one)
+    "select-points-ishigami": ("select-points", 4, {"model": ISHIGAMI, "order": 8,
+                                                    "pool": 2000}),
     "mc-ishigami": ("mc", 1, {"model": ISHIGAMI, "samples": 2000}),
     "mc-burgers": ("mc", 5, {"model": BURGERS, "samples": 40}),
 }
