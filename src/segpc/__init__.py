@@ -27,6 +27,7 @@ from .regression import (
     segpc_point_count,
 )
 from .quadrature import (
+    MomentsReport,
     QuadratureRule,
     gauss_rule,
     monte_carlo_moments,
@@ -35,7 +36,6 @@ from .quadrature import (
     tensor_rule,
 )
 from .postproc import (
-    MomentsReport,
     SobolReport,
     higher_moments,
     moments_from_coefficients,

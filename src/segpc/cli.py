@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .burgers import BurgersModel
@@ -243,7 +243,7 @@ def moments_row(model_name, m, order, report, reference=None):
         "model": model_name,
         "m": m,
         "p": order if order is not None else "",
-        **report.as_row(),
+        **asdict(report),
     }
     for key in MOMENTS:
         row[f"err_{key}"] = _relative_or_abs(row[key], (reference or {}).get(key))
@@ -305,7 +305,7 @@ def run_fit(config, method, order, plans):
     space = model.space
     basis = _checked(f"chaos order {order}", ChaosBasis, space, order)
     if method == "smolyak":
-        rule = smolyak_rule(space, order + 1)
+        rule = _checked(f"chaos order {order}", smolyak_rule, space, order + 1)
         surrogate = quadrature_fit(basis, rule, model, workers=config.workers)
     else:
         base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, space.m)

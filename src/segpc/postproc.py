@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import univariate_table
-from .quadrature import gauss_rule, sample_moments, tensor_rule
+from .quadrature import MomentsReport, gauss_rule, sample_moments, tensor_rule
 from .regression import segpc_point_count
 
 #: skewness/kurtosis are reported as NaN below this chaos order
@@ -43,30 +43,6 @@ SURROGATE_MC_SAMPLES = 1_000_000
 
 #: surrogate samples evaluated per basis-matrix block
 SURROGATE_EVAL_CHUNK = 100_000
-
-
-@dataclass
-class MomentsReport:
-    """First four moments of a QoI plus provenance."""
-
-    mean: float
-    std: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    method: str
-    evaluation_count: int
-
-    def as_row(self):
-        return {
-            "method": self.method,
-            "evaluation_count": self.evaluation_count,
-            "mean": self.mean,
-            "std": self.std,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-        }
 
 
 @dataclass

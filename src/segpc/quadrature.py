@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .orthopoly import recurrence_offdiag
+from .orthopoly import _compositions, recurrence_offdiag
 from .parallel import evaluate_values
 from .regression import FitReport, PceSurrogate
 
@@ -85,24 +85,22 @@ def tensor_rule(space, n_per_dim):
             f"n={n_per_dim}); maximum is {MAX_RULE_NODES}"
         )
     rules = [gauss_rule(marg.family, n_per_dim) for marg in space.marginals]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(total)
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    for wg in wgrids:
-        weights *= wg.ravel()
+    nodes, weights = _tensor_block(rules, 1.0)
     return QuadratureRule(nodes=nodes, weights=weights, kind="tensor-gauss")
 
 
-def _compositions_min1(total, parts):
-    """Tuples of ``parts`` positive ints summing to ``total``, lexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions_min1(total - head, parts - 1):
-            yield (head,) + tail
+def _tensor_block(rules_1d, coeff):
+    """Nodes and weights of the tensor product of 1D (nodes, weights) rules.
+
+    Rows run in ``meshgrid(..., indexing="ij")`` order, the last dimension
+    fastest; each weight is ``coeff`` times the 1D weights in dimension order.
+    """
+    index = np.indices([len(w_1d) for _, w_1d in rules_1d]).reshape(len(rules_1d), -1)
+    nodes = np.stack([x_1d[i] for (x_1d, _), i in zip(rules_1d, index)], axis=1)
+    weights = np.full(index.shape[1], coeff)
+    for (_, w_1d), i in zip(rules_1d, index):
+        weights *= w_1d[i]
+    return nodes, weights
 
 
 def _truncated_power(series, m):
@@ -160,25 +158,21 @@ def smolyak_rule(space, level):
         for family in set(space.families)
         for k in range(1, level + 1)
     }
-    rows, row_weights = [], []
+    blocks = []
     for total in range(max(m, level), level + m):
         gap = level + m - 1 - total
         coeff = float((-1) ** gap * math.comb(m - 1, gap))
-        for k_vec in _compositions_min1(total, m):
-            block = [rules_1d[family, k] for family, k in zip(space.families, k_vec)]
-            index = np.indices([2 * k - 1 for k in k_vec]).reshape(m, -1)
-            rows.append(np.stack([nodes[i] for (nodes, _), i in zip(block, index)], axis=1))
-            weights = np.full(index.shape[1], coeff)
-            for (_, w_1d), i in zip(block, index):
-                weights *= w_1d[i]
-            row_weights.append(weights)
-    rows = np.round(np.concatenate(rows), MERGE_DECIMALS)
+        # k - 1 of each multi-level k with |k| = total, k lexicographic
+        for k_less_1 in _compositions(total - m, m):
+            rules = [rules_1d[family, j + 1] for family, j in zip(space.families, k_less_1)]
+            blocks.append(_tensor_block(rules, coeff))
+    rows = np.round(np.concatenate([nodes for nodes, _ in blocks]), MERGE_DECIMALS)
     _, first, node_of_row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     # number the nodes by first appearance; bincount adds each node's weights
     # in row order, which is their order of appearance
     by_appearance = np.argsort(first)
     node_of_row = np.argsort(by_appearance)[node_of_row]
-    node_weights = np.bincount(node_of_row, weights=np.concatenate(row_weights))
+    node_weights = np.bincount(node_of_row, weights=np.concatenate([w for _, w in blocks]))
     nodes = rows[first[by_appearance]]
     return QuadratureRule(nodes=nodes, weights=node_weights, kind="smolyak")
 
@@ -201,6 +195,19 @@ def quadrature_fit(basis, rule, model, workers=1):
         evaluation_count=rule.n_nodes,
     )
     return PceSurrogate(coeff, basis, report)
+
+
+@dataclass
+class MomentsReport:
+    """First four moments of a QoI plus provenance."""
+
+    mean: float
+    std: float
+    variance: float
+    skewness: float
+    kurtosis: float
+    method: str
+    evaluation_count: int
 
 
 def sample_moments(values):
@@ -229,8 +236,6 @@ def monte_carlo_moments(space, model, n, seed, workers=1):
     Returns a ``(MomentsReport, samples)`` pair; ``samples`` is the per-sample
     QoI trace in draw order, and the moments are :func:`sample_moments` of it.
     """
-    from .postproc import MomentsReport
-
     if n < 2:
         raise ValueError(f"Monte-Carlo needs at least 2 samples, got {n}")
     pool = space.sample_pool(n, seed)

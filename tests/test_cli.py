@@ -549,3 +549,17 @@ def test_fit_refuses_an_oversized_measurement(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: pool of 1000000: measurement matrix of 1000000 points x " \
            "286 terms would take 2.1 GiB" in err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("fit", {"method": "smolyak", "order": 26}),
+    ("convergence", {"orders": [2, 26], "methods": ["smolyak"],
+                     "reference": {"kind": "analytic"}}),
+])
+def test_sparse_rule_too_large_exits_2(tmp_path, capsys, command, config):
+    # level 27 on Ishigami's three inputs would hold more than 2,000,000 nodes
+    cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "ishigami"}, **config})
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: chaos order 26: sparse rule exceeds 2000000 nodes " \
+           "(m=3, level=27)" in err

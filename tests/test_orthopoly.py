@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from tests_support import dense_basis_eval
+from tests_support import dense_basis_eval, dense_basis_grad
 
 from segpc import (
     ChaosBasis,
@@ -192,6 +192,18 @@ def test_basis_eval_bit_identical_to_dense_products(kind, m, p):
     for n in (0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 7):
         points = 2.0 * rng.standard_normal((n, m))
         assert _same_bits(basis.eval(points), dense_basis_eval(basis, points))
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+@pytest.mark.parametrize("m,p", [(1, 10), (3, 10), (10, 3), (40, 2)])
+def test_basis_grad_bit_identical_to_prefix_suffix_products(kind, m, p):
+    basis = ChaosBasis(_space(kind, m), p)
+    rng = np.random.default_rng(100 * m + p)
+    for n in (0, 1, 41):
+        points = 2.0 * rng.standard_normal((n, m))
+        assert _same_bits(basis.grad(points), dense_basis_grad(basis, points))
+    point = 2.0 * rng.standard_normal(m)
+    assert _same_bits(basis.grad(point), dense_basis_grad(basis, point))
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])

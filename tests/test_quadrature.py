@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from tests_support import reference_smolyak_rule
+from tests_support import meshgrid_tensor_block, reference_smolyak_rule
 
 from segpc import (
     ChaosBasis,
@@ -62,6 +62,20 @@ def test_tensor_rule_weights_sum_to_one():
     rule = tensor_rule(space, 4)
     assert rule.n_nodes == 64
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "families,n_per_dim",
+    [(["hermite"], 7), (["legendre", "hermite", "legendre"], 5),
+     (["hermite", "legendre", "hermite", "legendre"], 4), (["legendre"] * 3, 21)],
+)
+def test_tensor_rule_bit_identical_to_meshgrid(families, n_per_dim):
+    kinds = {"hermite": Gaussian, "legendre": Uniform}
+    space = StochasticSpace([kinds[family]() for family in families])
+    nodes, weights = meshgrid_tensor_block([gauss_rule(f, n_per_dim) for f in families])
+    rule = tensor_rule(space, n_per_dim)
+    assert np.array_equal(rule.nodes.view(np.uint64), nodes.view(np.uint64))
+    assert np.array_equal(rule.weights.view(np.uint64), weights.view(np.uint64))
 
 
 def test_smolyak_level_one_is_origin():

@@ -54,6 +54,38 @@ def dense_basis_eval(basis, points):
     return out[0] if single else out
 
 
+def dense_basis_grad(basis, points):
+    """Reference gradient of a ``ChaosBasis`` by prefix and suffix products.
+
+    Gathers every univariate factor and derivative; entry (k, j) is
+    (prefix * psi'_{alpha_k}(x_k)) * suffix, with prefix the product of the
+    factors of dimensions l < k taken in ascending order and suffix that of
+    l > k taken in descending order.  ``ChaosBasis.grad`` must match it bit
+    for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    single = points.ndim == 1
+    if single:
+        points = points[None, :]
+    idx = basis.indices
+    tables = [
+        univariate_table(family, basis.order, points[:, k])
+        for k, family in enumerate(basis.families)
+    ]
+    cols = [val[:, idx[:, k]] for k, (val, _) in enumerate(tables)]
+    dcols = [der[:, idx[:, k]] for k, (_, der) in enumerate(tables)]
+    out = np.empty((points.shape[0], basis.m, len(idx)))
+    prefix = np.ones((points.shape[0], len(idx)))
+    for k in range(basis.m):
+        out[:, k, :] = prefix * dcols[k]
+        prefix = prefix * cols[k]
+    suffix = np.ones((points.shape[0], len(idx)))
+    for k in range(basis.m - 1, -1, -1):
+        out[:, k, :] *= suffix
+        suffix = suffix * cols[k]
+    return out[0] if single else out
+
+
 def discrete_qoi_gradient(state):
     """Exact gradient of the discrete Burgers QoI w.r.t. the free inlet coefficients.
 
@@ -103,12 +135,21 @@ def sparse_combination_blocks(space, level):
                 gauss_rule(family, 2 * k - 1)
                 for family, k in zip(space.families, k_vec)
             ]
-            grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=1)
-            wts = np.ones(pts.shape[0]) * coeff
-            for wg in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
-                wts *= wg.ravel()
-            yield pts, wts
+            yield meshgrid_tensor_block(rules, coeff)
+
+
+def meshgrid_tensor_block(rules, coeff=1.0):
+    """Nodes and weights of the tensor product of 1D (nodes, weights) rules.
+
+    Built with ``np.meshgrid(..., indexing="ij")``; each weight is ``coeff``
+    times the 1D weights multiplied in dimension order.
+    """
+    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wts = np.ones(pts.shape[0]) * coeff
+    for wg in np.meshgrid(*[r[1] for r in rules], indexing="ij"):
+        wts *= wg.ravel()
+    return pts, wts
 
 
 def reference_smolyak_rule(space, level):

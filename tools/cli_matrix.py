@@ -5,9 +5,10 @@
 Each run gets its own directory under OUT_DIR holding its ``config.json`` and
 the files ``segpc`` wrote there.  The runs cover ``fit`` with every method on
 the ODE, Ishigami and 10-input Burgers (N = 11) models plus one se-gPC fit
-oversampled past P + 1 points, ``convergence`` against an analytic
-reference, ``select-points`` on a mixed Gaussian/uniform space and on
-Ishigami at order 8 (165 terms), and ``mc`` on Ishigami and Burgers.
+oversampled past P + 1 points and the order-10 Ishigami se-gPC fit at 108
+points (286 terms), ``convergence`` against an analytic reference,
+``select-points`` on a mixed Gaussian/uniform space and on Ishigami at
+order 8 (165 terms), and ``mc`` on Ishigami and Burgers.
 Configs and seeds are fixed, so a refactor that keeps the numbers shows no
 difference in
 
@@ -42,6 +43,10 @@ RUNS = {
     "fit-ode-smolyak": ("fit", 3, {"model": ODE, "method": "smolyak", "order": 3}),
     "fit-ishigami-segpc": ("fit", 3, {"model": ISHIGAMI, "method": "segpc", "order": 6,
                                       "oversample": 2.0}),
+    # 286 terms at 108 points: the largest basis gradient, and a 21^3 tensor rule;
+    # at 144 points the 576 x 286 least-squares solve's bits follow the BLAS threads
+    "fit-ishigami-segpc-p10": ("fit", 3, {"model": ISHIGAMI, "method": "segpc", "order": 10,
+                                          "pool": 10_000, "oversample": 1.5}),
     "fit-ishigami-wlsq": ("fit", 3, {"model": ISHIGAMI, "method": "wlsq", "order": 4,
                                      "pool": 2000, "oversample": 1.5}),
     "fit-ishigami-smolyak": ("fit", 3, {"model": ISHIGAMI, "method": "smolyak", "order": 4}),
