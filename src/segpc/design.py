@@ -153,26 +153,21 @@ class DesignPlan:
     """Ranked, QR-selected sample points of the pool ``pool`` (weights ``pool_w_sqrt``).
 
     ``selected`` holds pool row indices in pivot order, ``r_diag`` the
-    corresponding |R_ii| (non-increasing), and ``weighted_rows`` the selected
-    rows of ``W^(1/2) psi``.
+    corresponding |R_ii| (non-increasing), and ``cond_number`` the 2-norm
+    condition number of the selected weighted submatrix.
     """
 
     selected: np.ndarray
     points: np.ndarray
     w_sqrt: np.ndarray
     r_diag: np.ndarray
-    weighted_rows: np.ndarray
+    cond_number: float
     pool: np.ndarray
     pool_w_sqrt: np.ndarray
 
     @property
     def n_selected(self):
         return self.selected.shape[0]
-
-    @property
-    def cond_number(self):
-        """2-norm condition number of ``weighted_rows``, computed on each read (an SVD)."""
-        return float(np.linalg.cond(self.weighted_rows))
 
     def take(self, n):
         """First ``n`` (points, w_sqrt): the pivots, then the other pool rows in draw order."""
@@ -214,12 +209,14 @@ def qr_select(meas, n_sel):
     work = np.empty((meas.q, n_terms), order="F")
     np.multiply(meas.psi, meas.w_sqrt[:, None], out=work)
     selected, r_diag = _greedy_rank(work, n_sel)
+    sub = meas.psi[selected] * meas.w_sqrt[selected, None]
+    cond_number = float(np.linalg.cond(sub))
     return DesignPlan(
         selected=selected,
         points=meas.points[selected],
         w_sqrt=meas.w_sqrt[selected],
         r_diag=r_diag,
-        weighted_rows=meas.psi[selected] * meas.w_sqrt[selected, None],
+        cond_number=cond_number,
         pool=meas.points,
         pool_w_sqrt=meas.w_sqrt,
     )
