@@ -54,7 +54,7 @@ REFRESH_CUT = 0.99
 #: (512 rows of 286 terms take 1.2 MB)
 REFRESH_ROWS = 512
 
-#: largest measurement matrix (q x (P + 1) float64) ``build_measurement`` builds
+#: largest measurement matrix (q x (P + 1) float64) ``build_measurement`` accepts
 MAX_MEASUREMENT_BYTES = 2 * 2**30
 
 
@@ -97,34 +97,33 @@ def coherence_weights(space, points):
 
 @dataclass(frozen=True)
 class WeightedMeasurement:
-    """Dense measurement matrix with its per-row weights kept separate.
+    """A candidate pool checked against the basis; no matrix is built.
 
-    ``psi`` has shape (q, P + 1); row i holds the basis values at pool point
-    i, ``points[i]``.  ``w_sqrt`` holds the square-root weights; no implicit
-    row scaling is done until a solve or selection needs it.
+    Row i of the q x (P + 1) measurement matrix holds the basis values at
+    ``points[i]``, weighted by ``w_sqrt[i]`` in :meth:`weighted`.
     """
 
-    psi: np.ndarray
-    w_sqrt: np.ndarray
+    basis: object
     points: np.ndarray
+    w_sqrt: np.ndarray
 
     @property
     def q(self):
-        return self.psi.shape[0]
+        return self.points.shape[0]
 
     @property
     def n_terms(self):
-        return self.psi.shape[1]
+        return self.basis.n_terms
 
     def weighted(self):
-        """Row-scaled matrix W^(1/2) psi."""
-        return self.psi * self.w_sqrt[:, None]
+        """Row-scaled matrix W^(1/2) psi, evaluated now."""
+        return self.basis.eval(self.points, scale=self.w_sqrt)
 
 
 def build_measurement(basis, pool, weights):
-    """Assemble the q x (P + 1) measurement matrix for a candidate pool.
+    """Check a candidate pool and its weights against the basis.
 
-    Raises ``ValueError``, before evaluating the basis, when the matrix would
+    Raises ``ValueError`` when the q x (P + 1) measurement matrix would
     exceed ``MAX_MEASUREMENT_BYTES``.
     """
     points = pool.points if hasattr(pool, "points") else np.asarray(pool, dtype=float)
@@ -144,8 +143,7 @@ def build_measurement(basis, pool, weights):
             f"would take {size / 2**30:.1f} GiB; the supported maximum is "
             f"{MAX_MEASUREMENT_BYTES / 2**30:g} GiB"
         )
-    psi = basis.eval(points)
-    return WeightedMeasurement(psi=psi, w_sqrt=weights, points=points)
+    return WeightedMeasurement(basis=basis, points=points, w_sqrt=weights)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,8 @@ def qr_select(meas, n_sel):
     Ranks the rows of ``W^(1/2) psi`` as pivoted QR of ``(W^(1/2) psi)^T``
     would rank its columns: each pick is the row of largest residual norm
     off the span of the rows already picked, and that norm is its |R_ii|.
-    One Fortran-ordered working copy of ``W^(1/2) psi`` is the only
-    q x (P + 1) array the ranking holds.
+    The weighted basis is evaluated once, straight into one Fortran-ordered
+    working array, the only q x (P + 1) array the ranking holds.
 
     Raises
     ------
@@ -207,16 +205,15 @@ def qr_select(meas, n_sel):
             f"{n_terms} terms"
         )
     work = np.empty((meas.q, n_terms), order="F")
-    np.multiply(meas.psi, meas.w_sqrt[:, None], out=work)
+    meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
     selected, r_diag = _greedy_rank(work, n_sel)
-    sub = meas.psi[selected] * meas.w_sqrt[selected, None]
-    cond_number = float(np.linalg.cond(sub))
+    sub = meas.basis.eval(meas.points[selected]) * meas.w_sqrt[selected, None]
     return DesignPlan(
         selected=selected,
         points=meas.points[selected],
         w_sqrt=meas.w_sqrt[selected],
         r_diag=r_diag,
-        cond_number=cond_number,
+        cond_number=float(np.linalg.cond(sub)),
         pool=meas.points,
         pool_w_sqrt=meas.w_sqrt,
     )

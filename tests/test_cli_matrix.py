@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tests_support import BLAS_THREAD_VARIABLES
+
 MATRIX_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
 
 OUTPUTS = {
@@ -14,8 +16,6 @@ OUTPUTS = {
     "select-points": ["points.csv"],
     "mc": ["moments.csv", "trace.csv"],
 }
-
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_matrix():

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +16,13 @@ from segpc import (
     Uniform,
     build_measurement,
     coherence_weights,
+    ishigami_model,
     qr_select,
     rank_pool,
 )
 import segpc.design
 from segpc.errors import RankDeficientError
-from tests_support import reference_qr_ranking
+from tests_support import BLAS_THREAD_VARIABLES, reference_qr_ranking
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +62,15 @@ def test_build_measurement_shapes(gauss2):
     pool = gauss2.sample_pool(10000, seed=0)
     w = coherence_weights(gauss2, pool.points)
     meas = build_measurement(basis, pool, w)
-    assert meas.psi.shape == (10000, 15)
-    assert np.allclose(meas.psi[:, 0], 1.0)
+    assert (meas.q, meas.n_terms) == (10000, 15)
+    assert meas.points is pool.points and np.array_equal(meas.w_sqrt, w)
+    weighted = meas.weighted()
+    assert weighted.shape == (10000, 15)
+    assert np.array_equal(weighted[:, 0], w)  # psi_0 is 1
     single = gauss2.sample_pool(1, seed=1)
-    meas1 = build_measurement(basis, single, coherence_weights(gauss2, single.points))
-    assert np.allclose(meas1.psi[0], basis.eval(single.points[0]))
+    w1 = coherence_weights(gauss2, single.points)
+    meas1 = build_measurement(basis, single, w1)
+    assert np.allclose(meas1.weighted()[0], basis.eval(single.points[0]) * w1[0])
 
 
 def test_build_measurement_validation(gauss2):
@@ -74,16 +84,17 @@ def test_build_measurement_validation(gauss2):
 
 
 def test_build_measurement_size_guard(gauss2, monkeypatch):
-    # 8 points x 6 terms x 8 bytes = 384 bytes: refused before the basis is evaluated
+    # 8 points x 6 terms x 8 bytes = 384 bytes: refused, and the basis never evaluated
     basis = ChaosBasis(gauss2, 2)
     pool = gauss2.sample_pool(8, seed=0)
     monkeypatch.setattr(segpc.design, "MAX_MEASUREMENT_BYTES", 383)
     monkeypatch.setattr(basis, "eval", lambda points: pytest.fail("basis evaluated"))
     with pytest.raises(ValueError, match="8 points x 6 terms"):
         build_measurement(basis, pool, np.ones(8))
-    monkeypatch.undo()
     monkeypatch.setattr(segpc.design, "MAX_MEASUREMENT_BYTES", 384)
-    assert build_measurement(basis, pool, np.ones(8)).psi.shape == (8, 6)
+    meas = build_measurement(basis, pool, np.ones(8))
+    monkeypatch.undo()
+    assert meas.weighted().shape == (8, 6)
 
 
 def test_qr_select_single_point_is_max_norm(gauss2):
@@ -136,15 +147,15 @@ def _measurement(marginals, order, q, seed):
 )
 def test_qr_select_matches_scipy_qr(marginals, order, q):
     meas = _measurement(marginals, order, q, seed=q)
-    psi, w_sqrt = meas.psi.copy(), meas.w_sqrt.copy()
+    weighted, w_sqrt = meas.weighted(), meas.w_sqrt.copy()
     n_sel = min(meas.n_terms, q)
     plan = qr_select(meas, n_sel)
     want_selected, want_r_diag = reference_qr_ranking(meas, n_sel)
     assert np.array_equal(plan.selected, want_selected)
     # |R_ii| come from other sums than LAPACK's (at most 1.3e-14 apart here, measured)
     np.testing.assert_allclose(plan.r_diag, want_r_diag, rtol=1e-13, atol=0)
-    # the ranking overwrites a working copy, never the measurement
-    assert np.array_equal(meas.psi, psi)
+    # the ranking overwrites its working array, never the pool or its weights
+    assert np.array_equal(meas.weighted(), weighted)
     assert np.array_equal(meas.w_sqrt, w_sqrt)
 
 
@@ -212,17 +223,68 @@ def test_qr_select_takes_the_lower_of_tied_rows_first(gauss2):
         assert np.array_equal(plan.selected, reference_qr_ranking(meas, basis.n_terms)[0])
 
 
-def test_qr_select_holds_one_working_copy():
-    # the 286-term Ishigami ranking of a 10^4 pool: one q x (P + 1) copy plus
-    # small temporaries, no second copy
-    meas = _measurement([Uniform(), Uniform(), Uniform()], 10, 10_000, seed=1)
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        qr_select(meas, meas.n_terms)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * meas.q * meas.n_terms * 8
+    return peak
+
+
+def test_qr_select_holds_one_working_copy():
+    # the 286-term Ishigami ranking of a 10^4 pool: one q x (P + 1) array plus
+    # small temporaries, no second copy
+    meas = _measurement([Uniform(), Uniform(), Uniform()], 10, 10_000, seed=1)
+    assert _traced_peak(lambda: qr_select(meas, meas.n_terms)) <= 1.25 * meas.q * meas.n_terms * 8
+    # the whole chain from pool draw to plan holds that one array too (a
+    # second q x (P + 1) array, say the unweighted basis values, makes ~47.5 MB)
+    basis = ChaosBasis(ishigami_model().space, 10)
+    peak = _traced_peak(lambda: rank_pool(basis, 10_000, 1))
+    assert peak <= 1.5 * 10_000 * basis.n_terms * 8
+
+
+#: rank_pool(Ishigami order-10 basis, 10_000, seed) at one BLAS thread, stored
+#: from the ranking of a separately built weighted matrix: sha256 of the
+#: pivots (int64) and of |R_ii|, and float.hex of cond_number
+ISHIGAMI_P10_RANKINGS = {
+    3: (
+        "43bd4e7b0fd5a190732877af14edf6a21226de2d1e01130aca7963e8d9d29c74",
+        "b7851899cc74082da5a7f0b86680867371f101dcf0fa27ee3aa5814faf6d1470",
+        "0x1.15d380f161ecbp+4",
+    ),
+    11: (
+        "a8ba7c3e46efea9724c5cd67f80612a9c39f95edd098a0a14e8f7c146c6d7c34",
+        "cda258b62750fd032b0dabac4590ce5000a9558e03dc73d1f4bdb39b37138243",
+        "0x1.05f280069a1dbp+4",
+    ),
+}
+
+_PRINT_RANKINGS = """
+import hashlib, json, sys
+import numpy as np
+from segpc import ChaosBasis, ishigami_model, rank_pool
+basis = ChaosBasis(ishigami_model().space, 10)
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+plans = {seed: rank_pool(basis, 10_000, seed) for seed in json.loads(sys.argv[1])}
+print(json.dumps({seed: [digest(p.selected.astype(np.int64)), digest(p.r_diag),
+                         p.cond_number.hex()] for seed, p in plans.items()}))
+"""
+
+
+def test_rank_pool_keeps_the_stored_bits():
+    # at this size |R_ii| and cond_number move in the last bits with the BLAS
+    # thread count, which is read when numpy loads: rank in a one-thread child
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    seeds = sorted(ISHIGAMI_P10_RANKINGS)
+    child = subprocess.run(
+        [sys.executable, "-c", _PRINT_RANKINGS, json.dumps(seeds)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = {int(seed): tuple(bits) for seed, bits in json.loads(child.stdout).items()}
+    assert got == ISHIGAMI_P10_RANKINGS
 
 
 def test_qr_select_rejects_non_finite_weights(gauss2):
@@ -279,19 +341,32 @@ def test_qr_permutation_equivalence(gauss2):
     assert got == want
 
 
-def test_orthogonal_submatrix_condition_is_one():
-    # hand-built measurement whose selected rows are orthonormal
-    from segpc.spaces import SamplePool
+class TableBasis:
+    """Stand-in basis on one coordinate: point (i,) has the row ``table[i]``."""
 
-    space = StochasticSpace([Gaussian(), Gaussian()])
-    basis = ChaosBasis(space, 1)
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    # psi rows: [1, x, y] -> [[1,0,0],[1,1,0],[1,0,1]]; orthonormalize by trick:
-    # use points making rows orthonormal directly is impossible here, so check
-    # the definition on a synthetic measurement instead
-    meas = build_measurement(basis, SamplePool(pts, seed=0), np.ones(3))
-    object.__setattr__(meas, "psi", np.eye(3))
-    plan = qr_select(meas, 3)
+    m = 1
+
+    def __init__(self, table):
+        self.table = table
+        self.n_terms = table.shape[1]
+
+    def eval(self, points, out=None, scale=None):
+        rows = self.table[np.asarray(points, dtype=int)[:, 0]]
+        if scale is not None:
+            rows = rows * scale[:, None]
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
+
+
+def test_orthogonal_submatrix_condition_is_one():
+    # no polynomial basis has orthonormal rows at a few points, so a stand-in
+    # does: the unit rows, plus a shorter row in their span that is never picked
+    basis = TableBasis(np.vstack([np.eye(3), [0.5, 0.5, 0.0]]))
+    pool = np.array([[3.0], [2.0], [0.0], [1.0]])
+    plan = qr_select(build_measurement(basis, pool, np.ones(4)), 3)
+    assert plan.selected.tolist() == [1, 2, 3]
     assert plan.cond_number == pytest.approx(1.0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -192,6 +193,39 @@ def test_basis_eval_bit_identical_to_dense_products(kind, m, p):
     for n in (0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 7):
         points = 2.0 * rng.standard_normal((n, m))
         assert _same_bits(basis.eval(points), dense_basis_eval(basis, points))
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+@pytest.mark.parametrize("n", [1, 7, EVAL_BLOCK, EVAL_BLOCK + 1, 3000])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_basis_eval_into_out_keeps_the_bits(kind, n, layout):
+    space = _space(kind, 3)
+    basis = ChaosBasis(space, 6)
+    points = space.sample_pool(n, seed=n).points
+    scale = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    want = basis.eval(points)
+    out = np.empty((n, basis.n_terms), order=layout)
+    assert basis.eval(points, out=out) is out
+    assert _same_bits(out, want)
+    assert basis.eval(points, out=out, scale=scale) is out
+    assert _same_bits(out, want * scale[:, None])
+    assert _same_bits(basis.eval(points, scale=scale), want * scale[:, None])
+
+
+#: sha256 of ChaosBasis(_space(kind, 3), 6).eval of a 3000-point pool (seed 2),
+#: stored so that any change to the evaluation's arithmetic shows
+EVAL_SHA256 = {
+    "hermite": "2b5372581fce5fdcf1e9728108606e2abea87595e9653f9d6e31a9beefbf38f8",
+    "legendre": "5db285d77324d07d57b3f80d424f9a00f6790877039bd97b6734b3f4fb860236",
+    "mixed": "cd0c61f0201ba19be647a28e070f222e85fa9cfa9c2a2233953485ba7c7d674f",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVAL_SHA256))
+def test_basis_eval_keeps_the_stored_bits(kind):
+    space = _space(kind, 3)
+    psi = ChaosBasis(space, 6).eval(space.sample_pool(3000, seed=2).points)
+    assert hashlib.sha256(psi.tobytes()).hexdigest() == EVAL_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])

@@ -10,6 +10,9 @@ from segpc import Model, ModelEvaluation, univariate_table
 from segpc.burgers import _direct_jacobian
 from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
 
+#: environment variables that set the BLAS thread count, read when numpy loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class PolyModel(Model):
     """QoI equal to a fixed linear combination of basis functions."""
