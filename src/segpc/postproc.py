@@ -6,8 +6,9 @@ coefficients).  Skewness and kurtosis are the third and fourth central
 moments over powers of the standard deviation, and both central moments are
 taken of the centred surrogate M - c_0 directly, exactly where that is cheap:
 
-- m <= 4: the tensor Gauss rule with 2p + 1 points per dimension, exact for
-  the degree-4p integrands, over the centred node values;
+- m <= 4: the tensor Gauss grid with 2p + 1 points per dimension, exact for
+  the degree-4p integrands, its centred values formed by sum factorization
+  (one dimension at a time, no basis matrix);
 - m > 4: the coefficients d of the squared centred expansion
   (M - c_0)^2 = sum_g d_g psi_g, from which E[(M - c_0)^4] = sum d_g^2 and
   E[(M - c_0)^3] = sum c_g d_g, with no rule and no surrogate evaluation,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orthopoly import univariate_table
-from .quadrature import MomentsReport, gauss_rule, sample_moments, tensor_rule
+from .quadrature import MomentsReport, gauss_rule, refuse_large_tensor, sample_moments
 from .regression import segpc_point_count
 
 #: skewness/kurtosis are reported as NaN below this chaos order
@@ -179,15 +180,60 @@ def _central_moments_from_square(surrogate):
     return float(coeff[present] @ square[at[present]]), float(square @ square)
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_table(family, order):
+    """Weights and polynomial table of the (2 order + 1)-point Gauss rule.
+
+    Returns (w, T): w the rule's weights and T[i, a] = phi_a(x_i) for
+    a <= order.  Cached, so the arrays are read-only.
+    """
+    nodes, weights = gauss_rule(family, 2 * order + 1)
+    table = univariate_table(family, order, nodes)[0]
+    weights.setflags(write=False)
+    table.setflags(write=False)
+    return weights, table
+
+
+def _central_moments_on_grid(surrogate):
+    """E[(M - c_0)^3] and E[(M - c_0)^4] on the tensor Gauss grid, by sum factorization.
+
+    The coefficients are scattered into a dense (p + 1)^m array at the basis
+    multi-indices, with c_0 = 0 so the values come out centred.  Contracting
+    one axis at a time with the (2p + 1) x (p + 1) table of the orthonormal
+    polynomials at that dimension's 2p + 1 Gauss nodes gives the values on the
+    (2p + 1)^m grid in O(m (2p + 1)^m (p + 1)) flops, with no basis matrix;
+    their powers are then contracted axis by axis with the 1D weights.
+    """
+    basis = surrogate.basis
+    order = surrogate.order
+    m = surrogate.space.m
+    n = 2 * order + 1
+    refuse_large_tensor(m, n)
+    rules = [_grid_table(family, order) for family in basis.families]
+    values = np.zeros((order + 1,) * m)
+    values[tuple(basis.indices.T)] = surrogate.coefficients
+    values.flat[0] = 0.0
+    # each step contracts the leading axis and appends its grid axis last, so
+    # after m steps the axes are back in dimension order
+    for _, table in rules:
+        values = values.reshape(order + 1, -1).T @ table.T
+
+    def integral(integrand):
+        for weights, _ in rules:
+            integrand = weights @ integrand.reshape(n, -1)
+        return integrand.item()
+
+    square = values * values
+    return integral(square * values), integral(square * square)
+
+
 def _skewness_kurtosis(surrogate, variance):
     """Skewness and kurtosis of the surrogate, exact wherever that is cheap."""
     m, order = surrogate.space.m, surrogate.order
     if m <= 4:
-        # 2p + 1 Gauss points per dimension integrate the degree-4p quartic
-        rule = tensor_rule(surrogate.space, 2 * order + 1)
-        centred = surrogate.eval(rule.nodes) - surrogate.coefficients[0]
-        third = float(rule.weights @ centred**3)
-        fourth = float(rule.weights @ centred**4)
+        # 2p + 1 Gauss points per dimension integrate the degree-4p quartic;
+        # the grid values come by sum factorization, with no basis matrix
+        third, fourth = _central_moments_on_grid(surrogate)
     elif _square_row_count(m, order) <= SURROGATE_MC_SAMPLES:
         third, fourth = _central_moments_from_square(surrogate)
     else:
@@ -199,7 +245,7 @@ def higher_moments(surrogate):
     """First four moments of a fitted surrogate.
 
     The mean and variance come from the coefficients.  The third and fourth
-    central moments are exact: from the tensor Gauss rule for m <= 4, and
+    central moments are exact: on the tensor Gauss grid for m <= 4, and
     from the square of the centred expansion for m > 4 while it holds at
     most :data:`SURROGATE_MC_SAMPLES` rows before merging.  Beyond that the
     surrogate is sampled that many times with seed 0 instead.  Skewness and

@@ -28,7 +28,7 @@ from .orthopoly import _compositions, recurrence_offdiag
 from .parallel import evaluate_values
 from .regression import FitReport, PceSurrogate
 
-#: refuse to build sparse rules beyond this many nodes
+#: refuse to build sparse rules or tensor grids beyond this many nodes
 MAX_RULE_NODES = 2_000_000
 
 #: coordinates are keyed to this many decimals when merging sparse-grid nodes
@@ -72,18 +72,26 @@ def gauss_rule(family, n_points):
     return nodes, weights
 
 
+def refuse_large_tensor(m, n_per_dim):
+    """Refuse a tensor grid of more than :data:`MAX_RULE_NODES` nodes.
+
+    The grid has ``n_per_dim`` points in each of ``m`` dimensions.
+    """
+    total = n_per_dim**m
+    if total > MAX_RULE_NODES:
+        raise ValueError(
+            f"tensor rule would hold {total} nodes (m={m}, "
+            f"n={n_per_dim}); maximum is {MAX_RULE_NODES}"
+        )
+
+
 def tensor_rule(space, n_per_dim):
     """Full tensor-product Gauss rule, ``n_per_dim`` points per dimension.
 
     Exact for integrands of per-dimension degree <= 2 * n_per_dim - 1.
     """
     n_per_dim = int(n_per_dim)
-    total = n_per_dim ** space.m
-    if total > MAX_RULE_NODES:
-        raise ValueError(
-            f"tensor rule would hold {total} nodes (m={space.m}, "
-            f"n={n_per_dim}); maximum is {MAX_RULE_NODES}"
-        )
+    refuse_large_tensor(space.m, n_per_dim)
     rules = [gauss_rule(marg.family, n_per_dim) for marg in space.marginals]
     nodes, weights = _tensor_block(rules, 1.0)
     return QuadratureRule(nodes=nodes, weights=weights, kind="tensor-gauss")
@@ -167,14 +175,20 @@ def smolyak_rule(space, level):
             rules = [rules_1d[family, j + 1] for family, j in zip(space.families, k_less_1)]
             blocks.append(_tensor_block(rules, coeff))
     rows = np.round(np.concatenate([nodes for nodes, _ in blocks]), MERGE_DECIMALS)
-    _, first, node_of_row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    # number the nodes by first appearance; bincount adds each node's weights
-    # in row order, which is their order of appearance
-    by_appearance = np.argsort(first)
-    node_of_row = np.argsort(by_appearance)[node_of_row]
+    # one stable sort groups equal rows, each group's first entry its first
+    # appearance; marking those rows numbers the nodes by first appearance
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.zeros(order.size, dtype=bool)
+    first[order[starts]] = True
+    node_of_first = np.cumsum(first) - 1
+    node_of_row = np.empty(order.size, dtype=np.intp)
+    node_of_row[order] = node_of_first[order[starts]][np.cumsum(starts) - 1]
+    # bincount adds each node's weights in row order, their order of appearance
     node_weights = np.bincount(node_of_row, weights=np.concatenate([w for _, w in blocks]))
-    nodes = rows[first[by_appearance]]
-    return QuadratureRule(nodes=nodes, weights=node_weights, kind="smolyak")
+    return QuadratureRule(nodes=rows[first], weights=node_weights, kind="smolyak")
 
 
 def quadrature_fit(basis, rule, model, workers=1):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,70 @@ def _assert_moments(report, third, fourth, rel):
     variance = report.variance
     assert report.skewness == pytest.approx(third / math.sqrt(variance) ** 3, rel=rel)
     assert report.kurtosis == pytest.approx(fourth / variance**2, rel=rel)
+
+
+class _EvalRefused:
+    """Forwards to a surrogate but refuses ``eval``."""
+
+    def __init__(self, surrogate):
+        self._surrogate = surrogate
+
+    def __getattr__(self, name):
+        return getattr(self._surrogate, name)
+
+    def eval(self, points):
+        raise AssertionError("higher_moments evaluated the surrogate")
+
+
+_GRID_SPACES = {
+    "hermite": lambda m: StochasticSpace([Gaussian()] * m),
+    "legendre": lambda m: StochasticSpace([Uniform()] * m),
+    "mixed": lambda m: StochasticSpace([Uniform() if k % 2 == 0 else Gaussian() for k in range(m)]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, m, order",
+    [
+        pytest.param(kind, m, order, id=f"{kind}-m{m}-p{order}")
+        for m, orders in {1: (2, 7, 10), 2: (3, 10), 3: (4, 10), 4: (2, 5)}.items()
+        for order in orders
+        for kind in _GRID_SPACES
+        if not (m == 1 and kind == "mixed")
+    ],
+)
+def test_higher_moments_exact_on_the_gauss_grid(kind, m, order):
+    # m <= 4 sums over the tensor Gauss grid by factorization and never
+    # evaluates the surrogate; the oracle evaluates it at that rule's nodes
+    sur = _random_surrogate(_GRID_SPACES[kind](m), order, seed=10 * m + order)
+    third, fourth = _centred_rule_moments(sur, tensor_rule(sur.space, 2 * order + 1))
+    _assert_moments(higher_moments(_EvalRefused(sur)), third, fourth, rel=1e-12)
+
+
+def test_higher_moments_on_the_grid_memory():
+    # the m = 4, p = 10 grid holds 21^4 values (1.6 MB); a basis matrix at its
+    # nodes would take 21^4 x 1001 x 8 B = 1.56 GB
+    sur = _random_surrogate(StochasticSpace([Gaussian()] * 4), 10, seed=4)
+    tracemalloc.start()
+    try:
+        report = higher_moments(sur)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.kurtosis)
+    assert peak <= 8_000_000
+
+
+def test_higher_moments_refuse_a_grid_beyond_the_node_cap(monkeypatch):
+    import segpc.quadrature as quad
+
+    # m = 3, p = 2: 5^3 = 125 grid nodes
+    sur = _random_surrogate(_mixed_space(3), 2, seed=1)
+    monkeypatch.setattr(quad, "MAX_RULE_NODES", 124)
+    with pytest.raises(ValueError, match="tensor rule would hold 125 nodes"):
+        higher_moments(sur)
+    monkeypatch.setattr(quad, "MAX_RULE_NODES", 125)
+    assert math.isfinite(higher_moments(sur).skewness)
 
 
 @pytest.mark.parametrize("m, order", [(5, 2), (5, 3), (6, 2), (6, 3)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +145,40 @@ def test_smolyak_matches_reference_bit_for_bit(space, level):
     assert np.array_equal(got.nodes.view(np.uint64), want.nodes.view(np.uint64))
     assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
     assert got.n_nodes == smolyak_node_count(space.m, level)
+
+
+# sha256 of the nodes' and weights' bytes, pinned from the rules built before
+# the merge moved from np.unique to one lexsort
+SMOLYAK_DIGESTS = {
+    ("ishigami", 3): (
+        "44bcad26a13e124b43f5a0f4005cea57a8227d7ae316055ea698e47f97673a19",
+        "9f9041a20d049ed46c6238aac94a8146920b447464eec6b6138ac417fd9ee239",
+    ),
+    ("ishigami", 5): (
+        "c26e90893f59d6b51c438e344a2ac6c5487c5f255f03c8a7383c8b148cb09a3b",
+        "8d1da8e13ec685d5f06d75610faa2b878a007132e6d7c9990c061905ffc6669d",
+    ),
+    ("ishigami", 7): (
+        "74c119140d2af0904485ca3f4b7568ec049ac8b640c5aa6fbc2c21794c66779f",
+        "7c9f413cd60a39c446be87d0b896012918def31479da9b6119e51ccfc082d7c1",
+    ),
+    ("ishigami", 9): (
+        "dd36bfc18bd608f700f39a02b827950136a1c4d1748114326a940aa8e8163278",
+        "57557b2b7a4d717ed906bae040ddd480e981a12717e85c5bf90c2beb9be47e17",
+    ),
+    ("mixed4", 5): (
+        "8efa84eb4f7bce4101f273df3ebab156c4c86234aa08f06be53471b605909b50",
+        "d7bd865ca8b8b4dc82606c3c581514b51b6f5c00720d0cc59d8abfe055d2064b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, level", list(SMOLYAK_DIGESTS))
+def test_smolyak_rule_bytes_are_pinned(name, level):
+    space = ishigami_model().space if name == "ishigami" else _mixed_space(4)
+    rule = smolyak_rule(space, level)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (rule.nodes, rule.weights))
+    assert digests == SMOLYAK_DIGESTS[name, level]
 
 
 def test_smolyak_node_guard(monkeypatch):

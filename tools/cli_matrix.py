@@ -5,10 +5,11 @@
 Each run gets its own directory under OUT_DIR holding its ``config.json`` and
 the files ``segpc`` wrote there.  The runs cover ``fit`` with every method on
 the ODE, Ishigami and 10-input Burgers (N = 11) models plus one se-gPC fit
-oversampled past P + 1 points and the order-10 Ishigami se-gPC fit at 108
-points (286 terms), ``convergence`` against an analytic reference,
-``select-points`` on a mixed Gaussian/uniform space and on Ishigami at
-order 8 (165 terms), and ``mc`` on Ishigami and Burgers.
+oversampled past P + 1 points, the order-10 Ishigami se-gPC fit at 108
+points (286 terms) and an order-3 se-gPC fit of a 4-input Burgers model,
+``convergence`` against an analytic reference, ``select-points`` on a mixed
+Gaussian/uniform space and on Ishigami at order 8 (165 terms), and ``mc`` on
+Ishigami and Burgers.
 Configs and seeds are fixed, so a refactor that keeps the numbers shows no
 difference in
 
@@ -55,6 +56,10 @@ RUNS = {
     "fit-burgers-wlsq": ("fit", 3, {"model": BURGERS, "method": "wlsq", "order": 1,
                                     "pool": 2000, "oversample": 2.0}),
     "fit-burgers-smolyak": ("fit", 3, {"model": BURGERS, "method": "smolyak", "order": 2}),
+    # 4 inputs at order 3: the tensor-grid higher moments at m = 4
+    "fit-burgers4-segpc": ("fit", 3, {"model": {**BURGERS, "s_mean": [-0.5, -0.1, 0.1, 0.01]},
+                                      "method": "segpc", "order": 3, "pool": 2000,
+                                      "oversample": 2.0}),
     "convergence-ishigami": ("convergence", 7, {"model": ISHIGAMI, "orders": [1, 2, 3],
                                                 "pool": 2000,
                                                 "reference": {"kind": "analytic"}}),
