@@ -26,7 +26,25 @@ class UnsupportedModelError(SegpcError):
     """The requested operation needs a capability the model does not have."""
 
 
-class SolverDivergenceError(SegpcError):
+class ModelSolveError(SegpcError):
+    """A model's solve failed; the message names the sample once it is known.
+
+    ``point`` is the standardized point and ``index`` its position among the
+    points of the evaluation call that failed; each is None until set.
+    """
+
+    point = None
+    index = None
+
+    def __str__(self):
+        where = [] if self.index is None else [f"sample {self.index}"]
+        if self.point is not None:
+            where.append("standardized point [" + ", ".join(f"{x:.6g}" for x in self.point) + "]")
+        message = super().__str__()
+        return f"{message} at {', '.join(where)}" if where else message
+
+
+class SolverDivergenceError(ModelSolveError):
     """A nonlinear solve failed to reach the residual tolerance."""
 
     def __init__(self, message, residual=None, iterations=None):
@@ -35,5 +53,5 @@ class SolverDivergenceError(SegpcError):
         self.iterations = iterations
 
 
-class AdjointSolveError(SegpcError):
+class AdjointSolveError(ModelSolveError):
     """The linear adjoint system could not be solved."""

@@ -11,35 +11,48 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .errors import ModelSolveError
+
 
 def _value_chunk(args):
-    model, chunk = args
-    return np.asarray(model.values(chunk), dtype=float)
+    model, chunk, first = args
+    try:
+        return np.asarray(model.values(chunk), dtype=float)
+    except ModelSolveError as exc:
+        # count the failed sample from the first point of the whole call
+        if exc.index is not None:
+            exc.index += first
+        raise
 
 
 def _grad_chunk(args):
-    model, chunk = args
+    model, chunk, first = args
     vals = np.empty(chunk.shape[0])
     grads = np.empty_like(chunk)
     for i, xi in enumerate(chunk):
-        ev = model.value_and_grad(xi)
+        try:
+            ev = model.value_and_grad(xi)
+        except ModelSolveError as exc:
+            exc.index = first + i
+            raise
         vals[i] = ev.value
         grads[i] = ev.gradient
     return vals, grads
 
 
 def _map_chunks(chunk_fn, model, points, workers):
-    """Run ``chunk_fn((model, chunk))`` over row chunks of ``points``.
+    """Run ``chunk_fn((model, chunk, first))`` over row chunks of ``points``.
 
-    Serial runs take all points as one chunk; parallel runs split them into
-    up to four chunks per worker.  Returns the chunk results in order.
+    ``first`` is the index of the chunk's first row.  Serial runs take all
+    points as one chunk; parallel runs split them into up to four chunks per
+    worker.  Returns the chunk results in order.
     """
     points = np.asarray(points, dtype=float)
     if workers <= 1 or points.shape[0] <= 1:
-        return [chunk_fn((model, points))]
-    chunks = np.array_split(points, min(points.shape[0], workers * 4))
+        return [chunk_fn((model, points, 0))]
+    rows = np.array_split(np.arange(points.shape[0]), min(points.shape[0], workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, [(model, c) for c in chunks]))
+        return list(pool.map(chunk_fn, [(model, points[r], int(r[0])) for r in rows]))
 
 
 def evaluate_values(model, points, workers=1):

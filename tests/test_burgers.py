@@ -379,6 +379,51 @@ def test_model_failure_names_point(monkeypatch):
         assert info.value.residual == cause.residual
 
 
+def test_values_match_value_bit_for_bit(caplog):
+    # the pool's chord steps run as one block; the +-4 sigma points stall and
+    # restart alone with damped Newton, each with the per-point DEBUG line
+    model = burgers_model(n_grid=21)
+    far = 4.0 * (-1.0) ** np.arange(model.space.m)
+    pool = model.space.sample_pool(24, seed=3).points
+    points = np.vstack([pool[:10], np.full(10, 4.0), pool[10:], -np.full(10, 4.0), far])
+    with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+        batched = model.values(points)
+        restarts = [record.args for record in caplog.records]
+        caplog.clear()
+        single = np.array([model.value(xi) for xi in points])
+        assert [record.args for record in caplog.records] == restarts
+    assert len(restarts) == 2
+    assert np.array_equal(batched.view(np.uint64), single.view(np.uint64))
+
+
+def test_values_do_not_depend_on_block_size(monkeypatch):
+    model = burgers_model(n_grid=21)
+    points = np.vstack([model.space.sample_pool(20, seed=8).points, np.full(10, -4.0)])
+    results = []
+    for block in (1, 5, 16, len(points)):
+        monkeypatch.setattr(segpc.burgers, "VALUES_BLOCK", block)
+        results.append(model.values(points))
+    for got in results[1:]:
+        assert np.array_equal(got.view(np.uint64), results[0].view(np.uint64))
+
+
+def test_values_failure_names_sample(monkeypatch):
+    # at N = 11 the all-+8-sigma inlet stalls the chord steps and then
+    # exhausts damped Newton; the second block holds it at index 3
+    monkeypatch.setattr(segpc.burgers, "VALUES_BLOCK", 2)
+    model = burgers_model(n_grid=11)
+    points = np.vstack([model.space.sample_pool(3, seed=1).points, np.full(10, 8.0)])
+    where = r"at sample 3, standardized point \[8, 8"
+    with pytest.raises(SolverDivergenceError, match=where) as info:
+        model.values(points)
+    assert info.value.index == 3
+    assert np.array_equal(info.value.point, points[3])
+    cause = info.value.__cause__
+    assert isinstance(cause, SolverDivergenceError)
+    assert cause.index is None and cause.point is None
+    assert info.value.iterations == cause.iterations == 60
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         burgers_model(s_mean=[0.1, -0.2], s_std=[0.1, 0.0])

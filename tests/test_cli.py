@@ -7,6 +7,7 @@ import pytest
 
 from segpc import ChaosBasis, build_measurement, coherence_weights, fit_segpc, fit_wlsq
 from segpc import ode_model, predicted_cost, qr_select, rank_pool
+import segpc.burgers
 import segpc.cli
 import segpc.design
 from segpc.cli import main
@@ -168,6 +169,16 @@ def test_mc_trace_and_moments(tmp_path):
     assert float(rows[0]["mean"]) == pytest.approx(3.5, abs=0.3)
     trace = read_rows(out / "trace.csv")
     assert len(trace) == 2000
+
+
+def test_mc_solver_failure_exits_3_naming_the_sample(tmp_path, monkeypatch, capsys):
+    # one chord step and one Newton step per sample cannot reach the tolerance
+    monkeypatch.setattr(segpc.burgers, "MAX_ITER", 1)
+    cfg = write_config(
+        tmp_path / "cfg.json", {"model": {"name": "burgers", "n_grid": 11}, "samples": 4}
+    )
+    assert main(["mc", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 3
+    assert "at sample 0, standardized point [" in capsys.readouterr().err
 
 
 def test_mc_single_sample_rejected(tmp_path):

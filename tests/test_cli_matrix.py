@@ -26,14 +26,14 @@ def load_matrix():
 
 
 def expected_files(matrix):
-    """The 48 files of the 17 runs: each run's config plus its command's outputs."""
+    """The 51 files of the 18 runs: each run's config plus its command's outputs."""
     files = sorted(
         f"{name}/{leaf}"
         for name, (command, _, _) in matrix.RUNS.items()
         for leaf in ["config.json", *OUTPUTS[command]]
     )
-    assert len(matrix.RUNS) == 17
-    assert len(files) == 48
+    assert len(matrix.RUNS) == 18
+    assert len(files) == 51
     return files
 
 

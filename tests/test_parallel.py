@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from segpc import burgers_model, ishigami_model, monte_carlo_moments
+from segpc.errors import SolverDivergenceError
 from segpc.parallel import evaluate_values, evaluate_with_gradients
 
 
@@ -22,15 +24,29 @@ def test_gradients_worker_invariance():
 
 
 def test_burgers_worker_invariance():
+    for n_grid in (11, 21):
+        model = burgers_model(n_grid=n_grid)
+        pts = model.space.sample_pool(8, seed=4).points
+        v1 = evaluate_values(model, pts, workers=1)
+        v2 = evaluate_values(model, pts, workers=2)
+        assert np.array_equal(v1, v2)
+        v1, g1 = evaluate_with_gradients(model, pts, workers=1)
+        v2, g2 = evaluate_with_gradients(model, pts, workers=2)
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_values, evaluate_with_gradients])
+def test_failure_index_counts_from_the_whole_call(evaluate):
+    # 12 points in 8 chunks: the failing point is row 1 of the chunk from row 4
     model = burgers_model(n_grid=11)
-    pts = model.space.sample_pool(8, seed=4).points
-    v1 = evaluate_values(model, pts, workers=1)
-    v2 = evaluate_values(model, pts, workers=2)
-    assert np.array_equal(v1, v2)
-    v1, g1 = evaluate_with_gradients(model, pts, workers=1)
-    v2, g2 = evaluate_with_gradients(model, pts, workers=2)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(g1, g2)
+    pts = model.space.sample_pool(12, seed=1).points
+    pts[5] = 8.0
+    where = r"at sample 5, standardized point \[8,"
+    with pytest.raises(SolverDivergenceError, match=where) as info:
+        evaluate(model, pts, workers=2)
+    assert info.value.index == 5
+    assert np.array_equal(info.value.point, pts[5])
 
 
 def test_monte_carlo_worker_invariance():

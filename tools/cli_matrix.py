@@ -9,7 +9,7 @@ oversampled past P + 1 points, the order-10 Ishigami se-gPC fit at 108
 points (286 terms) and an order-3 se-gPC fit of a 4-input Burgers model,
 ``convergence`` against an analytic reference, ``select-points`` on a mixed
 Gaussian/uniform space and on Ishigami at order 8 (165 terms), and ``mc`` on
-Ishigami and Burgers.
+Ishigami and on Burgers at N = 11 and at N = 21, Re = 250 (100 samples).
 Configs and seeds are fixed, so a refactor that keeps the numbers shows no
 difference in
 
@@ -74,6 +74,9 @@ RUNS = {
                                                     "pool": 2000}),
     "mc-ishigami": ("mc", 1, {"model": ISHIGAMI, "samples": 2000}),
     "mc-burgers": ("mc", 5, {"model": BURGERS, "samples": 40}),
+    # the burgers-mc benchmark's grid: several blocks of samples solved together
+    "mc-burgers21": ("mc", 9, {"model": {"name": "burgers", "n_grid": 21, "re": 250.0},
+                               "samples": 100}),
 }
 
 
