@@ -36,17 +36,26 @@ a stack as alone.  A chord step that leaves more than
 :data:`CHORD_CONTRACTION` times the sample's previous residual restarts that
 sample alone from the start state with damped Newton, logged at DEBUG on the
 ``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
-from its own nominal state, so it factors one Jacobian per process, and
-:meth:`BurgersModel.values` steps :data:`VALUES_BLOCK` samples at a time: at
-21 x 21 that costs ~0.5 ms per sample, against ~1 ms for a sample alone.
+from its own nominal state, so it factors one Jacobian per process.
 
 Given a start state, the adjoint system below is solved the same way: by
 refinement lambda <- lambda + L0^{-1} (r - A lambda) on the LU L0 of the
 adjoint operator at that state, factored once on first use and cached on it.
-Each sweep costs one sparse product and one pair of triangular solves; a sweep
-that fails the same contraction test falls back to factoring the sample's own
-operator, with the same DEBUG line.  :class:`BurgersModel` passes its nominal
-state, so it factors one adjoint operator per process too.
+The adjoints of many states refine together, as a stack: each sweep makes one
+triangular solve with a right-hand side per state still refining and one
+product with the block-diagonal matrix of their own operators, and each state
+stops at its own tolerance.  A state whose sweep fails the same contraction
+test falls back to factoring its own operator, with the same DEBUG line.
+:class:`BurgersModel` passes its nominal state, so it factors one adjoint
+operator per process too.
+
+:meth:`BurgersModel.values` and :meth:`BurgersModel.values_and_grads` take
+:data:`VALUES_BLOCK` samples at a time: the block's direct solves step
+together, then its adjoints.  ``burgers_solve`` and ``burgers_adjoint`` with a
+start state are the one-sample cases of the same code.  At 21 x 21 a sample
+in a block costs about half what it costs alone: on a shared 2-core host, one
+BLAS thread, ~0.9 ms for a value in a block of 32 against ~2.4 ms alone, and
+~2.4 ms for a value and gradient in a block of 11 against ~5 ms alone.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -228,43 +237,61 @@ def _stencil_pattern(n):
     return pattern
 
 
-def _interior_values(u, v):
+def _interior_values(x):
     """u and v around every interior node, read through :func:`_stencil_pattern`.
 
-    An array (5, 2, K): the values at the centre and at the east, west, north
-    and south neighbours, each for u and for v, over the K interior nodes in
-    the pattern's row order.
+    ``x`` is a state (2N^2,) or a node-major stack of states (2N^2, k).  An
+    array (5, 2, K), or (5, 2, K, k): the values at the centre and at the
+    east, west, north and south neighbours, each for u and for v, over the K
+    interior nodes in the pattern's row order.
     """
-    n = u.shape[0]
-    x = np.concatenate([u.ravel(), v.ravel()])
-    return x[_stencil_pattern(n).cols[: 10 * (n - 2) ** 2]].reshape(5, 2, -1)
+    n = math.isqrt(x.shape[0] // 2)
+    return x[_stencil_pattern(n).cols[: 10 * (n - 2) ** 2]].reshape(5, 2, -1, *x.shape[1:])
 
 
-def _stencil_data(n, interior, exit_coeffs):
-    """Entries of a stencil operator, ordered as :func:`_stencil_pattern` lists them.
+def _stencil_data(n, interior, exit_coeffs, k=None):
+    """Entries of a stencil operator in CSC order, or of ``k`` of them as rows (k, nnz).
 
     ``interior`` and ``exit_coeffs`` give the six interior and three exit
-    coefficients in the pattern's order, each a scalar or an array over the
-    interior (exit) nodes shared by the u and v rows, or a (u rows, v rows)
-    pair of them.  Identity entries are 1.
+    coefficients in the order :func:`_stencil_pattern` lists them, each a
+    scalar or an array over the interior (exit) nodes shared by the u and v
+    rows, or a (u rows, v rows) pair of them; for ``k`` operators an array
+    has a trailing axis over them.  Identity entries are 1.
     """
-    k = n - 2
-    data = np.empty(_stencil_pattern(n).rows.size)
-    for entries, coeff in zip(data[: 12 * k * k].reshape(6, 2, k * k), interior):
+    pattern = _stencil_pattern(n)
+    inner = n - 2
+    stack = () if k is None else (k,)
+    data = np.empty((pattern.rows.size, *stack))
+    for entries, coeff in zip(data[: 12 * inner**2].reshape(6, 2, inner**2, *stack), interior):
         entries[:] = coeff
-    exit_block = data[12 * k * k : 12 * k * k + 6 * k].reshape(3, 2, k)
+    exit_block = data[12 * inner**2 : 12 * inner**2 + 6 * inner].reshape(3, 2, inner, *stack)
     for entries, coeff in zip(exit_block, exit_coeffs):
         entries[:] = coeff
-    data[12 * k * k + 6 * k :] = 1.0
-    return data
+    data[12 * inner**2 + 6 * inner :] = 1.0
+    return np.ascontiguousarray(data[pattern.order].T)
 
 
-def _stencil_operator(n, interior, exit_coeffs):
-    """Sparse CSC operator with the given coefficients (see :func:`_stencil_data`)."""
+def _csc(n, data):
+    """Sparse CSC operator on the stencil pattern with the entries ``data`` in CSC order."""
     pattern = _stencil_pattern(n)
-    data = _stencil_data(n, interior, exit_coeffs)[pattern.order]
     return scipy.sparse.csc_matrix(
         (data, pattern.indices, pattern.indptr), shape=(2 * n * n, 2 * n * n)
+    )
+
+
+def _block_diagonal(n, data):
+    """The operators with CSC entries ``data`` (k, nnz) as one block-diagonal CSC matrix.
+
+    Its product with k stacked states adds each row's entries in the column
+    order of that row's own operator, so block j gets the bits of A_j @ x_j.
+    """
+    k, nnz = data.shape
+    pattern, size = _stencil_pattern(n), 2 * n * n
+    shift = np.arange(k, dtype=np.int32)[:, None]
+    indptr = np.append((pattern.indptr[:-1] + nnz * shift).ravel(), np.int32(k * nnz))
+    return scipy.sparse.csc_matrix(
+        (data.ravel(), (pattern.indices + size * shift).ravel(), indptr),
+        shape=(k * size, k * size),
     )
 
 
@@ -297,7 +324,9 @@ def _direct_stencil(values, nu, h, newton):
 
 def _direct_jacobian(u, v, nu, h, newton):
     """Newton Jacobian (``newton=True``) or Picard operator A_P at (u, v)."""
-    return _stencil_operator(u.shape[0], *_direct_stencil(_interior_values(u, v), nu, h, newton))
+    n = u.shape[0]
+    values = _interior_values(np.concatenate([u.ravel(), v.ravel()]))
+    return _csc(n, _stencil_data(n, *_direct_stencil(values, nu, h, newton)))
 
 
 def _slot_sum(coeffs, slots):
@@ -341,19 +370,21 @@ def _residual(x, nu, h, b):
 def _refine(lu, x, res, residual, tol, max_steps, fallback):
     """Steps x <- x - LU^{-1} F(x) on each row of the stack ``x``, whose residuals are ``res``.
 
-    The rows whose max-norm residual is above ``tol`` step together: one
-    solve with a right-hand side per row, then ``residual(x, rows)``, the
-    residuals of the moved rows ``rows`` of the stack.  A row stops once its
-    residual is at most ``tol``, once a step leaves :data:`CHORD_CONTRACTION`
-    times its previous residual or more, or after ``max_steps`` steps; a row
-    left above ``tol`` is logged at DEBUG with the caller's ``fallback``.
+    ``tol`` is one tolerance for every row or one per row.  The rows whose
+    max-norm residual is above their tolerance step together: one solve with
+    a right-hand side per row, then ``residual(x, rows)``, the residuals of
+    the moved rows ``rows`` of the stack.  A row stops once its residual is
+    at most its tolerance, once a step leaves :data:`CHORD_CONTRACTION` times
+    its previous residual or more, or after ``max_steps`` steps; a row left
+    above its tolerance is logged at DEBUG with the caller's ``fallback``.
     Returns ``(x, history)`` and changes neither argument; ``history[j]``
     holds row j's max norms from the first one on.
     """
     x = x.copy()
     norms = np.abs(res).max(axis=1)
+    tols = np.broadcast_to(tol, norms.shape).tolist()
     history = [[norm] for norm in norms.tolist()]
-    rows = np.flatnonzero(norms > tol)
+    rows = np.flatnonzero(norms > tols)
     moving, res = x[rows], res[rows]
     for _ in range(max_steps):
         if rows.size == 0:
@@ -363,14 +394,14 @@ def _refine(lu, x, res, residual, tol, max_steps, fallback):
         keep = []
         for i, (row, norm) in enumerate(zip(rows.tolist(), np.abs(res).max(axis=1).tolist())):
             history[row].append(norm)
-            if norm > tol and norm / history[row][-2] < CHORD_CONTRACTION:
+            if norm > tols[row] and norm / history[row][-2] < CHORD_CONTRACTION:
                 keep.append(i)
         if len(keep) < rows.size:
             x[rows] = moving
             rows, moving, res = rows[keep], moving[keep], res[keep]
     x[rows] = moving
-    for steps in history:
-        if not steps[-1] <= tol:
+    for steps, row_tol in zip(history, tols):
+        if not steps[-1] <= row_tol:
             _log.debug(
                 "step %d on the start state's LU: residual %.3e, contraction ratio %.3g; "
                 + fallback,
@@ -556,15 +587,16 @@ def burgers_qoi(state):
     return _exit_energy(state.u, state.v, state.h)
 
 
-def _adjoint_system(state):
-    """Adjoint operator (CSC) at ``state`` and its right-hand side."""
-    n = state.n_grid
-    nu = 1.0 / state.re
-    h = state.h
+def _adjoint_system(fields, nu, h):
+    """Adjoint operators at the states ``fields`` (k, 2, N, N) and their right-hand sides.
+
+    Returns each operator's entries in CSC order (k, nnz) and the right-hand
+    sides (k, 2N^2).
+    """
+    k, _, n, _ = fields.shape
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
-    u, v = state.u, state.v
-    _, east, west, north, south = _interior_values(u, v)[:5]
+    _, east, west, north, south = _interior_values(fields.reshape(k, -1).T)
     (u_x, v_x), (u_y, v_y) = (east - west) * inv2h, (north - south) * inv2h
     # interior adjoint momentum rows in conservative form, +nu Laplacian:
     # (u a)_x + (v a)_y - diag_term * a + nu lap(a) = cross_term * b
@@ -576,13 +608,12 @@ def _adjoint_system(state):
     )
     diag = 4.0 * nu * invh2
     interior = ((-u_x - diag, -v_y - diag), *neighbours, (-v_x, -u_y))
-    exit_coeffs = (u[-1, 1:-1] + 3.0 * nu * inv2h, -4.0 * nu * inv2h, nu * inv2h)
-    matrix = _stencil_operator(n, interior, exit_coeffs)
+    exit_u = fields[:, 0, -1, 1:-1].T
+    exit_coeffs = (exit_u + 3.0 * nu * inv2h, -4.0 * nu * inv2h, nu * inv2h)
     # Robin exit rows: the traces of u and v drive the adjoint
-    rhs = np.zeros((2, n, n))
-    rhs[0, -1, 1:-1] = -u[-1, 1:-1]
-    rhs[1, -1, 1:-1] = -v[-1, 1:-1]
-    return matrix, rhs.ravel()
+    rhs = np.zeros(fields.shape)
+    rhs[:, :, -1, 1:-1] = -fields[:, :, -1, 1:-1]
+    return _stencil_data(n, interior, exit_coeffs, k), rhs.reshape(k, -1)
 
 
 def _factorize_adjoint(matrix):
@@ -590,6 +621,64 @@ def _factorize_adjoint(matrix):
         return scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC)
     except RuntimeError as exc:
         raise AdjointSolveError(f"adjoint factorization failed: {exc}") from exc
+
+
+def _adjoint_solves(fields, nu, h, start=None, where=nullcontext):
+    """Adjoint solutions (k, 2N^2) at the states ``fields`` (k, 2, N, N).
+
+    Solved as :func:`burgers_adjoint` solves one; with ``start``, the rows
+    refine together (:func:`_refine`), each on its own residual and
+    tolerance.  A row that fails raises inside the context ``where(row)``.
+    """
+    n = fields.shape[2]
+    data, rhs = _adjoint_system(fields, nu, h)
+    solutions = np.zeros(rhs.shape)
+    tol = ADJOINT_RTOL * np.abs(rhs).max(axis=1)
+    history = [[math.inf]] * len(rhs)
+    if start is not None:
+        if start._adjoint_lu is None:
+            [nominal], _ = _adjoint_system(np.stack([start.u, start.v])[None], nu, h)
+            start._adjoint_lu = _factorize_adjoint(_csc(n, nominal))
+        blocks, stacked = _block_diagonal(n, data), np.zeros(rhs.shape)
+
+        def residual(x, rows):
+            if len(rows) == len(rhs):
+                return (blocks @ x.ravel()).reshape(x.shape) - rhs
+            # no block couples two rows, so stopped rows' entries do not matter
+            stacked[rows] = x
+            return (blocks @ stacked.ravel()).reshape(rhs.shape)[rows] - rhs[rows]
+
+        solutions, history = _refine(
+            start._adjoint_lu, solutions, -rhs, residual,
+            tol, ADJOINT_MAX_SWEEPS, "the adjoint operator is factored afresh",
+        )
+    for row, (steps, row_tol) in enumerate(zip(history, tol.tolist())):
+        with where(row):
+            if not steps[-1] <= row_tol:
+                solutions[row] = _factorize_adjoint(_csc(n, data[row])).solve(rhs[row])
+            if not np.all(np.isfinite(solutions[row])):
+                raise AdjointSolveError("adjoint solve produced non-finite values")
+    return solutions
+
+
+def _sensitivities(u, solutions, nu, h, m_free):
+    """Total gradients dk_e/ds_i (k, m) of the states with u-fields ``u`` (k, N, N).
+
+    ``solutions`` (k, 2N^2) are their adjoint solutions.
+    """
+    n = u.shape[1]
+    u_adj, v_adj = solutions.reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+    y = np.linspace(0.0, 1.0, n)
+    # (1/Re) du+/dx at the inlet equals the adjoint momentum flux
+    # u u+ + (1/Re) du+/dx there (u+ vanishes on x = 0); evaluate that flux
+    # one stencil step inside, where the direct stencil supplies it as
+    # u+(x1) (u(x1)/2 + nu/h)
+    diffusive_flux = u_adj[:, 1, :] * (0.5 * u[:, 1, :] + nu / h)
+    boundary_part = -(u_adj[:, 0, :] + v_adj[:, 0, :]) * u[:, 0, :]
+    powers = np.array([y**power for power in range(1, m_free + 2)])
+    integrand = (boundary_part - diffusive_flux)[:, None, :] * powers
+    raw = np.trapezoid(integrand, dx=h, axis=-1)
+    return raw[:, :m_free] - raw[:, m_free:]
 
 
 def burgers_adjoint(state, start=None):
@@ -604,45 +693,16 @@ def burgers_adjoint(state, start=None):
     kept on ``start``, until the max-norm residual is below
     :data:`ADJOINT_RTOL` times the right-hand side's.  Where a sweep fails
     the contraction test, or :data:`ADJOINT_MAX_SWEEPS` sweeps fall short,
-    the operator at ``state`` is factored after all.
+    the operator at ``state`` is factored after all.  This is the one-state
+    case of the stacked solve :meth:`BurgersModel.values_and_grads` makes.
     """
-    n = state.n_grid
-    matrix, rhs = _adjoint_system(state)
-    solution = None
+    n, nu, h = state.n_grid, 1.0 / state.re, state.h
     if start is not None:
         _check_start(start, n, state.re)
-        if start._adjoint_lu is None:
-            start._adjoint_lu = _factorize_adjoint(_adjoint_system(start)[0])
-        tol = ADJOINT_RTOL * float(np.max(np.abs(rhs)))
-        refined, [history] = _refine(
-            start._adjoint_lu, np.zeros((1, rhs.size)), -rhs[None],
-            lambda x, rows: (matrix @ x[0] - rhs)[None], tol, ADJOINT_MAX_SWEEPS,
-            "the adjoint operator is factored afresh",
-        )
-        if history[-1] <= tol:
-            solution = refined[0]
-    if solution is None:
-        solution = _factorize_adjoint(matrix).solve(rhs)
-    if not np.all(np.isfinite(solution)):
-        raise AdjointSolveError("adjoint solve produced non-finite values")
-    u_adj, v_adj = solution.reshape(2, n, n)
-
-    u = state.u
-    nu = 1.0 / state.re
-    h = state.h
-    y = state.y
-    m_free = state.s_full.shape[0] - 2
-    # (1/Re) du+/dx at the inlet equals the adjoint momentum flux
-    # u u+ + (1/Re) du+/dx there (u+ vanishes on x = 0); evaluate that flux
-    # one stencil step inside, where the direct stencil supplies it as
-    # u+(x1) (u(x1)/2 + nu/h)
-    diffusive_flux = u_adj[1, :] * (0.5 * u[1, :] + nu / h)
-    boundary_part = -(u_adj[0, :] + v_adj[0, :]) * u[0, :]
-    raw = np.empty(m_free + 1)
-    for power in range(1, m_free + 2):
-        integrand = (boundary_part - diffusive_flux) * y**power
-        raw[power - 1] = float(np.trapezoid(integrand, dx=h))
-    gradient = raw[:m_free] - raw[m_free]
+    fields = np.stack([state.u, state.v])[None]
+    solutions = _adjoint_solves(fields, nu, h, start)
+    [gradient] = _sensitivities(fields[:, 0], solutions, nu, h, state.s_full.shape[0] - 2)
+    u_adj, v_adj = solutions.reshape(2, n, n)
     return AdjointSolution(u_adj=u_adj, v_adj=v_adj, gradient=gradient)
 
 
@@ -674,13 +734,14 @@ class BurgersModel(Model):
     warm-starts from that state with chord steps on its Newton Jacobian's LU,
     falling back to damped Newton from the same state where the chord steps
     stall; gradients refine their adjoint on the LU of the adjoint operator at
-    that state.  :meth:`values` takes the chord steps of up to
-    :data:`VALUES_BLOCK` samples together, with the bits :meth:`value` gives
+    that state.  :meth:`values` and :meth:`values_and_grads` take the chord
+    steps, and then the adjoint sweeps, of up to :data:`VALUES_BLOCK` samples
+    together, with the bits :meth:`value` and :meth:`value_and_grad` give
     each of them.  Each LU is factored by the first evaluation that needs it
     in each process and is not pickled, so results do not depend on the
     order, the grouping or the process in which points are evaluated.  A
     failed evaluation raises an error that names the standardized point and,
-    in :meth:`values`, its index among the points passed.
+    in the batched calls, its index among the points passed.
     """
 
     name = "burgers"
@@ -719,27 +780,46 @@ class BurgersModel(Model):
         with _located(xi):
             return burgers_qoi(self._solve(xi))
 
-    def values(self, points):
-        """QoIs at the rows of ``points``, solved :data:`VALUES_BLOCK` samples at a time.
+    def _evaluate(self, points, gradients):
+        """QoIs at the rows of ``points`` and, if ``gradients``, their gradients (else None).
 
-        A block's samples take their chord steps together; each gives the
-        bits :meth:`value` gives for it, and a failure names its index among
-        ``points``.
+        Takes :data:`VALUES_BLOCK` rows at a time: a block's samples take
+        their chord steps together and then their adjoint sweeps together.
+        Each sample gets the bits :meth:`value` and :meth:`value_and_grad`
+        give it alone, and a failure names its index among ``points``.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        start = self._nominal
+        start, n = self._nominal, self.n_grid
+        nu, h = 1.0 / self.re, start.h
         qois = np.empty(len(points))
+        grads = np.empty(points.shape) if gradients else None
         for first in range(0, len(points), VALUES_BLOCK):
             block = points[first : first + VALUES_BLOCK]
+
+            def where(row):
+                return _located(block[row], first + row)
+
             coeffs = [full_inlet_coeffs(s) for s in self.space.destandardize(block)]
-            b = _inlet_data(np.array(coeffs), self.n_grid)
             x, _, _ = _warm_solves(
-                start, b, RESIDUAL_TOL, MAX_ITER,
-                where=lambda row: _located(block[row], first + row),
+                start, _inlet_data(np.array(coeffs), n), RESIDUAL_TOL, MAX_ITER, where
             )
-            for row, state in enumerate(x.reshape(len(block), 2, self.n_grid, -1)):
-                qois[first + row] = _exit_energy(*state, start.h)
-        return qois
+            fields = x.reshape(len(block), 2, n, n)
+            for row, state in enumerate(fields):
+                qois[first + row] = _exit_energy(*state, h)
+            if gradients:
+                solutions = _adjoint_solves(fields, nu, h, start, where)
+                grads[first : first + len(block)] = (
+                    _sensitivities(fields[:, 0], solutions, nu, h, self.dim) * self.space.scales
+                )
+        return qois, grads
+
+    def values(self, points):
+        """QoIs at the rows of ``points``, solved :data:`VALUES_BLOCK` samples at a time."""
+        return self._evaluate(points, gradients=False)[0]
+
+    def values_and_grads(self, points):
+        """QoIs (n,) and standardized gradients (n, m), :data:`VALUES_BLOCK` samples at a time."""
+        return self._evaluate(points, gradients=True)
 
     def value_and_grad(self, xi):
         with _located(xi):

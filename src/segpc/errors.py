@@ -27,10 +27,11 @@ class UnsupportedModelError(SegpcError):
 
 
 class ModelSolveError(SegpcError):
-    """A model's solve failed; the message names the sample once it is known.
+    """A model's solve failed or returned a non-finite value or gradient.
 
-    ``point`` is the standardized point and ``index`` its position among the
-    points of the evaluation call that failed; each is None until set.
+    The message names the sample once it is known: ``point`` is the
+    standardized point and ``index`` its position among the points of the
+    evaluation call that failed; each is None until set.
     """
 
     point = None

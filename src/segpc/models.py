@@ -3,9 +3,12 @@
 A model binds a stochastic space to a scalar quantity of interest.  It is
 evaluated at *standardized* coordinates; internally it maps them to physical
 ones, and gradients are returned already chain-ruled back to standardized
-coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).  The analytic models state
-their value and gradient once each, as vectorized numpy formulas over rows of
-physical points, and their first four moments once, in ``exact_moments``.
+coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).  Callers evaluate rows of
+points at once, through ``values`` and ``values_and_grads``; the base class
+builds both from the one-point ``value`` and ``value_and_grad``, so a model
+may state only those.  The analytic models state their value and gradient
+once each, as vectorized numpy formulas over rows of physical points, and
+their first four moments once, in ``exact_moments``.
 
 Every evaluation is stateless from the caller's view, so evaluations at
 distinct points may run concurrently.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import ModelSolveError, UnsupportedModelError
 from .quadrature import gauss_rule
 from .spaces import StochasticSpace, Uniform
 
@@ -54,14 +57,32 @@ class Model:
     def value_and_grad(self, xi):
         raise UnsupportedModelError(f"model {self.name!r} provides no gradient")
 
+    def values_and_grads(self, points):
+        """Values (n,) and gradients (n, m) at the rows of ``points``.
+
+        The base form calls :meth:`value_and_grad` point by point and sets a
+        failure's ``index`` to its row; subclasses override with batched forms.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        values, grads = np.empty(len(points)), np.empty(points.shape)
+        for i, xi in enumerate(points):
+            try:
+                ev = self.value_and_grad(xi)
+            except ModelSolveError as exc:
+                exc.index = i
+                raise
+            values[i], grads[i] = ev.value, ev.gradient
+        return values, grads
+
 
 class AnalyticModel(Model):
     """Model defined by closed-form value and gradient in physical coordinates.
 
     A subclass states its QoI once: ``_phys_value`` maps an (n, m) array of
     physical points to n values and ``_phys_grad`` to their (n, m) physical
-    gradients.  ``values``, ``value`` and ``value_and_grad`` all run these
-    numpy formulas, so a point gives the same bits through every call.
+    gradients.  ``values``, ``value``, ``values_and_grads`` and
+    ``value_and_grad`` all run these numpy formulas once over all their rows,
+    so a point gives the same bits through every call.
     """
 
     def _phys_value(self, x):
@@ -79,10 +100,13 @@ class AnalyticModel(Model):
     def values(self, points):
         return self._phys_value(self._physical(points))
 
+    def values_and_grads(self, points):
+        x = self._physical(points)
+        return self._phys_value(x), self._phys_grad(x) * self.space.scales
+
     def value_and_grad(self, xi):
-        x = self._physical(xi)
-        grad = self._phys_grad(x)[0] * self.space.scales
-        return ModelEvaluation(value=float(self._phys_value(x)[0]), gradient=grad)
+        [value], [grad] = self.values_and_grads(xi)
+        return ModelEvaluation(value=float(value), gradient=grad)
 
 
 class ExponentialDecayModel(AnalyticModel):

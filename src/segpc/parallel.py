@@ -1,8 +1,10 @@
 """Worker-pool helpers for independent model evaluations.
 
 Model evaluations at distinct sample points are independent, so they may run
-across processes.  Results are always reassembled in submission order, which
-keeps every downstream quantity identical for any worker count.
+across processes.  Each chunk of points is one batched model call
+(``values`` or ``values_and_grads``), and results are always reassembled in
+submission order, which keeps every downstream quantity identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import numpy as np
 from .errors import ModelSolveError
 
 
-def _value_chunk(args):
-    model, chunk, first = args
+def _chunk(args):
+    evaluate, chunk, first = args
     try:
-        return np.asarray(model.values(chunk), dtype=float)
+        return evaluate(chunk)
     except ModelSolveError as exc:
         # count the failed sample from the first point of the whole call
         if exc.index is not None:
@@ -25,42 +27,40 @@ def _value_chunk(args):
         raise
 
 
-def _grad_chunk(args):
-    model, chunk, first = args
-    vals = np.empty(chunk.shape[0])
-    grads = np.empty_like(chunk)
-    for i, xi in enumerate(chunk):
-        try:
-            ev = model.value_and_grad(xi)
-        except ModelSolveError as exc:
-            exc.index = first + i
-            raise
-        vals[i] = ev.value
-        grads[i] = ev.gradient
-    return vals, grads
+def _map_chunks(evaluate, points, workers):
+    """Run the batched model call ``evaluate`` over row chunks of ``points``.
 
-
-def _map_chunks(chunk_fn, model, points, workers):
-    """Run ``chunk_fn((model, chunk, first))`` over row chunks of ``points``.
-
-    ``first`` is the index of the chunk's first row.  Serial runs take all
-    points as one chunk; parallel runs split them into up to four chunks per
-    worker.  Returns the chunk results in order.
+    Serial runs take all points as one chunk; parallel runs split them into
+    up to four chunks per worker.  A failure's ``index`` counts from the
+    first of ``points``.  Returns the chunk results in order.
     """
     points = np.asarray(points, dtype=float)
     if workers <= 1 or points.shape[0] <= 1:
-        return [chunk_fn((model, points, 0))]
+        return [_chunk((evaluate, points, 0))]
     rows = np.array_split(np.arange(points.shape[0]), min(points.shape[0], workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, [(model, points[r], int(r[0])) for r in rows]))
+        return list(pool.map(_chunk, [(evaluate, points[r], int(r[0])) for r in rows]))
 
 
 def evaluate_values(model, points, workers=1):
     """Evaluate ``model.values`` over rows of ``points``, optionally in parallel."""
-    return np.concatenate(_map_chunks(_value_chunk, model, points, workers))
+    return np.asarray(np.concatenate(_map_chunks(model.values, points, workers)), dtype=float)
 
 
 def evaluate_with_gradients(model, points, workers=1):
-    """Evaluate value and gradient per point; returns (values (n,), grads (n, m))."""
-    parts = _map_chunks(_grad_chunk, model, points, workers)
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    """Evaluate ``model.values_and_grads`` over rows of ``points``, optionally in parallel.
+
+    Returns (values (n,), grads (n, m)).  Raises :class:`ModelSolveError`
+    naming the first sample whose value or gradient is not finite, so a model
+    without its own check cannot pass NaN to a fit.
+    """
+    parts = _map_chunks(model.values_and_grads, points, workers)
+    values = np.concatenate([p[0] for p in parts])
+    grads = np.concatenate([p[1] for p in parts])
+    bad = np.flatnonzero(~np.isfinite(values) | ~np.isfinite(grads).all(axis=1))
+    if bad.size:
+        exc = ModelSolveError("non-finite QoI value or gradient")
+        exc.index = int(bad[0])
+        exc.point = np.asarray(points, dtype=float)[exc.index]
+        raise exc
+    return values, grads

@@ -402,7 +402,7 @@ def test_values_do_not_depend_on_block_size(monkeypatch):
     results = []
     for block in (1, 5, 16, len(points)):
         monkeypatch.setattr(segpc.burgers, "VALUES_BLOCK", block)
-        results.append(model.values(points))
+        results.append(np.column_stack([model.values(points), *model.values_and_grads(points)]))
     for got in results[1:]:
         assert np.array_equal(got.view(np.uint64), results[0].view(np.uint64))
 
@@ -414,14 +414,54 @@ def test_values_failure_names_sample(monkeypatch):
     model = burgers_model(n_grid=11)
     points = np.vstack([model.space.sample_pool(3, seed=1).points, np.full(10, 8.0)])
     where = r"at sample 3, standardized point \[8, 8"
-    with pytest.raises(SolverDivergenceError, match=where) as info:
-        model.values(points)
-    assert info.value.index == 3
-    assert np.array_equal(info.value.point, points[3])
-    cause = info.value.__cause__
-    assert isinstance(cause, SolverDivergenceError)
-    assert cause.index is None and cause.point is None
-    assert info.value.iterations == cause.iterations == 60
+    for evaluate in (model.values, model.values_and_grads):
+        with pytest.raises(SolverDivergenceError, match=where) as info:
+            evaluate(points)
+        assert info.value.index == 3
+        assert np.array_equal(info.value.point, points[3])
+        cause = info.value.__cause__
+        assert isinstance(cause, SolverDivergenceError)
+        assert cause.index is None and cause.point is None
+        assert info.value.iterations == cause.iterations == 60
+
+
+def test_values_and_grads_match_value_and_grad_bit_for_bit(caplog):
+    # chord steps and adjoint sweeps run as one block; the +-4 sigma points
+    # restart alone, each with the DEBUG line it logs alone
+    model = burgers_model(n_grid=21)
+    far = 4.0 * (-1.0) ** np.arange(model.space.m)
+    pool = model.space.sample_pool(24, seed=3).points
+    points = np.vstack([pool[:10], np.full(10, 4.0), pool[10:], -np.full(10, 4.0), far])
+    with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+        values, grads = model.values_and_grads(points)
+        batched_lines = sorted((r.msg, r.args) for r in caplog.records)
+        caplog.clear()
+        single = [model.value_and_grad(xi) for xi in points]
+        assert sorted((r.msg, r.args) for r in caplog.records) == batched_lines
+    assert len(batched_lines) >= 2
+    want_values = np.array([ev.value for ev in single])
+    want_grads = np.array([ev.gradient for ev in single])
+    assert np.array_equal(values.view(np.uint64), want_values.view(np.uint64))
+    assert np.array_equal(grads.view(np.uint64), want_grads.view(np.uint64))
+    assert np.array_equal(values, model.values(points))
+
+
+@pytest.mark.parametrize(
+    "name, value", [("CHORD_CONTRACTION", 0.0), ("ADJOINT_MAX_SWEEPS", 1)]
+)
+def test_values_and_grads_match_with_adjoint_fallback(monkeypatch, caplog, name, value):
+    # every adjoint falls back to a fresh LU of its own operator, in a block
+    # as alone
+    model = burgers_model(n_grid=21)
+    points = np.vstack([model.space.sample_pool(6, seed=2).points, np.full(10, 4.0)])
+    monkeypatch.setattr(segpc.burgers, name, value)
+    with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+        values, grads = model.values_and_grads(points)
+    afresh = [r for r in caplog.records if "factored afresh" in r.getMessage()]
+    assert len(afresh) == len(points)
+    single = [model.value_and_grad(xi) for xi in points]
+    assert np.array_equal(values, [ev.value for ev in single])
+    assert np.array_equal(grads, [ev.gradient for ev in single])
 
 
 def test_model_validation():

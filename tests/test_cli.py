@@ -10,6 +10,7 @@ from segpc import ode_model, predicted_cost, qr_select, rank_pool
 import segpc.burgers
 import segpc.cli
 import segpc.design
+import segpc.models
 from segpc.cli import main
 
 
@@ -179,6 +180,26 @@ def test_mc_solver_failure_exits_3_naming_the_sample(tmp_path, monkeypatch, caps
     )
     assert main(["mc", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 3
     assert "at sample 0, standardized point [" in capsys.readouterr().err
+
+
+def test_fit_non_finite_gradient_exits_3_naming_the_sample(tmp_path, monkeypatch, capsys):
+    # the gradient evaluation checks what the model returns, so a NaN in the
+    # last point's gradient stops the fit before it is solved
+    phys_grad = segpc.models.IshigamiModel._phys_grad
+
+    def nan_in_last_row(self, x):
+        grad = phys_grad(self, x)
+        grad[-1, 0] = np.nan
+        return grad
+
+    monkeypatch.setattr(segpc.models.IshigamiModel, "_phys_grad", nan_in_last_row)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"name": "ishigami"}, "method": "segpc", "order": 2, "pool": 500},
+    )
+    assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite QoI value or gradient at sample 2, standardized point [" in err
 
 
 def test_mc_single_sample_rejected(tmp_path):

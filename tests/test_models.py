@@ -140,6 +140,18 @@ def test_batched_values_match_scalar():
         assert np.array_equal(batched, with_grad), model.name
 
 
+def test_values_and_grads_match_value_and_grad():
+    # one vectorized gradient call gives each row the bits of its own call
+    for model in (ode_model(1.7), ishigami_model()):
+        pts = model.space.sample_pool(5000, seed=6).points
+        values, grads = model.values_and_grads(pts)
+        single = [model.value_and_grad(xi) for xi in pts]
+        assert grads.shape == pts.shape, model.name
+        assert np.array_equal(values, [ev.value for ev in single]), model.name
+        assert np.array_equal(grads, [ev.gradient for ev in single]), model.name
+        assert np.array_equal(values, model.values(pts)), model.name
+
+
 def centred_moments(weights, values):
     """First four moments of ``values`` under quadrature ``weights``, centred first."""
     mean = float(weights @ values)

@@ -2,8 +2,26 @@ import numpy as np
 import pytest
 
 from segpc import burgers_model, ishigami_model, monte_carlo_moments
-from segpc.errors import SolverDivergenceError
+from segpc.errors import ModelSolveError, SolverDivergenceError
+from segpc.models import Model, ModelEvaluation
 from segpc.parallel import evaluate_values, evaluate_with_gradients
+
+
+class NonFiniteAtMark(Model):
+    """Ishigami's space; value 1 and gradient xi, except NaN at a point with xi_0 = 9."""
+
+    def __init__(self, where):
+        super().__init__(ishigami_model().space)
+        self.where = where
+
+    def value_and_grad(self, xi):
+        value, gradient = 1.0, np.array(xi, dtype=float)
+        if xi[0] == 9.0:
+            if self.where == "value":
+                value = np.nan
+            else:
+                gradient[1] = np.nan
+        return ModelEvaluation(value, gradient)
 
 
 def test_values_worker_invariance():
@@ -47,6 +65,17 @@ def test_failure_index_counts_from_the_whole_call(evaluate):
         evaluate(model, pts, workers=2)
     assert info.value.index == 5
     assert np.array_equal(info.value.point, pts[5])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("where", ["value", "gradient"])
+def test_non_finite_gradient_output_names_the_sample(workers, where):
+    # a model without its own check still fails the fit, naming the sample
+    pts = ishigami_model().space.sample_pool(12, seed=1).points
+    pts[5, 0] = 9.0
+    message = r"non-finite .* at sample 5, standardized point \[9,"
+    with pytest.raises(ModelSolveError, match=message):
+        evaluate_with_gradients(NonFiniteAtMark(where), pts, workers=workers)
 
 
 def test_monte_carlo_worker_invariance():
