@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 configuration/validation error, 3 solver error.
 
 CSV files carry a schema comment line starting with ``#``; all floats are
 written with ``repr`` (shortest round-trip), undefined moments as ``nan``.
-Regression fits read ``DesignPlan.take`` of one ``rank_pool`` plan per order;
-se-gPC fits go through the library's ``fit_segpc``.
+Regression fits read ``DesignPlan.take`` of one ``rank_pool`` plan per order,
+ranked once as far as the run's fits read it; se-gPC fits go through the
+library's ``fit_segpc``.
 """
 
 from __future__ import annotations
@@ -293,29 +294,66 @@ def resolve_reference(config):
     raise ConfigError(f"reference.kind must be 'analytic' or 'mc-file', got {kind!r}")
 
 
-def run_fit(config, method, order, plans):
+def _points_read(config, method, basis):
+    """Sample points a ``wlsq`` or ``segpc`` fit reads at ``basis``'s order."""
+    base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, basis.m)
+    return math.ceil(config.oversample * base)
+
+
+def _ranked(config, basis, reads):
+    """The ``rank_pool`` plan of the configured pool and seed, ranked now up to ``reads`` points.
+
+    Errors of the pool, and of the ranking that read computes, name the pool.
+    """
+    what = f"pool of {config.pool}"
+    plan = _checked(what, rank_pool, basis, config.pool, config.seed)
+    _checked(what, plan.take, min(reads, plan.n_selected))
+    return plan
+
+
+class Orders:
+    """Each chaos order's basis, and its pool ranking once a regression fit needs it.
+
+    An order's plan is ranked at once as far as the most points any of the
+    run's ``methods`` reads there, so its later reads rank nothing and every
+    fit of the run at that order shares one basis and one ranking.
+    """
+
+    def __init__(self, config, methods):
+        self.config = config
+        self.regressions = [method for method in methods if method != "smolyak"]
+        self.bases, self.plans = {}, {}
+
+    def basis(self, order):
+        if order not in self.bases:
+            self.bases[order] = _checked(f"chaos order {order}", ChaosBasis,
+                                         self.config.model.space, order)
+        return self.bases[order]
+
+    def plan(self, order):
+        if order not in self.plans:
+            basis = self.basis(order)
+            reads = max(_points_read(self.config, method, basis) for method in self.regressions)
+            self.plans[order] = _ranked(self.config, basis, reads)
+        return self.plans[order]
+
+
+def run_fit(config, method, order, orders):
     """Fit a surrogate by ``method`` at chaos ``order``; returns (surrogate, report).
 
-    ``plans`` maps an order to its ``rank_pool`` ranking for the configured
-    pool and seed; a regression fit ranks a missing order and stores it, so
-    fits that share ``plans`` rank each order once.  The sparse-grid method
-    ranks nothing.
+    ``orders`` (an :class:`Orders`) supplies the order's basis and, for a
+    regression fit, its ranked pool.  The sparse-grid method ranks nothing.
     """
     model = config.model
-    space = model.space
-    basis = _checked(f"chaos order {order}", ChaosBasis, space, order)
+    basis = orders.basis(order)
     if method == "smolyak":
-        rule = _checked(f"chaos order {order}", smolyak_rule, space, order + 1)
+        rule = _checked(f"chaos order {order}", smolyak_rule, model.space, order + 1)
         surrogate = quadrature_fit(basis, rule, model, workers=config.workers)
     else:
-        base = basis.n_terms if method == "wlsq" else segpc_point_count(basis.n_terms, space.m)
-        n_points = math.ceil(config.oversample * base)
+        n_points = _points_read(config, method, basis)
         _require(n_points <= config.pool,
                  f"pool of {config.pool} cannot supply {n_points} sample points")
-        if order not in plans:
-            plans[order] = _checked(f"pool of {config.pool}", rank_pool, basis,
-                                    config.pool, config.seed)
-        plan = plans[order]
+        plan = orders.plan(order)
         if method == "segpc":
             surrogate = fit_segpc(basis, plan, model, n_points, workers=config.workers)
         else:
@@ -342,7 +380,8 @@ def _note_rank_deficiency(method, basis, fit_report):
 
 def cmd_fit(config):
     reference = resolve_reference(config)
-    surrogate, report = run_fit(config, config.method, config.order, {})
+    surrogate, report = run_fit(config, config.method, config.order,
+                                Orders(config, [config.method]))
     config.out.mkdir(parents=True, exist_ok=True)
     surrogate.save_json(config.out / "surrogate.json")
     row = moments_row(config.model.name, config.space.m, config.order, report, reference)
@@ -358,10 +397,10 @@ def cmd_fit(config):
 def cmd_convergence(config):
     reference = resolve_reference(config)
     rows = []
-    plans = {}  # shared by segpc and wlsq
+    orders = Orders(config, config.methods)
     for method in config.methods:
         for order in config.orders:
-            _, report = run_fit(config, method, order, plans)
+            _, report = run_fit(config, method, order, orders)
             rows.append(moments_row(config.model.name, config.space.m, order,
                                     report, reference))
     _write_csv(config.out / "convergence.csv", "convergence-csv", MOMENT_COLUMNS, rows)
@@ -372,7 +411,7 @@ def cmd_select_points(config):
     basis = _checked(f"chaos order {config.order}", ChaosBasis, config.space, config.order)
     _require(config.pool >= basis.n_terms,
              f"pool of {config.pool} is smaller than the {basis.n_terms} unknowns")
-    plan = _checked(f"pool of {config.pool}", rank_pool, basis, config.pool, config.seed)
+    plan = _ranked(config, basis, basis.n_terms)
     header = ["rank", "pool_index"] + [f"xi_{k + 1}" for k in range(config.space.m)] + ["r_abs"]
     rows = []
     for rank, (idx, point, r_val) in enumerate(

@@ -13,9 +13,14 @@ re-projecting would cost more, all rows are deflated at once, in place on one
 working copy.  Pivots equal LAPACK ``geqp3``'s (``scipy.linalg.qr`` with
 pivoting); |R_ii| agree at round-off (within 1e-13 relative on the tested
 pools).  The ranking stops after the points asked for, and a shorter ranking
-is a prefix of a longer one.
-:func:`rank_pool` runs that chain on a seeded pool; :meth:`DesignPlan.take`
-alone states which points a fit reads: the pivots, then the pool in draw order.
+is a prefix of a longer one.  So a :class:`DesignPlan` ranks only as far as
+it is read: :func:`qr_select` checks the pool and ranks nothing, and
+:meth:`DesignPlan.take` of n points ranks n picks, where reading the whole
+ranking or its condition number ranks all of them.  Errors found while
+ranking (a rank-deficient pool, weighted entries whose squares overflow)
+surface at that read.  :func:`rank_pool` runs that chain on a seeded pool;
+:meth:`DesignPlan.take` alone states which points a fit reads: the pivots,
+then the pool in draw order.
 
 The per-point weights come from asymptotic sampling theory: for Gaussian
 dimensions ``exp(-||xi||^2 / 4)`` over the Gaussian coordinates jointly, for
@@ -146,55 +151,102 @@ def build_measurement(basis, pool, weights):
     return WeightedMeasurement(basis=basis, points=points, w_sqrt=weights)
 
 
-@dataclass(frozen=True)
 class DesignPlan:
-    """Ranked, QR-selected sample points of the pool ``pool`` (weights ``pool_w_sqrt``).
+    """QR ranking of up to ``n_selected`` points of a checked pool, computed as it is read.
 
-    ``selected`` holds pool row indices in pivot order, ``r_diag`` the
-    corresponding |R_ii| (non-increasing), and ``cond_number`` the 2-norm
-    condition number of the selected weighted submatrix.
+    :meth:`take` ranks only the picks it returns.  Reading ``selected`` (pool
+    row indices in pivot order), ``points``, ``w_sqrt`` or ``r_diag`` (the
+    |R_ii|, non-increasing) ranks all ``n_selected``; ``cond_number``, the
+    2-norm condition number of the selected weighted submatrix, is computed
+    on its first read.  The longest ranking computed is kept, and a longer
+    read ranks afresh: a shorter ranking is a prefix of a longer one, so
+    every read gives the same bits.  Between reads the plan holds no working
+    array, only the pivots and |R_ii|.  ``RankDeficientError``, and the
+    ``ValueError`` for weighted entries whose squares overflow, come from the
+    read whose picks they concern.
     """
 
-    selected: np.ndarray
-    points: np.ndarray
-    w_sqrt: np.ndarray
-    r_diag: np.ndarray
-    cond_number: float
-    pool: np.ndarray
-    pool_w_sqrt: np.ndarray
+    def __init__(self, meas, n_selected):
+        self.meas = meas
+        self.n_selected = n_selected
+        self._selected = np.empty(0, dtype=np.intp)
+        self._r_diag = np.empty(0)
+        self._cond = None
 
     @property
-    def n_selected(self):
-        return self.selected.shape[0]
+    def pool(self):
+        return self.meas.points
+
+    @property
+    def pool_w_sqrt(self):
+        return self.meas.w_sqrt
+
+    def _ranked(self, n):
+        """Pivots and |R_ii| of the first ``n`` picks, ranked now if not yet kept."""
+        if n > self._selected.shape[0]:
+            meas = self.meas
+            work = np.empty((meas.q, meas.n_terms), order="F")
+            meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
+            self._selected, self._r_diag = _greedy_rank(work, n)
+        return self._selected[:n], self._r_diag[:n]
+
+    @property
+    def selected(self):
+        return self._ranked(self.n_selected)[0]
+
+    @property
+    def r_diag(self):
+        return self._ranked(self.n_selected)[1]
+
+    @property
+    def points(self):
+        return self.pool[self.selected]
+
+    @property
+    def w_sqrt(self):
+        return self.pool_w_sqrt[self.selected]
+
+    @property
+    def cond_number(self):
+        if self._cond is None:
+            sub = self.meas.basis.eval(self.points) * self.w_sqrt[:, None]
+            self._cond = float(np.linalg.cond(sub))
+        return self._cond
 
     def take(self, n):
-        """First ``n`` (points, w_sqrt): the pivots, then the other pool rows in draw order."""
-        if n <= self.n_selected:
-            return self.points[:n], self.w_sqrt[:n]
-        rest = np.delete(np.arange(len(self.pool)), self.selected)
-        idx = np.concatenate([self.selected, rest])[:n]
-        if len(idx) < n:
-            raise ValueError(f"pool of {len(idx)} cannot supply {n} sample points")
-        return self.pool[idx], self.pool_w_sqrt[idx]
+        """First ``n`` (points, w_sqrt): the pivots, then the other pool rows in draw order.
+
+        Ranks min(n, ``n_selected``) picks; a pool short of ``n`` points is
+        refused before any ranking.
+        """
+        if n < 1:
+            raise ValueError(f"cannot take n = {n} sample points; n must be at least 1")
+        q = self.meas.q
+        if n > q:
+            raise ValueError(f"pool of {q} cannot supply {n} sample points")
+        selected, _ = self._ranked(min(n, self.n_selected))
+        if n > self.n_selected:
+            rest = np.delete(np.arange(q), selected)
+            selected = np.concatenate([selected, rest])[:n]
+        return self.pool[selected], self.pool_w_sqrt[selected]
 
 
 def qr_select(meas, n_sel):
-    """Greedily select ``n_sel`` pool points maximizing the design determinant.
+    """Plan a greedy ranking of ``n_sel`` pool points maximizing the design determinant.
 
-    Ranks the rows of ``W^(1/2) psi`` as pivoted QR of ``(W^(1/2) psi)^T``
-    would rank its columns: each pick is the row of largest residual norm
-    off the span of the rows already picked, and that norm is its |R_ii|.
-    The weighted basis is evaluated once, straight into one Fortran-ordered
-    working array, the only q x (P + 1) array the ranking holds.
+    The plan ranks the rows of ``W^(1/2) psi`` as pivoted QR of
+    ``(W^(1/2) psi)^T`` would rank its columns: each pick is the row of
+    largest residual norm off the span of the rows already picked, and that
+    norm is its |R_ii|.  Nothing is ranked here: a read of the plan ranks
+    the picks it needs (see :class:`DesignPlan`), evaluating the weighted
+    basis straight into one Fortran-ordered working array, the only
+    q x (P + 1) array a ranking holds, freed when the read returns.
 
     Raises
     ------
     ValueError
-        If ``n_sel`` is out of range or the weighted measurement holds a NaN
+        If ``n_sel`` is out of range or a pool point or weight holds a NaN
         or an infinity.
-    RankDeficientError
-        If a pivot magnitude collapses below ``RANK_TOL`` times the leading
-        one before ``n_sel`` points are found (pool too small or degenerate).
     """
     n_terms = meas.n_terms
     if n_sel < 1:
@@ -204,19 +256,12 @@ def qr_select(meas, n_sel):
             f"cannot select {n_sel} points: pool has {meas.q}, basis has "
             f"{n_terms} terms"
         )
-    work = np.empty((meas.q, n_terms), order="F")
-    meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
-    selected, r_diag = _greedy_rank(work, n_sel)
-    sub = meas.basis.eval(meas.points[selected]) * meas.w_sqrt[selected, None]
-    return DesignPlan(
-        selected=selected,
-        points=meas.points[selected],
-        w_sqrt=meas.w_sqrt[selected],
-        r_diag=r_diag,
-        cond_number=float(np.linalg.cond(sub)),
-        pool=meas.points,
-        pool_w_sqrt=meas.w_sqrt,
-    )
+    bad = ~(np.isfinite(meas.w_sqrt) & np.isfinite(meas.points).all(axis=1))
+    if bad.any():
+        raise ValueError(
+            f"pool row {int(np.flatnonzero(bad)[0])} holds infs or NaNs in its point or weight"
+        )
+    return DesignPlan(meas, n_sel)
 
 
 def _greedy_rank(work, n_sel):
@@ -345,7 +390,11 @@ def _deflate(y, v, t_mat):
 
 
 def rank_pool(basis, pool_size, seed):
-    """Plan of up to P + 1 QR-ranked points of a seeded pool (one serves every fit at an order)."""
+    """Plan of up to P + 1 QR-ranked points of a seeded pool (one serves every fit at an order).
+
+    The pool is drawn and weighted now; its points are ranked as the plan is
+    read, so a fit that takes n points ranks n of them (see :class:`DesignPlan`).
+    """
     pool = basis.space.sample_pool(pool_size, seed)
     meas = build_measurement(basis, pool, coherence_weights(basis.space, pool.points))
     return qr_select(meas, min(basis.n_terms, pool.q))

@@ -206,8 +206,8 @@ def fit_segpc(basis, plan, model, n_points=None, workers=1):
     """Sensitivity-enhanced fit at the top-ranked design points.
 
     Evaluates the model's value and gradient at ``plan.take(n_points)``, by
-    default ``ceil((P + 1) / (m + 1))`` points (more than P + 1 may be asked),
-    and hands them to :func:`fit_wlsq`.  Each point costs two evaluations
+    default ``ceil((P + 1) / (m + 1))`` points (more than P + 1 may be asked;
+    the plan ranks only the points taken), and hands them to :func:`fit_wlsq`.  Each point costs two evaluations
     (direct + adjoint).  A budget short of P + 1 equations or past the pool is
     refused before any evaluation; a model without gradients raises at its first one.
 

@@ -268,32 +268,43 @@ def test_convergence_with_mc_reference_file(tmp_path):
 
 
 def test_convergence_ranks_each_order_once(tmp_path, monkeypatch):
+    # counts the rankings computed, not the plans made: a plan ranks when read
     calls = []
-    real_qr_select = segpc.design.qr_select
+    greedy_rank = segpc.design._greedy_rank
 
-    def counting_qr_select(meas, n_sel):
+    def counting_greedy_rank(work, n_sel):
         calls.append(n_sel)
-        return real_qr_select(meas, n_sel)
+        return greedy_rank(work, n_sel)
 
-    monkeypatch.setattr(segpc.design, "qr_select", counting_qr_select)
+    monkeypatch.setattr(segpc.design, "_greedy_rank", counting_greedy_rank)
+    bases = []
+    monkeypatch.setattr(segpc.cli, "ChaosBasis",
+                        lambda space, order: bases.append(order) or ChaosBasis(space, order))
     common = {"model": {"name": "ishigami"}, "pool": 2000, "oversample": 1.5,
               "reference": {"kind": "analytic"}}
     cfg = write_config(tmp_path / "conv.json",
                        {**common, "orders": [2, 3], "methods": ["segpc", "wlsq", "smolyak"]})
     out = tmp_path / "conv"
     assert main(["convergence", "--config", cfg, "--seed", "6", "--out", str(out)]) == 0
-    # segpc and wlsq share one ranking per order; smolyak needs none
-    assert len(calls) == 2
+    # segpc and wlsq share one ranking per order, to the P + 1 wlsq reads;
+    # smolyak needs none
+    assert calls == [10, 20]
+    assert bases == [2, 3]  # one basis per order, shared by all three methods
     rows = read_rows(out / "convergence.csv")
     assert [(r["method"], r["p"]) for r in rows] == [
         (method, p) for method in ("segpc", "wlsq", "smolyak") for p in ("2", "3")
     ]
-    # each row equals a separate fit at the same seed, which ranks its own pool
+    # each row equals a separate fit at the same seed, which ranks its own
+    # pool as far as it reads: ceil(1.5 ceil((P + 1) / 4)) se-gPC points
+    ranked = {"segpc": {"2": [5], "3": [8]}, "wlsq": {"2": [10], "3": [20]},
+              "smolyak": {"2": [], "3": []}}
     for row in rows:
         fit_cfg = write_config(tmp_path / "fit.json",
                                {**common, "method": row["method"], "order": int(row["p"])})
         fit_out = tmp_path / f"fit_{row['method']}_{row['p']}"
+        calls.clear()
         assert main(["fit", "--config", fit_cfg, "--seed", "6", "--out", str(fit_out)]) == 0
+        assert calls == ranked[row["method"]][row["p"]]
         assert read_rows(fit_out / "moments.csv") == [row]
 
 

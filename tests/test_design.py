@@ -236,12 +236,14 @@ def _traced_peak(call):
 def test_qr_select_holds_one_working_copy():
     # the 286-term Ishigami ranking of a 10^4 pool: one q x (P + 1) array plus
     # small temporaries, no second copy
+    # (a plan ranks when read, so each traced call reads the whole ranking)
     meas = _measurement([Uniform(), Uniform(), Uniform()], 10, 10_000, seed=1)
-    assert _traced_peak(lambda: qr_select(meas, meas.n_terms)) <= 1.25 * meas.q * meas.n_terms * 8
+    peak = _traced_peak(lambda: qr_select(meas, meas.n_terms).selected)
+    assert peak <= 1.25 * meas.q * meas.n_terms * 8
     # the whole chain from pool draw to plan holds that one array too (a
     # second q x (P + 1) array, say the unweighted basis values, makes ~47.5 MB)
     basis = ChaosBasis(ishigami_model().space, 10)
-    peak = _traced_peak(lambda: rank_pool(basis, 10_000, 1))
+    peak = _traced_peak(lambda: rank_pool(basis, 10_000, 1).selected)
     assert peak <= 1.5 * 10_000 * basis.n_terms * 8
 
 
@@ -287,6 +289,93 @@ def test_rank_pool_keeps_the_stored_bits():
     assert got == ISHIGAMI_P10_RANKINGS
 
 
+_PRINT_TAKEN_RANKINGS = """
+import hashlib, json, sys
+import numpy as np
+from segpc import ChaosBasis, ishigami_model, rank_pool
+basis = ChaosBasis(ishigami_model().space, 10)
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+reads = json.loads(sys.argv[2])
+got = {}
+for seed in json.loads(sys.argv[1]):
+    for name, order in (("ascending", sorted(reads)), ("descending", sorted(reads)[::-1])):
+        plan = rank_pool(basis, 10_000, seed)
+        taken = {n: plan.take(n) for n in order}
+        selected = plan.selected
+        rest = np.delete(np.arange(plan.pool.shape[0]), selected)
+        idx = np.concatenate([selected, rest])
+        slices = all(np.array_equal(points, plan.pool[idx[:n]])
+                     and np.array_equal(w_sqrt, plan.pool_w_sqrt[idx[:n]])
+                     for n, (points, w_sqrt) in taken.items())
+        got[f"{seed} {name}"] = [digest(selected.astype(np.int64)), digest(plan.r_diag),
+                                 plan.cond_number.hex(), slices]
+print(json.dumps(got))
+"""
+
+
+def test_take_in_any_order_keeps_the_stored_bits():
+    # reads below, at and past a 32-pick block and past the 286 pivots, longest
+    # first or last: each re-ranking from scratch gives the stored ranking's bits
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    seeds = sorted(ISHIGAMI_P10_RANKINGS)
+    child = subprocess.run(
+        [sys.executable, "-c", _PRINT_TAKEN_RANKINGS, json.dumps(seeds),
+         json.dumps([1, 32, 33, 144, 286, 300])],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    want = {f"{seed} {name}": [*ISHIGAMI_P10_RANKINGS[seed], True]
+            for seed in seeds for name in ("ascending", "descending")}
+    assert json.loads(child.stdout) == want
+
+
+def test_take_ranks_only_the_picks_it_returns(monkeypatch):
+    ranked = []
+    greedy_rank = segpc.design._greedy_rank
+
+    def spy(work, n_sel):
+        ranked.append(n_sel)
+        return greedy_rank(work, n_sel)
+
+    monkeypatch.setattr(segpc.design, "_greedy_rank", spy)
+    basis = ChaosBasis(ishigami_model().space, 3)  # 20 terms
+    plan = rank_pool(basis, 500, 2)
+    assert ranked == []
+    plan.take(5)
+    assert ranked == [5]
+    plan.take(3)
+    plan.take(5)
+    assert ranked == [5]  # a kept prefix serves shorter reads
+    plan.take(40)
+    assert ranked == [5, 20]  # past the pivots: all of them, once
+    plan.selected, plan.r_diag, plan.points, plan.cond_number, plan.take(20)
+    assert ranked == [5, 20]
+
+
+def test_take_refuses_fewer_than_one_point():
+    plan = rank_pool(ChaosBasis(ishigami_model().space, 2), 500, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            plan.take(n)
+
+
+def test_rank_deficient_past_the_points_read(gauss2):
+    # points on the line xi_2 = 0 span only 1, xi_1 and xi_1^2 of the 6 terms
+    basis = ChaosBasis(gauss2, 2)
+    points = gauss2.sample_pool(50, seed=3).points
+    points[:, 1] = 0.0
+    meas = build_measurement(basis, points, coherence_weights(gauss2, points))
+    plan = qr_select(meas, basis.n_terms)
+    want, _ = reference_qr_ranking(meas, 3)
+    taken, w_sqrt = plan.take(3)
+    assert np.array_equal(taken, points[want]) and np.array_equal(w_sqrt, meas.w_sqrt[want])
+    assert np.array_equal(qr_select(meas, 3).selected, want)
+    with pytest.raises(RankDeficientError):
+        plan.selected
+    with pytest.raises(RankDeficientError):
+        plan.take(4)
+
+
 def test_qr_select_rejects_non_finite_weights(gauss2):
     basis = ChaosBasis(gauss2, 2)
     pool = gauss2.sample_pool(50, seed=4)
@@ -306,8 +395,9 @@ def test_qr_select_rank_deficient_pool():
     pts = np.tile([0.5, -0.25], (50, 1))
     pool = SamplePool(points=pts, seed=0)
     meas = build_measurement(basis, pool, coherence_weights(space, pts))
+    plan = qr_select(meas, basis.n_terms)
     with pytest.raises(RankDeficientError):
-        qr_select(meas, basis.n_terms)
+        plan.selected
 
 
 def test_qr_geometry_p2(gauss2):
