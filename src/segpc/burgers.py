@@ -38,24 +38,23 @@ sample alone from the start state with damped Newton, logged at DEBUG on the
 ``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
 from its own nominal state, so it factors one Jacobian per process.
 
-Given a start state, the adjoint system below is solved the same way: by
-refinement lambda <- lambda + L0^{-1} (r - A lambda) on the LU L0 of the
-adjoint operator at that state, factored once on first use and cached on it.
+The model's adjoint systems below are solved the same way: by refinement
+lambda <- lambda + L0^{-1} (r - A lambda) on the LU L0 of the adjoint
+operator at the nominal state, factored once per process and cached on it.
 The adjoints of many states refine together, as a stack: each sweep makes one
 triangular solve with a right-hand side per state still refining and one
 product with the block-diagonal matrix of their own operators, and each state
 stops at its own tolerance.  A state whose sweep fails the same contraction
-test falls back to factoring its own operator, with the same DEBUG line.
-:class:`BurgersModel` passes its nominal state, so it factors one adjoint
-operator per process too.
+test factors its own operator, as ``burgers_adjoint`` does for any state,
+with the same DEBUG line.
 
-:meth:`BurgersModel.values` and :meth:`BurgersModel.values_and_grads` take
-:data:`VALUES_BLOCK` samples at a time: the block's direct solves step
-together, then its adjoints.  ``burgers_solve`` and ``burgers_adjoint`` with a
-start state are the one-sample cases of the same code.  At 21 x 21 a sample
-in a block costs about half what it costs alone: on a shared 2-core host, one
-BLAS thread, ~0.9 ms for a value in a block of 32 against ~2.4 ms alone, and
-~2.4 ms for a value and gradient in a block of 11 against ~5 ms alone.
+Every :class:`BurgersModel` evaluation takes :data:`VALUES_BLOCK` samples at
+a time: the block's direct solves step together, then its adjoints;
+:meth:`BurgersModel.value` and :meth:`BurgersModel.value_and_grad` are blocks
+of one.  At 21 x 21 a sample in a block costs about half what it costs
+alone: on a shared 2-core host, one BLAS thread, ~0.7 ms for a value in a
+block of 32 against ~1.6 ms alone, and ~2.0 ms for a value and gradient in a
+block of 11 against ~3.5 ms alone.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -411,14 +410,6 @@ def _refine(lu, x, res, residual, tol, max_steps, fallback):
     return x, history
 
 
-def _check_start(start, n, re):
-    if start.n_grid != n or start.re != float(re):
-        raise ValueError(
-            f"start state is for N={start.n_grid}, Re={start.re}; "
-            f"this solve is for N={n}, Re={float(re)}"
-        )
-
-
 def _factorize(matrix, residual, iterations):
     try:
         return scipy.sparse.linalg.splu(matrix, permc_spec=PERMC_SPEC)
@@ -559,8 +550,12 @@ def burgers_solve(
         res = _residual(x, nu, h, b)
         history = [float(np.max(np.abs(res)))]
         x, factorizations = _newton(x, res, history, b, nu, h, tol, max_iter, picard_steps=3)
+    elif start.n_grid != n or start.re != float(re):
+        raise ValueError(
+            f"start state is for N={start.n_grid}, Re={start.re}; "
+            f"this solve is for N={n}, Re={float(re)}"
+        )
     else:
-        _check_start(start, n, re)
         [x], [history], [factorizations] = _warm_solves(start, b[None], tol, max_iter)
     u, v = x.reshape(2, n, n)
     return BurgersState(
@@ -626,9 +621,11 @@ def _factorize_adjoint(matrix):
 def _adjoint_solves(fields, nu, h, start=None, where=nullcontext):
     """Adjoint solutions (k, 2N^2) at the states ``fields`` (k, 2, N, N).
 
-    Solved as :func:`burgers_adjoint` solves one; with ``start``, the rows
-    refine together (:func:`_refine`), each on its own residual and
-    tolerance.  A row that fails raises inside the context ``where(row)``.
+    Without ``start`` each row's operator is factored.  With ``start``, the
+    rows refine together (:func:`_refine`) on the LU of the adjoint operator
+    at ``start``, kept on it, each to :data:`ADJOINT_RTOL` times its
+    right-hand side's max norm; a row left short factors its own operator.
+    A row that fails raises inside the context ``where(row)``.
     """
     n = fields.shape[2]
     data, rhs = _adjoint_system(fields, nu, h)
@@ -681,26 +678,19 @@ def _sensitivities(u, solutions, nu, h, m_free):
     return raw[:, :m_free] - raw[:, m_free:]
 
 
-def burgers_adjoint(state, start=None):
+def burgers_adjoint(state):
     """Solve the continuous adjoint system and integrate the sensitivities.
 
     Returns the adjoint fields and the total gradient dk_e/ds_i for the m
     free inlet coefficients (the corner-closure pathway through s_{m+1} is
-    included).  Without ``start`` the adjoint operator at ``state`` is
-    factored and solved.  ``start`` is a state on the same grid and Reynolds
-    number (the nominal flow, say): the system is then refined from zero on
-    the LU of the adjoint operator at ``start``, factored on first use and
-    kept on ``start``, until the max-norm residual is below
-    :data:`ADJOINT_RTOL` times the right-hand side's.  Where a sweep fails
-    the contraction test, or :data:`ADJOINT_MAX_SWEEPS` sweeps fall short,
-    the operator at ``state`` is factored after all.  This is the one-state
-    case of the stacked solve :meth:`BurgersModel.values_and_grads` makes.
+    included).  The adjoint operator at ``state`` is factored and solved;
+    :class:`BurgersModel` instead refines its samples' adjoints on the LU of
+    the operator at its nominal state, and falls back to this solve where the
+    refinement stalls.
     """
     n, nu, h = state.n_grid, 1.0 / state.re, state.h
-    if start is not None:
-        _check_start(start, n, state.re)
     fields = np.stack([state.u, state.v])[None]
-    solutions = _adjoint_solves(fields, nu, h, start)
+    solutions = _adjoint_solves(fields, nu, h)
     [gradient] = _sensitivities(fields[:, 0], solutions, nu, h, state.s_full.shape[0] - 2)
     u_adj, v_adj = solutions.reshape(2, n, n)
     return AdjointSolution(u_adj=u_adj, v_adj=v_adj, gradient=gradient)
@@ -730,18 +720,15 @@ class BurgersModel(Model):
 
     The free inlet coefficients are independent Gaussians with the given
     means and standard deviations (default std = |mean| / 5).  The flow at
-    the mean inlet is solved cold once, at construction; every evaluation
-    warm-starts from that state with chord steps on its Newton Jacobian's LU,
-    falling back to damped Newton from the same state where the chord steps
-    stall; gradients refine their adjoint on the LU of the adjoint operator at
-    that state.  :meth:`values` and :meth:`values_and_grads` take the chord
-    steps, and then the adjoint sweeps, of up to :data:`VALUES_BLOCK` samples
-    together, with the bits :meth:`value` and :meth:`value_and_grad` give
-    each of them.  Each LU is factored by the first evaluation that needs it
-    in each process and is not pickled, so results do not depend on the
-    order, the grouping or the process in which points are evaluated.  A
-    failed evaluation raises an error that names the standardized point and,
-    in the batched calls, its index among the points passed.
+    the mean inlet is solved cold once, at construction.  Every evaluation
+    goes through :meth:`_evaluate`, which warm-starts the samples' direct and
+    adjoint solves from that state as the module describes; :meth:`value`
+    and :meth:`value_and_grad` evaluate a block of one.  Each LU is factored
+    by the first evaluation that needs it in each process and is not
+    pickled, so results do not depend on the order, the grouping or the
+    process in which points are evaluated.  A failed evaluation raises an
+    error that names the standardized point and, in the batched calls, its
+    index among the points passed.
     """
 
     name = "burgers"
@@ -768,25 +755,17 @@ class BurgersModel(Model):
         self.n_grid = int(n_grid)
         self._nominal = burgers_solve(self.s_mean, re=self.re, n_grid=self.n_grid)
 
-    def _solve(self, xi):
-        return burgers_solve(
-            self.space.destandardize(np.asarray(xi, dtype=float)),
-            re=self.re,
-            n_grid=self.n_grid,
-            start=self._nominal,
-        )
-
     def value(self, xi):
-        with _located(xi):
-            return burgers_qoi(self._solve(xi))
+        [qoi], _ = self._evaluate(xi, gradients=False, indexed=False)
+        return float(qoi)
 
-    def _evaluate(self, points, gradients):
+    def _evaluate(self, points, gradients, indexed=True):
         """QoIs at the rows of ``points`` and, if ``gradients``, their gradients (else None).
 
         Takes :data:`VALUES_BLOCK` rows at a time: a block's samples take
-        their chord steps together and then their adjoint sweeps together.
-        Each sample gets the bits :meth:`value` and :meth:`value_and_grad`
-        give it alone, and a failure names its index among ``points``.
+        their chord steps together and then their adjoint sweeps together,
+        with the bits each gets in a block of one.  A failure names its
+        standardized point and, if ``indexed``, its index among ``points``.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         start, n = self._nominal, self.n_grid
@@ -797,7 +776,7 @@ class BurgersModel(Model):
             block = points[first : first + VALUES_BLOCK]
 
             def where(row):
-                return _located(block[row], first + row)
+                return _located(block[row], first + row if indexed else None)
 
             coeffs = [full_inlet_coeffs(s) for s in self.space.destandardize(block)]
             x, _, _ = _warm_solves(
@@ -822,11 +801,8 @@ class BurgersModel(Model):
         return self._evaluate(points, gradients=True)
 
     def value_and_grad(self, xi):
-        with _located(xi):
-            state = self._solve(xi)
-            adjoint = burgers_adjoint(state, start=self._nominal)
-        grad = adjoint.gradient * self.space.scales
-        return ModelEvaluation(value=burgers_qoi(state), gradient=grad)
+        [qoi], [grad] = self._evaluate(xi, gradients=True, indexed=False)
+        return ModelEvaluation(value=float(qoi), gradient=grad)
 
 
 burgers_model = BurgersModel

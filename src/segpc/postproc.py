@@ -14,7 +14,8 @@ taken of the centred surrogate M - c_0 directly, exactly where that is cheap:
   E[(M - c_0)^3] = sum c_g d_g, with no rule and no surrogate evaluation,
   while that expansion holds at most :data:`SURROGATE_MC_SAMPLES` rows
   before merging (m <= 50 at p = 2, m <= 17 at p = 3);
-- beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate.
+- beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate,
+  evaluated in chunks of at most :data:`SURROGATE_EVAL_BYTES`.
 
 A product of two orthonormal polynomials of one variable expands exactly as
 phi_a phi_b = sum_l L[a, b, l] phi_l, L[a, b, l] = E[phi_a phi_b phi_l],
@@ -42,8 +43,8 @@ MIN_ORDER_HIGHER_MOMENTS = 2
 #: the squared expansion may hold before merging to be used instead
 SURROGATE_MC_SAMPLES = 1_000_000
 
-#: surrogate samples evaluated per basis-matrix block
-SURROGATE_EVAL_CHUNK = 100_000
+#: bytes one chunk of the surrogate Monte Carlo may allocate
+SURROGATE_EVAL_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -62,12 +63,21 @@ def moments_from_coefficients(surrogate):
 
 
 def _sample_moments_surrogate(surrogate, n, seed):
-    """Skewness and kurtosis of ``n`` seeded samples of the surrogate."""
+    """Skewness and kurtosis of ``n`` seeded samples of the surrogate.
+
+    The samples are evaluated in chunks of a multiple of 16 points that fit
+    in :data:`SURROGATE_EVAL_BYTES`: at one BLAS thread the matrix-vector
+    product then groups each chunk's rows as in one product over all the
+    samples, so the values keep their bits.
+    """
     pool = surrogate.space.sample_pool(n, seed)
-    values = np.concatenate([
-        surrogate.eval(pool.points[start : start + SURROGATE_EVAL_CHUNK])
-        for start in range(0, n, SURROGATE_EVAL_CHUNK)
-    ])
+    basis = surrogate.basis
+    # a point's basis row, at most as much eval scratch, its univariate values
+    point_bytes = 8 * (2 * basis.n_terms + basis.m * (basis.order + 2) + 1)
+    chunk = 16 * max(1, SURROGATE_EVAL_BYTES // point_bytes // 16)
+    values = np.empty(n)
+    for start in range(0, n, chunk):
+        values[start : start + chunk] = surrogate.eval(pool.points[start : start + chunk])
     return sample_moments(values)[2:]
 
 

@@ -1,10 +1,15 @@
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from tests_support import dense_basis_eval, sparse_combination_blocks
+from tests_support import BLAS_THREAD_VARIABLES, dense_basis_eval, sparse_combination_blocks
 
 from segpc import (
     ChaosBasis,
@@ -18,6 +23,7 @@ from segpc import (
     predicted_cost,
     sobol_total,
 )
+import segpc
 import segpc.postproc as postproc
 from segpc.postproc import _sample_moments_surrogate
 from segpc.quadrature import QuadratureRule, sample_moments, tensor_rule
@@ -119,7 +125,7 @@ def _mixed_space(m):
 
 def test_surrogate_mc_moments_equal_dense_reference():
     # the surrogate MC must reproduce, bit for bit, the sample moments of
-    # the dense tensor-product evaluation over the same 10^5-point chunks
+    # the dense tensor-product evaluation over 10^5-point chunks
     space = _mixed_space(10)
     basis = ChaosBasis(space, 2)
     coeffs = np.random.default_rng(8).standard_normal(basis.n_terms)
@@ -308,6 +314,77 @@ def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
     monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 330)
     higher_moments(sur)
     assert calls == []
+
+
+_PRINT_CHUNKED_MOMENTS = """
+import json
+import numpy as np
+from segpc import ChaosBasis, FitReport, Gaussian, PceSurrogate, StochasticSpace, Uniform
+from segpc import higher_moments, postproc
+from segpc.quadrature import sample_moments
+space = StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(10)])
+basis = ChaosBasis(space, 4)
+coeffs = np.random.default_rng(12).standard_normal(basis.n_terms)
+sur = PceSurrogate(coeffs, basis, FitReport("wlsq", 1, 1, 0.0, 1.0, 1))
+postproc.SURROGATE_MC_SAMPLES = n = 12_000
+chunks, sampled = [], []
+
+
+class Counting:
+    def __getattr__(self, name):
+        return getattr(sur, name)
+
+    def eval(self, points):
+        chunks.append(len(points))
+        return sur.eval(points)
+
+
+def spy(values):
+    sampled.append(values)
+    return sample_moments(values)
+
+
+postproc.sample_moments = spy
+report = higher_moments(Counting())
+values = sur.eval(space.sample_pool(n, 0).points)
+want = sample_moments(values)[2:]
+print(json.dumps([chunks, sampled[0].tobytes() == values.tobytes(),
+                  [report.skewness.hex(), report.kurtosis.hex()], [w.hex() for w in want]]))
+"""
+
+
+def test_surrogate_mc_chunks_keep_the_unchunked_bits():
+    # m = 10, p = 4: 1,001 terms, whose square holds 1,047,750 rows, so
+    # higher_moments samples the surrogate, here 12,000 times in chunks.
+    # The matrix-vector product's bits follow the BLAS thread count, which is
+    # read when numpy loads: compare in a one-thread child
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    child = subprocess.run(
+        [sys.executable, "-c", _PRINT_CHUNKED_MOMENTS],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    chunks, same_values, got, want = json.loads(child.stdout)
+    assert len(chunks) >= 2 and chunks[0] % 16 == 0
+    assert same_values
+    assert got == want
+
+
+def test_surrogate_mc_chunks_hold_the_byte_budget(monkeypatch):
+    sur = _random_surrogate(_mixed_space(10), 4, seed=12)
+    n = 12_000
+    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", n)
+    pool_bytes = sur.space.sample_pool(n, 0).points.nbytes
+    # one basis matrix over the whole pool would take 96 MB
+    assert n * sur.basis.n_terms * 8 > postproc.SURROGATE_EVAL_BYTES + pool_bytes
+    tracemalloc.start()
+    try:
+        report = higher_moments(sur)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.kurtosis)
+    assert peak < postproc.SURROGATE_EVAL_BYTES + pool_bytes
 
 
 def test_basis_pickle_round_trip_evaluates_identically():
