@@ -51,10 +51,13 @@ with the same DEBUG line.
 Every :class:`BurgersModel` evaluation takes :data:`VALUES_BLOCK` samples at
 a time: the block's direct solves step together, then its adjoints;
 :meth:`BurgersModel.value` and :meth:`BurgersModel.value_and_grad` are blocks
-of one.  At 21 x 21 a sample in a block costs about half what it costs
-alone: on a shared 2-core host, one BLAS thread, ~0.7 ms for a value in a
-block of 32 against ~1.6 ms alone, and ~2.0 ms for a value and gradient in a
-block of 11 against ~3.5 ms alone.
+of one.  At 21 x 21 a value in a block of 32 costs about a third of a value
+alone, and a value and gradient in a block of 11 about half of one alone:
+~0.38 ms against ~1.08 ms, and ~1.15 ms against ~2.4 ms (medians of 21
+rounds on a shared 2-vCPU Xeon host, one BLAS thread; the quartiles lie
+within 20% of each median).  A chord step of 16 samples spends ~0.21 ms in
+the triangular solves, ~0.14 ms in the stacked residual and ~0.05 ms in the
+rest of the step.
 
 The QoI is the exit kinetic-energy integral k_e = 1/2 int (u^2 + v^2) dy at
 x = 1.  Its gradient with respect to the inlet coefficients comes from the
@@ -112,8 +115,9 @@ RESIDUAL_TOL = 1e-10
 MAX_ITER = 60
 
 #: samples :meth:`BurgersModel.values` takes chord steps for together; at
-#: 21 x 21, one BLAS thread, 512 samples took ~0.47 ms each in blocks of 32,
-#: ~0.54 ms in blocks of 16 or 64 and ~0.63 ms in blocks of 128
+#: 21 x 21, one BLAS thread, 512 samples took ~0.35 ms each in blocks of 32
+#: or 64 and ~0.39 ms in blocks of 16 or 128 (medians of 21 rounds, quartiles
+#: within 0.04 ms)
 VALUES_BLOCK = 32
 
 #: a warm solve's chord step, or a refinement sweep of the adjoint, must cut
@@ -179,9 +183,10 @@ class AdjointSolution:
 
 
 def full_inlet_coeffs(s_free):
-    """Extend free coefficients with the corner-closure values s_0 and s_{m+1}."""
+    """Extend free coefficients (..., m) with the corner-closure values s_0 and s_{m+1}."""
     s_free = np.asarray(s_free, dtype=float)
-    return np.concatenate(([0.0], s_free, [-float(np.sum(s_free))]))
+    s_0 = np.zeros((*s_free.shape[:-1], 1))
+    return np.concatenate((s_0, s_free, -s_free.sum(axis=-1, keepdims=True)), axis=-1)
 
 
 def inlet_u_profile(s_full, y):
@@ -245,7 +250,8 @@ def _interior_values(x):
     interior nodes in the pattern's row order.
     """
     n = math.isqrt(x.shape[0] // 2)
-    return x[_stencil_pattern(n).cols[: 10 * (n - 2) ** 2]].reshape(5, 2, -1, *x.shape[1:])
+    cols = _stencil_pattern(n).cols[: 10 * (n - 2) ** 2]
+    return x.take(cols, axis=0).reshape(5, 2, -1, *x.shape[1:])
 
 
 def _stencil_data(n, interior, exit_coeffs, k=None):
@@ -307,8 +313,10 @@ def _direct_stencil(values, nu, h, newton):
     adv = centre * inv2h
     visc = nu * invh2
     # adv - visc for the east and north neighbours, -adv - visc for west and south
-    east_north, west_south = adv - visc, np.negative(adv)
+    west_south = np.negative(adv)
     west_south -= visc
+    east_north = adv
+    east_north -= visc
     neighbours = (east_north[0], west_south[0], east_north[1], west_south[1])
     # u-momentum: d/du_P carries u_x, coupling to v_P carries u_y (and
     # symmetrically for v-momentum); dropped in the Picard linearization
@@ -328,41 +336,64 @@ def _direct_jacobian(u, v, nu, h, newton):
     return _csc(n, _stencil_data(n, *_direct_stencil(values, nu, h, newton)))
 
 
-def _slot_sum(coeffs, slots):
-    """sum_s coeffs[s] * slots[s], added from zero in slot order."""
-    total = coeffs[0] * slots[0]
-    total += 0.0  # 0 + p, as a sum from zero: -0.0 becomes 0.0
+def _slot_sum(coeffs, slots, out, product):
+    """out = sum_s coeffs[s] * slots[s], added from zero in slot order.
+
+    Each product is formed in ``product``, an array of ``out``'s shape.
+    """
+    np.multiply(coeffs[0], slots[0], out=out)
+    out += 0.0  # 0 + p, as a sum from zero: -0.0 becomes 0.0
     for coeff, slot in zip(coeffs[1:], slots[1:]):
-        total += coeff * slot
-    return total
+        np.multiply(coeff, slot, out=product)
+        out += product
 
 
-def _residual(x, nu, h, b):
+def _picard_rows(nodes, nu, h):
+    """A_P(x) x for a node-major stack of states ``nodes`` (2N^2, k), in the pattern's row order.
+
+    Each row of :func:`_stencil_pattern` adds its entries' products from
+    zero in the order the pattern lists them, as a sparse product over the
+    pattern would: interior rows slot by slot, then the exit rows, then the
+    identity rows.  Every product is formed in one reused array, and the
+    gathered slots and coefficients are freed on return, before
+    :func:`_residual` reorders the sums, which keeps a residual's peak of
+    temporaries at ~2.0 MB at 32 states.
+    """
+    n = math.isqrt(nodes.shape[0] // 2)
+    k = n - 2
+    values = _interior_values(nodes)
+    interior_coeffs, exit_coeffs = _direct_stencil(values, nu, h, newton=False)
+    # the exit rows' three slots, then the identity rows' one
+    rest = nodes.take(_stencil_pattern(n).cols[12 * k * k :], axis=0)
+    sums = np.empty(nodes.shape)
+    interior, exit_rows = sums[: 2 * k * k], sums[2 * k * k : 2 * k * k + 2 * k]
+    product = np.empty(values.shape[1:])
+    # the sixth slot, the other field's centre, is the centre slot reversed
+    slots = (*values, values[0, ::-1])
+    _slot_sum(interior_coeffs, slots, interior.reshape(product.shape), product)
+    exit_slots = rest[: 6 * k].reshape(3, *exit_rows.shape)
+    _slot_sum(exit_coeffs, exit_slots, exit_rows, product[0, : 2 * k])
+    np.add(rest[6 * k :], 0.0, out=sums[2 * k * k + 2 * k :])  # 1.0 * x_i + 0
+    return sums
+
+
+def _residual(x, nu, h, inlet):
     """Direct residual F(x) = A_P(x) x - b of a state ``x`` (2N^2,) or a stack (k, 2N^2).
 
-    A_P is the Picard operator at each state; ``b`` holds the inlet values on
-    the inlet rows, one row per state or one for all.  Each row of
-    :func:`_stencil_pattern` adds its entries' products from zero in the
-    order the pattern lists them, as a sparse product over the pattern
-    would: interior rows slot by slot, then the exit rows, then the identity
-    rows.  No matrix is built.
+    A_P is the Picard operator at each state, applied as :func:`_picard_rows`
+    does, without building a matrix; b is zero but on the inlet rows, where
+    it holds ``inlet``: the (u, v) inlet values (2, N - 2), one per state
+    (k, 2, N - 2) or one for all.
     """
     stack = x.reshape(-1, x.shape[-1])
     n = math.isqrt(stack.shape[1] // 2)
-    k = n - 2
-    pattern = _stencil_pattern(n)
-    exit_at, identity_at = 12 * k * k, 12 * k * k + 6 * k
-    # node-major, so the gather copies whole rows of the stack
-    entries = np.ascontiguousarray(stack.T).take(pattern.cols, axis=0)
-    interior = entries[:exit_at].reshape(6, 2, k * k, -1)
-    interior_coeffs, exit_coeffs = _direct_stencil(interior, nu, h, newton=False)
-    sums = np.concatenate([
-        _slot_sum(interior_coeffs, interior).reshape(2 * k * k, -1),
-        _slot_sum(exit_coeffs, entries[exit_at:identity_at].reshape(3, 2 * k, -1)),
-        _slot_sum((1.0,), entries[None, identity_at:]),
-    ])
-    res = sums.take(pattern.position, axis=0).T
-    res -= b
+    # node-major, so the gathers copy whole rows of the stack
+    sums = _picard_rows(np.ascontiguousarray(stack.T), nu, h)
+    # node order, then state-major: each state's max norm, and SuperLU's
+    # copy of the right-hand sides, read a contiguous row
+    res = np.ascontiguousarray(sums.take(_stencil_pattern(n).position, axis=0).T)
+    # b: the inlet rows x = 0, 0 < y < 1 of each field
+    res.reshape(-1, 2, n * n)[:, :, 1 : n - 1] -= inlet.reshape(-1, 2, n - 2)
     return res.reshape(x.shape)
 
 
@@ -380,32 +411,38 @@ def _refine(lu, x, res, residual, tol, max_steps, fallback):
     holds row j's max norms from the first one on.
     """
     x = x.copy()
-    norms = np.abs(res).max(axis=1)
-    tols = np.broadcast_to(tol, norms.shape).tolist()
-    history = [[norm] for norm in norms.tolist()]
-    rows = np.flatnonzero(norms > tols)
-    moving, res = x[rows], res[rows]
-    for _ in range(max_steps):
+    tols = np.broadcast_to(tol, len(x))
+    # norms[s, j]: row j's max norm after s steps, for s up to steps[j]
+    norms = np.empty((max_steps + 1, len(x)))
+    norms[0] = np.abs(res).max(axis=1)
+    steps = np.zeros(len(x), dtype=int)
+    rows = np.flatnonzero(norms[0] > tols)
+    # the moving rows' states, residuals, tolerances and last max norms
+    moving, res, row_tols, last = x[rows], res[rows], tols[rows], norms[0, rows]
+    for step in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        moving = moving + lu.solve(-res.T).T
+        # the triangular solves are sign-symmetric: x - LU^{-1} F has the bits of x + LU^{-1} (-F)
+        moving -= lu.solve(res.T).T
         res = residual(moving, rows)
-        keep = []
-        for i, (row, norm) in enumerate(zip(rows.tolist(), np.abs(res).max(axis=1).tolist())):
-            history[row].append(norm)
-            if norm > tols[row] and norm / history[row][-2] < CHORD_CONTRACTION:
-                keep.append(i)
-        if len(keep) < rows.size:
-            x[rows] = moving
-            rows, moving, res = rows[keep], moving[keep], res[keep]
-    x[rows] = moving
-    for steps, row_tol in zip(history, tols):
-        if not steps[-1] <= row_tol:
+        norm = norms[step, rows] = np.abs(res).max(axis=1)
+        keep = (norm > row_tols) & (norm / last < CHORD_CONTRACTION)
+        last = norm
+        if np.count_nonzero(keep) < rows.size:
+            x[rows], steps[rows] = moving, step
+            rows, moving, res, row_tols, last = (
+                rows[keep], moving[keep], res[keep], row_tols[keep], last[keep]
+            )
+    # the rows still moving took every step
+    x[rows], steps[rows] = moving, max_steps
+    history = [norms[: taken + 1, row].tolist() for row, taken in enumerate(steps.tolist())]
+    for row_steps, row_tol in zip(history, tols.tolist()):
+        if not row_steps[-1] <= row_tol:
             _log.debug(
                 "step %d on the start state's LU: residual %.3e, contraction ratio %.3g; "
                 + fallback,
-                len(steps) - 1, steps[-1],
-                steps[-1] / steps[-2] if len(steps) > 1 else float("nan"),
+                len(row_steps) - 1, row_steps[-1],
+                row_steps[-1] / row_steps[-2] if len(row_steps) > 1 else float("nan"),
             )
     return x, history
 
@@ -422,20 +459,21 @@ def _factorize(matrix, residual, iterations):
 
 
 def _inlet_data(s_full, n):
-    """b of F(x) = A_P(x) x - b for each row of inlet coefficients ``s_full`` (k, m + 2).
+    """Inlet values (k, 2, N - 2) of u and v at 0 < y < 1 for each row of ``s_full`` (k, m + 2).
 
-    An array (k, 2N^2): the inlet values on the inlet rows, zero elsewhere.
+    They are b of F(x) = A_P(x) x - b on the inlet rows; b is zero elsewhere.
     """
-    y = np.linspace(0.0, 1.0, n)
-    b = np.zeros((len(s_full), 2, n, n))
-    b[:, 0, 0, 1:-1] = inlet_u_profile(s_full.T, y)[:, 1:-1]
-    b[:, 1, 0, 1:-1] = inlet_v_profile(y)[1:-1]
-    return b.reshape(len(s_full), -1)
+    y = np.linspace(0.0, 1.0, n)[1:-1]
+    inlet = np.empty((len(s_full), 2, n - 2))
+    inlet[:, 0] = inlet_u_profile(s_full.T, y)
+    inlet[:, 1] = inlet_v_profile(y)
+    return inlet
 
 
-def _newton(x, res, history, b, nu, h, tol, max_iter, picard_steps):
+def _newton(x, res, history, inlet, nu, h, tol, max_iter, picard_steps):
     """Damped Newton from ``x``, whose residual is ``res``, to a max norm of at most ``tol``.
 
+    ``inlet`` holds the inlet values (2, N - 2), as :func:`_residual` reads them.
     The first ``picard_steps`` steps use the frozen-coefficient operator.
     ``history`` ends with the max norm of ``res``; each step appends its own.
     Returns ``(x, factorizations)``.
@@ -452,7 +490,7 @@ def _newton(x, res, history, b, nu, h, tol, max_iter, picard_steps):
         scale = 1.0
         for _ in range(12):
             x_try = x + scale * delta
-            res_try = _residual(x_try, nu, h, b)
+            res_try = _residual(x_try, nu, h, inlet)
             norm_try = float(np.max(np.abs(res_try)))
             if norm_try < res_norm or scale < 1e-3:
                 break
@@ -476,8 +514,8 @@ def _newton(x, res, history, b, nu, h, tol, max_iter, picard_steps):
     return x, factorizations
 
 
-def _warm_solves(start, b, tol, max_iter, where=nullcontext):
-    """Solve from ``start``'s fields, with each row's inlet of ``b`` (k, 2N^2) written in.
+def _warm_solves(start, inlet, tol, max_iter, where=nullcontext):
+    """Solve from ``start``'s fields with each row's inlet values (k, 2, N - 2) written in.
 
     The rows take chord steps together (:func:`_refine`) on the LU of the
     Newton Jacobian at ``start``, factored on first use and kept on it; a row
@@ -486,11 +524,12 @@ def _warm_solves(start, b, tol, max_iter, where=nullcontext):
     residuals and the LU factorizations made for it (the chord LU's for row 0).
     """
     n, nu, h = start.n_grid, 1.0 / start.re, start.h
-    x = np.empty(b.shape)
-    fields = x.reshape(-1, 2, n, n)
+    fields = np.empty((len(inlet), 2, n, n))
     fields[:, 0], fields[:, 1] = start.u, start.v
-    fields[:, 0, 0, 1:-1] = b.reshape(-1, 2, n, n)[:, 0, 0, 1:-1]
-    res = _residual(x, nu, h, b)
+    # start.v already holds the v inlet, which every sample shares
+    fields[:, 0, 0, 1:-1] = inlet[:, 0]
+    x = fields.reshape(len(inlet), -1)
+    res = _residual(x, nu, h, inlet)
     norms = np.abs(res).max(axis=1)
     solved, history = x, [[norm] for norm in norms.tolist()]
     factorizations = [0] * len(x)
@@ -500,7 +539,7 @@ def _warm_solves(start, b, tol, max_iter, where=nullcontext):
             start._chord_lu = _factorize(jac, float(norms.max()), 0)
             factorizations[0] = 1
         solved, history = _refine(
-            start._chord_lu, x, res, lambda moved, rows: _residual(moved, nu, h, b[rows]),
+            start._chord_lu, x, res, lambda moved, rows: _residual(moved, nu, h, inlet[rows]),
             tol, max_iter, "damped Newton restarts from the start state",
         )
     for row, steps in enumerate(history):
@@ -508,7 +547,7 @@ def _warm_solves(start, b, tol, max_iter, where=nullcontext):
             history[row] = steps[:1]
             with where(row):
                 solved[row], made = _newton(
-                    x[row], res[row], history[row], b[row], nu, h, tol, max_iter, 0
+                    x[row], res[row], history[row], inlet[row], nu, h, tol, max_iter, 0
                 )
             factorizations[row] += made
     return solved, history, factorizations
@@ -542,21 +581,25 @@ def burgers_solve(
         raise ValueError(f"Reynolds number must be positive, got {re}")
     n = int(n_grid)
     s_full = full_inlet_coeffs(s_free)
-    [b] = _inlet_data(s_full[None], n)
+    inlet = _inlet_data(s_full[None], n)
     if start is None:
         nu, h = 1.0 / float(re), 1.0 / (n - 1)
-        # the inlet profile copied through the domain
-        x = np.repeat(b.reshape(2, n, n)[:, :1], n, axis=1).ravel()
-        res = _residual(x, nu, h, b)
+        # the inlet profile, zero at the walls, copied through the domain
+        x = np.zeros((2, n, n))
+        x[:, :, 1:-1] = inlet[0, :, None]
+        x = x.ravel()
+        res = _residual(x, nu, h, inlet[0])
         history = [float(np.max(np.abs(res)))]
-        x, factorizations = _newton(x, res, history, b, nu, h, tol, max_iter, picard_steps=3)
+        x, factorizations = _newton(
+            x, res, history, inlet[0], nu, h, tol, max_iter, picard_steps=3
+        )
     elif start.n_grid != n or start.re != float(re):
         raise ValueError(
             f"start state is for N={start.n_grid}, Re={start.re}; "
             f"this solve is for N={n}, Re={float(re)}"
         )
     else:
-        [x], [history], [factorizations] = _warm_solves(start, b[None], tol, max_iter)
+        [x], [history], [factorizations] = _warm_solves(start, inlet, tol, max_iter)
     u, v = x.reshape(2, n, n)
     return BurgersState(
         u=u,
@@ -571,15 +614,15 @@ def burgers_solve(
     )
 
 
-def _exit_energy(u, v, h):
-    """Exit kinetic-energy integral of the fields (u, v), trapezoidal along x = 1."""
-    energy = 0.5 * (u[-1, :] ** 2 + v[-1, :] ** 2)
-    return float(np.trapezoid(energy, dx=h))
+def _exit_energy(fields, h):
+    """Exit kinetic-energy integrals of the fields (..., 2, N, N), trapezoidal along x = 1."""
+    u, v = fields[..., 0, -1, :], fields[..., 1, -1, :]
+    return np.trapezoid(0.5 * (u**2 + v**2), dx=h, axis=-1)
 
 
 def burgers_qoi(state):
     """Exit kinetic-energy integral, trapezoidal along x = 1."""
-    return _exit_energy(state.u, state.v, state.h)
+    return float(_exit_energy(np.stack([state.u, state.v]), state.h))
 
 
 def _adjoint_system(fields, nu, h):
@@ -636,14 +679,21 @@ def _adjoint_solves(fields, nu, h, start=None, where=nullcontext):
         if start._adjoint_lu is None:
             [nominal], _ = _adjoint_system(np.stack([start.u, start.v])[None], nu, h)
             start._adjoint_lu = _factorize_adjoint(_csc(n, nominal))
-        blocks, stacked = _block_diagonal(n, data), np.zeros(rhs.shape)
+        blocks, target = _block_diagonal(n, data), rhs
 
         def residual(x, rows):
-            if len(rows) == len(rhs):
-                return (blocks @ x.ravel()).reshape(x.shape) - rhs
-            # no block couples two rows, so stopped rows' entries do not matter
-            stacked[rows] = x
-            return (blocks @ stacked.ravel()).reshape(rhs.shape)[rows] - rhs[rows]
+            nonlocal blocks, target
+            k, size = x.shape
+            if len(target) > k:
+                # the moving rows only ever shrink; their operator has the
+                # leading k blocks' index arrays and the moving rows' entries
+                blocks = scipy.sparse.csc_matrix(
+                    (data[rows].ravel(), blocks.indices[: k * data.shape[1]],
+                     blocks.indptr[: k * size + 1]),
+                    shape=(k * size, k * size),
+                )
+                target = rhs[rows]
+            return (blocks @ x.ravel()).reshape(x.shape) - target
 
         solutions, history = _refine(
             start._adjoint_lu, solutions, -rhs, residual,
@@ -778,13 +828,12 @@ class BurgersModel(Model):
             def where(row):
                 return _located(block[row], first + row if indexed else None)
 
-            coeffs = [full_inlet_coeffs(s) for s in self.space.destandardize(block)]
+            coeffs = full_inlet_coeffs(self.space.destandardize(block))
             x, _, _ = _warm_solves(
-                start, _inlet_data(np.array(coeffs), n), RESIDUAL_TOL, MAX_ITER, where
+                start, _inlet_data(coeffs, n), RESIDUAL_TOL, MAX_ITER, where
             )
             fields = x.reshape(len(block), 2, n, n)
-            for row, state in enumerate(fields):
-                qois[first + row] = _exit_energy(*state, h)
+            qois[first : first + len(block)] = _exit_energy(fields, h)
             if gradients:
                 solutions = _adjoint_solves(fields, nu, h, start, where)
                 grads[first : first + len(block)] = (

@@ -51,6 +51,11 @@ MAX_INDEX_SET_SIZE = 2_000_000
 #: and products stay in cache (1024 measured fastest at m=10, p=2)
 EVAL_BLOCK = 1024
 
+#: bytes of each of the two buffers ``ChaosBasis.eval`` gathers a product
+#: step's factors into; a step takes as many terms of a support-size group
+#: as fit, so the buffers stay in cache and small beside the term tile
+EVAL_PRODUCT_BYTES = 2**18
+
 
 def recurrence_offdiag(family, n):
     """Off-diagonal coefficient b_n of the orthonormal three-term recurrence.
@@ -245,19 +250,34 @@ class ChaosBasis:
         out = np.empty((n_pts, self.n_terms)) if out is None else out
         block = max(1, min(EVAL_BLOCK, n_pts))
         x = np.empty((self.m, block))
-        table = np.empty((self.m, width, block))  # psi_d(x_k) at [k, d]
-        rows = table.reshape(self.m * width, block)
-        terms = np.empty((self.n_terms, block))
-        terms[0] = 1.0
+        # flat buffers, so that each block's tables are contiguous
+        table = np.empty(self.m * width * block)  # psi_d(x_k) at [k, d]
+        terms = np.empty(self.n_terms * block)
+        terms[:block] = 1.0
+        # each product step takes up to ``span`` terms of a support-size
+        # group and gathers their parent and last factors into two buffers
+        span = max(1, EVAL_PRODUCT_BYTES // (8 * block))
+        steps = [
+            (group[at : at + span], parent[at : at + span], col[at : at + span])
+            for group, parent, col in self._products
+            for at in range(0, len(group), span)
+        ]
+        parents, factors = np.empty((2, max([len(g) for g, _, _ in steps], default=0) * block))
         singles, single_cols = self._singles
         for start in range(0, n_pts, block):
             q = min(block, n_pts - start)
-            xq, val, tq = x[:, :q], table[:, :, :q], terms[:, :q]
+            xq = x[:, :q]
+            val = table[: self.m * width * q].reshape(self.m, width, q)
+            rows = val.reshape(self.m * width, q)
+            tq = terms[: self.n_terms * q].reshape(self.n_terms, q)
             xq[...] = points[start : start + q].T
             _recurrence(self._offdiag, xq, val)
-            tq[singles] = rows[single_cols, :q]
-            for group, parent, col in self._products:
-                tq[group] = tq[parent] * rows[col, :q]
+            tq[singles] = rows[single_cols]
+            for group, parent, col in steps:
+                size = len(group) * q
+                head = tq.take(parent, 0, parents[:size].reshape(-1, q), "clip")
+                tail = rows.take(col, 0, factors[:size].reshape(-1, q), "clip")
+                tq[group] = np.multiply(head, tail, out=head)
             if scale is None:
                 out[start : start + q] = tq.T
             else:

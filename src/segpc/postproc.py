@@ -68,7 +68,11 @@ def _sample_moments_surrogate(surrogate, n, seed):
     The samples are evaluated in chunks of a multiple of 16 points that fit
     in :data:`SURROGATE_EVAL_BYTES`: at one BLAS thread the matrix-vector
     product then groups each chunk's rows as in one product over all the
-    samples, so the values keep their bits.
+    samples, so the values keep their bits.  They are not byte-stable across
+    BLAS thread counts: with two OpenBLAS threads the product splits a
+    chunk's rows between the threads, and a split off a multiple of 16 rows
+    moves the last bits of the rows at its edge.  No run of
+    ``tools/cli_matrix.py`` reaches this path.
     """
     pool = surrogate.space.sample_pool(n, seed)
     basis = surrogate.basis

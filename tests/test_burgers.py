@@ -1,10 +1,15 @@
+import json
 import logging
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from tests_support import discrete_qoi_gradient
+from tests_support import BLAS_THREAD_VARIABLES, discrete_qoi_gradient
 
 import segpc.burgers
 from segpc import (
@@ -94,10 +99,8 @@ def test_residual_matches_closed_form_on_quadratic_fields(n):
             r[:, [0, -1]] = field[:, [0, -1]]  # walls y = 0, 1
             r[0, 1:-1] = field[0, 1:-1] - inlet[1:-1]  # inlet x = 0
             r[-1, 1:-1] = f_x[-1, 1:-1]  # exit x = 1: du/dx
-        b = np.zeros((2, n, n))
-        b[:, 0, 1:-1] = u_in[1:-1], v_in[1:-1]
         x = np.concatenate([u.ravel(), v.ravel()])
-        got = _residual(x, nu, h, b.ravel()).reshape(2, n, n)
+        got = _residual(x, nu, h, np.stack([u_in[1:-1], v_in[1:-1]])).reshape(2, n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -114,12 +117,13 @@ def test_linearizations_match_quadratic_residual(n):
 
     for _ in range(3):
         u, v, du, dv = rng.standard_normal((4, n, n))
+        inlet = rng.standard_normal((2, n - 2))
         b = np.zeros((2, n, n))
-        b[:, 0, 1:-1] = rng.standard_normal((2, n - 2))
+        b[:, 0, 1:-1] = inlet
         b = b.ravel()
 
         def residual(u, v):
-            return _residual(np.concatenate([u.ravel(), v.ravel()]), nu, h, b)
+            return _residual(np.concatenate([u.ravel(), v.ravel()]), nu, h, inlet)
 
         newton = _direct_jacobian(u, v, nu, h, newton=True)
         d = np.concatenate([du.ravel(), dv.ravel()])
@@ -461,6 +465,54 @@ def test_values_and_grads_match_with_adjoint_fallback(monkeypatch, caplog, name,
     single = [model.value_and_grad(xi) for xi in points]
     assert np.array_equal(values, [ev.value for ev in single])
     assert np.array_equal(grads, [ev.gradient for ev in single])
+
+
+#: sha256 of N = 21 Burgers outputs at one BLAS thread: ``values`` of 24 pool
+#: points and the all-+4-sigma point, which restarts with damped Newton;
+#: ``values_and_grads`` of 11 pool points as columns (value, gradient); the
+#: residual history of one warm solve
+BURGERS_BITS = {
+    "values": "52228d5b17ff985263245012509991deaeb48bcea8fbaa932e33b2bf61963b1f",
+    "values_and_grads": "3f9f49d4e109deb71c7d49d29ed105d47fc26c9d99923f74ec9836e7c5a0f0f8",
+    "residual_history": "f9c120f6ecb1b93aac78a1b926a7b876064fe652a9d389b0e2f46abda07fd674",
+    "restarts": 1,
+}
+
+_PRINT_BURGERS_BITS = """
+import hashlib, json, logging
+import numpy as np
+from segpc import burgers_model, burgers_solve
+digest = lambda a: hashlib.sha256(np.asarray(a, dtype=float).tobytes()).hexdigest()
+records = []
+logger = logging.getLogger("segpc.burgers")
+logger.setLevel(logging.DEBUG)
+logger.addHandler(logging.Handler())
+logger.handlers[0].emit = records.append
+model = burgers_model(n_grid=21)
+pool = model.space.sample_pool(24, seed=3).points
+values = model.values(np.vstack([pool[:12], np.full(10, 4.0), pool[12:]]))
+restarts = len(records)
+grad_values, grads = model.values_and_grads(pool[:11])
+[s0] = model.space.destandardize(pool[:1])
+warm = burgers_solve(s0, re=250.0, n_grid=21, start=model._nominal)
+print(json.dumps({"values": digest(values),
+                  "values_and_grads": digest(np.column_stack([grad_values, grads])),
+                  "residual_history": digest(warm.residual_history),
+                  "restarts": restarts}))
+"""
+
+
+def test_burgers_keeps_the_stored_bits():
+    # the block tests compare samples with each other; these digests pin the
+    # bits themselves.  Solve in a one-thread child, as the BLAS thread count
+    # is read when numpy loads
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.burgers.__file__).parents[1]))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    child = subprocess.run(
+        [sys.executable, "-c", _PRINT_BURGERS_BITS],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(child.stdout) == BURGERS_BITS
 
 
 def test_model_validation():
