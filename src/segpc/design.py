@@ -256,8 +256,8 @@ def qr_select(meas, n_sel):
             f"cannot select {n_sel} points: pool has {meas.q}, basis has "
             f"{n_terms} terms"
         )
-    bad = ~(np.isfinite(meas.w_sqrt) & np.isfinite(meas.points).all(axis=1))
-    if bad.any():
+    if not (np.isfinite(meas.w_sqrt).all() and np.isfinite(meas.points).all()):
+        bad = ~(np.isfinite(meas.w_sqrt) & np.isfinite(meas.points).all(axis=1))
         raise ValueError(
             f"pool row {int(np.flatnonzero(bad)[0])} holds infs or NaNs in its point or weight"
         )

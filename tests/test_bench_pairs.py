@@ -108,3 +108,59 @@ def test_a_run_without_a_result_line_is_refused():
     pairs = load_pairs()
     with pytest.raises(ValueError):
         pairs.result_of("")
+
+
+def test_several_workloads_print_a_table_each_and_name_what_is_worse(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    # canned runs: burgers-segpc gains on both sides; burgers-mc's change
+    # is slower, with its unit time and evaluation count unchanged
+    canned = {
+        ("burgers-segpc", parent): result_line(30.0, 0.033, 22),
+        ("burgers-segpc", change): result_line(36.0, 0.027, 22),
+        ("burgers-mc", parent): result_line(2000.0, 0.0005, 16),
+        ("burgers-mc", change): result_line(1400.0, 0.0005, 16),
+    }
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((workload, checkout.name, seed))
+        return pairs.metric_values(pairs.result_of(canned[workload, checkout]))
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "burgers-segpc", "burgers-mc",
+            "--seeds", "1", "2", "--seconds", "1"]
+    assert pairs.main(argv) == 1
+    # one workload after the other, the parent first on even-numbered pairs
+    assert runs == [
+        ("burgers-segpc", "parent", 1), ("burgers-segpc", "change", 1),
+        ("burgers-segpc", "change", 2), ("burgers-segpc", "parent", 2),
+        ("burgers-mc", "parent", 1), ("burgers-mc", "change", 1),
+        ("burgers-mc", "change", 2), ("burgers-mc", "parent", 2),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(lines) if "median [q1, q3]" in line]
+    assert [lines[i] for i in heads] == [
+        "burgers-segpc: median [q1, q3] over 2 pairs",
+        "burgers-mc: median [q1, q3] over 2 pairs",
+    ]
+    # each table follows its own workload's pair lines
+    assert lines[heads[0] - 1].startswith("burgers-segpc pair 2 seed 2 (change then parent)")
+    assert lines[heads[1] - 1].startswith("burgers-mc pair 2 seed 2 (change then parent)")
+    segpc_rows = lines[heads[0] + 1 : heads[0] + 1 + len(END_TO_END)]
+    verdicts = ("gain", "gain", "no regression")
+    assert all(row.endswith(verdict) for row, verdict in zip(segpc_rows, verdicts))
+    assert lines[-1] == "worse: burgers-mc throughput"
+
+
+def test_the_last_line_reads_none_when_nothing_is_worse():
+    pairs = load_pairs()
+    read = pairs.metric_values
+    even = [(read(pairs.result_of(result_line(2000, 0.0005))),) * 2] * 3
+    tables = [("ishigami-p10", pairs.summarize(even, END_TO_END)),
+              ("cli-convergence", pairs.summarize(even, END_TO_END))]
+    assert pairs.worse_line(tables) == "worse: none"
+    assert pairs.worse_line([]) == "worse: none"

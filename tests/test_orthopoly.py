@@ -14,6 +14,7 @@ from segpc import (
     tensor_rule,
     univariate_table,
 )
+import segpc.orthopoly as orthopoly
 from segpc.orthopoly import EVAL_BLOCK
 
 
@@ -210,6 +211,69 @@ def test_basis_eval_into_out_keeps_the_bits(kind, n, layout):
     assert basis.eval(points, out=out, scale=scale) is out
     assert _same_bits(out, want * scale[:, None])
     assert _same_bits(basis.eval(points, scale=scale), want * scale[:, None])
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+@pytest.mark.parametrize("m,p", [(1, 0), (1, 5), (3, 0), (3, 6), (10, 2)])
+@pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001])
+@pytest.mark.parametrize("non_finite", [False, True])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_basis_eval_column_streams_keep_the_bits(kind, m, p, n, non_finite):
+    # a column-major ``out`` is filled in whole-column streams; the blocked
+    # row-major loop gives the reference bits
+    basis = ChaosBasis(_space(kind, m), p)
+    rng = np.random.default_rng(1000 * m + 10 * p + n)
+    # every other column of a wider array: points that are not contiguous
+    points = rng.uniform(-1.0, 1.0, (n, 2 * m))[:, ::2]
+    if non_finite:
+        points[0, 0] = np.nan
+        points[n // 2, m - 1] = np.inf
+        points[n - 1, m // 2] = -np.inf
+    scale = rng.uniform(0.0, 2.0, n)
+    want = basis.eval(points)
+    out = np.empty((n, basis.n_terms), order="F")
+    assert basis.eval(points, out=out) is out
+    assert _same_bits_up_to_nan_sign(out, want)
+    assert basis.eval(points, out=out, scale=scale) is out
+    assert _same_bits_up_to_nan_sign(out, want * scale[:, None])
+
+
+def test_basis_eval_loop_follows_the_layout_of_out(monkeypatch):
+    # a column-major ``out`` never runs the blocked loop's table recurrence
+    basis = ChaosBasis(_space("mixed", 3), 4)
+    points = _space("mixed", 3).sample_pool(50, seed=1).points
+    calls = []
+    recurrence = orthopoly._recurrence
+    monkeypatch.setattr(
+        orthopoly, "_recurrence", lambda *args: calls.append(1) or recurrence(*args)
+    )
+    basis.eval(points, out=np.empty((50, basis.n_terms), order="F"))
+    assert calls == []
+    basis.eval(points, out=np.empty((50, basis.n_terms)))
+    assert calls == [1]
+    # either loop refuses an ``out`` of the wrong shape
+    for layout in "CF":
+        for shape in [(50, basis.n_terms + 1), (49, basis.n_terms)]:
+            with pytest.raises(ValueError, match="out has shape"):
+                basis.eval(points, out=np.empty(shape, order=layout))
+
+
+def _same_bits_up_to_nan_sign(got, want):
+    """Same bits, except that a NaN may carry either sign.
+
+    A product of two NaNs (inf - inf in one factor, a NaN input in the
+    other) takes the sign of one of them, and which one numpy's multiply
+    returns depends on where the element falls in its vector loop: the
+    first operand's in an array of 8 elements, the second's at the tail of
+    an array of 17, on numpy 2.4 for x86-64.  Neither loop fixes it.
+    """
+    clear = ~np.uint64(1 << 63)
+    nan = np.isnan(want)
+    return (
+        _same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got.view(np.uint64)[nan] & clear, want.view(np.uint64)[nan] & clear)
+    )
 
 
 #: sha256 of ChaosBasis(_space(kind, 3), 6).eval of a 3000-point pool (seed 2),

@@ -316,6 +316,45 @@ def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
     assert calls == []
 
 
+#: float.hex of (skewness, kurtosis) of _random_surrogate(space, order, seed),
+#: stored from the squared expansion before its plan was kept on the basis
+SQUARE_MOMENTS_HEX = {
+    ("hermite", 10, 2, 12): ("0x1.1ed5c555ae6afp-2", "0x1.4b00e5a16d940p+2"),
+    ("mixed", 6, 3, 9): ("-0x1.964388a768229p-2", "0x1.eccda382ac206p+2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SQUARE_MOMENTS_HEX))
+def test_square_plan_is_built_once_per_basis_and_keeps_the_bits(key, monkeypatch):
+    kind, m, order, seed = key
+    space = StochasticSpace([Gaussian()] * m) if kind == "hermite" else _mixed_space(m)
+    built = []
+    build = postproc._build_square_plan
+    monkeypatch.setattr(
+        postproc, "_build_square_plan", lambda basis: built.append(basis) or build(basis)
+    )
+    surrogate = _random_surrogate(space, order, seed)
+    # the same coefficients on a basis of its own
+    fresh = _random_surrogate(space, order, seed)
+    for sur in (surrogate, surrogate, fresh):
+        report = higher_moments(sur)
+        assert (report.skewness.hex(), report.kurtosis.hex()) == SQUARE_MOMENTS_HEX[key]
+    assert len(built) == 2
+    assert built[0] is surrogate.basis and built[1] is fresh.basis
+
+
+@pytest.mark.parametrize("m, dtype", [(10, np.uint16), (40, np.uint32)])
+def test_square_plan_holds_small_read_only_arrays(m, dtype):
+    plan = postproc._build_square_plan(ChaosBasis(_mixed_space(m), 2))
+    index = [plan.first, plan.second, plan.diagonal, plan.merge, plan.terms, plan.at]
+    index += [a for take, rows, _ in plan.slots for a in (take, rows)]
+    # the rows before merging, counted from (m, p) alone
+    assert plan.merge.size == postproc._square_row_count(m, 2)
+    assert all(a.dtype == dtype for a in index)
+    assert all(mult.dtype == np.float64 for _, _, mult in plan.slots)
+    assert not any(a.flags.writeable for a in index + [mult for _, _, mult in plan.slots])
+
+
 _PRINT_CHUNKED_MOMENTS = """
 import json
 import numpy as np

@@ -1,18 +1,20 @@
 """Run alternating benchmark pairs of two checkouts and compare their end-to-end metrics.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload burgers-mc \\
+    python tools/bench_pairs.py PARENT CHANGE --workload burgers-mc burgers-segpc \\
         --seeds 701 702 703 704 705 706 707 708 709 710 --seconds 20
 
 PARENT and CHANGE are two checkouts of this repository (a ``git clone`` or
-``git archive`` of each commit).  For each seed the script runs
+``git archive`` of each commit).  For each workload W in turn, and each seed
+S, the script runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 both, the parent first on even-numbered pairs and the change first on odd
 ones, and reads the result object on the last line of each run's output.
 The metric names, their units, which direction is better and their
 regression bounds come from ``BENCHMARK.json`` in PARENT.
 
-For each end-to-end metric it prints both sides' medians and quartiles, the
-pairs the change won (ties count for neither side) and a verdict:
+For each workload it prints a table: for each end-to-end metric, both
+sides' medians and quartiles, the pairs the change won (ties count for
+neither side) and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs and its median
   is better than the parent's by more than the parent's quartile spread;
@@ -22,7 +24,9 @@ pairs the change won (ties count for neither side) and a verdict:
   not every change run is better than every parent run;
 - ``no regression`` otherwise.
 
-A run that fails (no result line) aborts the script with its output.
+A last line names every workload's metric judged ``worse`` (``worse:
+none`` if there is none), and the script then exits 1 if there is one.  A
+run that fails (no result line) aborts the script with its output.
 Nothing under ``perfbench/`` is changed, but each run writes its record to
 that checkout's ``perfbench/out/``.
 """
@@ -118,6 +122,13 @@ def format_rows(workload, rows):
     return "\n".join(lines)
 
 
+def worse_line(tables):
+    """The last line: each (workload, rows) table's metrics judged worse, or none."""
+    worse = [f"{workload} {row['name']}" for workload, rows in tables
+             for row in rows if row["verdict"] == "worse"]
+    return "worse: " + (", ".join(worse) if worse else "none")
+
+
 def run_once(checkout, workload, seed, seconds):
     """Metric values of one benchmark run in ``checkout``."""
     proc = subprocess.run(
@@ -132,27 +143,38 @@ def run_once(checkout, workload, seed, seconds):
     return metric_values(result_of(proc.stdout))
 
 
+def run_pairs(parent, change, workload, seeds, seconds):
+    """(parent, change) metric dicts of one alternating pair per seed, each printed."""
+    checkouts = {"parent": parent, "change": change}
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {side: run_once(checkouts[side], workload, seed, seconds) for side in order}
+        pairs.append((got["parent"], got["change"]))
+        print(f"{workload} pair {i + 1} seed {seed} ({' then '.join(order)}): " + json.dumps(
+            {side: {k: round(v, 6) for k, v in got[side].items()} for side in checkouts}
+        ), flush=True)
+    return pairs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
-               for side in order}
-        pairs.append((got["parent"], got["change"]))
-        print(f"pair {i + 1} seed {seed} ({' then '.join(order)}): " + json.dumps(
-            {side: {k: round(v, 6) for k, v in got[side].items()} for side in ("parent", "change")}
-        ), flush=True)
-    print(format_rows(args.workload, summarize(pairs, spec["end_to_end"])))
-    return 0
+    tables = []
+    for workload in args.workload:
+        pairs = run_pairs(args.parent, args.change, workload, args.seeds, args.seconds)
+        tables.append((workload, summarize(pairs, spec["end_to_end"])))
+        print(format_rows(*tables[-1]), flush=True)
+    line = worse_line(tables)
+    print(line)
+    return 0 if line == "worse: none" else 1
 
 
 if __name__ == "__main__":
