@@ -758,11 +758,14 @@ def _located(xi, index=None):
 
 
 def _floats(name, value):
-    """``value`` as a float array, or a ValueError naming the argument."""
+    """``value`` as a finite float array, or a ValueError naming the argument."""
     try:
-        return np.asarray(value, dtype=float)
+        floats = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}") from None
+    if not np.isfinite(floats).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return floats
 
 
 class BurgersModel(Model):

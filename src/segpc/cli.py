@@ -64,12 +64,13 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _number(kind, value, field):
+def _number(kind, value, field, finite=True):
     """``value`` as ``kind``, or a ConfigError naming the config field.
 
     A string is read as its number, so a flag and a config entry get the
-    same check.  No number is a boolean, and an int field takes only an
-    integral number.
+    same check.  No number is a boolean, an int field takes only an
+    integral number, and NaN or an infinity is refused unless ``finite`` is
+    false.
     """
     if kind not in (int, float):
         try:
@@ -86,6 +87,8 @@ def _number(kind, value, field):
                 pass
     if isinstance(number, bool) or not isinstance(number, (int, float)):
         raise ConfigError(f"config field {field!r} must be a number, got {value!r}")
+    if finite and isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"config field {field!r} must be finite, got {number!r}")
     if kind is int and isinstance(number, float) and not number.is_integer():
         raise ConfigError(f"config field {field!r} must be an integer, got {number!r}")
     return kind(number)
@@ -277,7 +280,8 @@ def reference_from_file(path):
     reference = {}
     for key in MOMENTS:
         _require(key in row, f"reference.path {path} has no {key!r} column")
-        reference[key] = _number(float, row[key], f"reference.path column {key}")
+        # a moments file writes an undefined moment as nan
+        reference[key] = _number(float, row[key], f"reference.path column {key}", finite=False)
     return reference
 
 

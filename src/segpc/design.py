@@ -209,7 +209,7 @@ class DesignPlan:
     @property
     def cond_number(self):
         if self._cond is None:
-            sub = self.meas.basis.eval(self.points) * self.w_sqrt[:, None]
+            sub = self.meas.basis.eval(self.points, scale=self.w_sqrt)
             self._cond = float(np.linalg.cond(sub))
         return self._cond
 

@@ -21,31 +21,25 @@ multi-index set: all exponent tuples with |alpha|_1 <= p, ordered by total
 degree and lexicographically (ascending, leftmost dimension most significant)
 within each degree.  The first index is always the zero tuple.
 
-``ChaosBasis.eval`` forms the products with one multiply per term and point.
-Each term's parent is the same multi-index with its last nonzero exponent
-zeroed, so term = parent * psi_{alpha_k}(x_k) with k that last dimension;
-parents are formed before their children.  The bits equal those of the
-tensor-product definition (the product of all m factors, in ascending
-dimension order): psi_0 is exactly 1.0, 1.0 * x == x in IEEE-754
-arithmetic, and the parent recursion multiplies the non-constant factors in
-that same order.  Two loops do this, chosen by the layout of the result:
+``ChaosBasis.eval`` forms the products with one multiply per term and point,
+one whole column of points at a time.  Each dimension's recurrence runs in
+the columns of its single-factor terms psi_d(x_k).  Every other term's
+parent is the same multi-index with its last nonzero exponent zeroed, so
+term = parent * psi_{alpha_k}(x_k) with k that last dimension: one multiply
+of two columns, and parents come before their children in the graded
+order.  The bits equal those of the tensor-product definition (the product
+of all m factors, in ascending dimension order): psi_0 is exactly 1.0,
+1.0 * x == x in IEEE-754 arithmetic, and the parent recursion multiplies
+the non-constant factors in that same order.
 
-- row-major (fits, quadrature, surrogate sampling): points go through in
-  blocks of ``EVAL_BLOCK``; a block's univariate values and products stay
-  in cache in a term-major tile, and the tile is transposed into its rows;
-- column-major ``out`` (the pool a design ranks): whole-column streams.
-  Each dimension's recurrence runs in the columns of its single-factor
-  terms, each product term is one multiply of two columns over all points,
-  and a ``scale`` multiplies the whole array at the end.  There is no tile,
-  no gather and no table.
-
-A column is contiguous only in a column-major array, so the layout picks
-the loop, not the point count.  The streams pay a fixed cost per term: at
-Ishigami p = 10 (286 terms) they took 0.25 ms against the blocks' 0.11 ms
-at 100 points and 0.34 against 0.29 ms at 330, and won from 1,000 points
-(0.64 against 0.86 ms) to the 10^4-point pools of a design (4.1 against
-8.5 ms; 1.0 against 2.2 ms at m = 10, p = 2), on one core of a 2-core
-x86-64 host.  No design pool is that small, so no size switch is kept.
+A column is contiguous only in a column-major array, so a column-major
+``out`` (the pool a design ranks) is filled in place, and any other result
+``EVAL_BLOCK`` points at a time in one column-major scratch, copied exactly
+into its rows: the ``psi.T @ ...`` and ``psi @ c`` products downstream read
+row-major bits, and a whole-size scratch would double the peak memory of a
+large projection or surrogate sample.  At Ishigami p = 10 (286 terms) a
+weighted 10^4-point pool takes ~4.2 ms and a fit's 144 rows ~0.24 ms, most
+of it the fixed cost of one call per term (one core, 2-core x86-64 host).
 
 ``ChaosBasis.grad`` forms d psi / d x_k as (psi'(x_k) * before) * after,
 with running products of the factors of the dimensions before k (ascending)
@@ -63,14 +57,9 @@ FAMILIES = ("hermite", "legendre")
 #: hard cap on basis size; larger requests are almost certainly mistakes
 MAX_INDEX_SET_SIZE = 2_000_000
 
-#: points per block in ``ChaosBasis.eval``; sized so that a block's tables
-#: and products stay in cache (1024 measured fastest at m=10, p=2)
+#: points per block of a ``ChaosBasis.eval`` result that is not column-major;
+#: its column-major scratch holds at most this many rows
 EVAL_BLOCK = 1024
-
-#: bytes of each of the two buffers ``ChaosBasis.eval`` gathers a product
-#: step's factors into; a step takes as many terms of a support-size group
-#: as fit, so the buffers stay in cache and small beside the term tile
-EVAL_PRODUCT_BYTES = 2**18
 
 
 def recurrence_offdiag(family, n):
@@ -109,39 +98,44 @@ def univariate_table(family, degree, x):
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     values, derivs = np.empty((2, x.shape[0], degree + 1))
-    # each point is a row of the recurrence's (k, degree + 1, 1) tables
-    _recurrence(_offdiag([family], degree), x[:, None], values[:, :, None], derivs[:, :, None])
+    _recurrence(_offdiag([family], degree)[:, 0], x, values.T, derivs.T)
     return values, derivs
 
 
 def _offdiag(families, degree):
-    """b_n of each family for n <= degree, shape (degree + 1, len(families), 1); row 0 is 1."""
-    b = np.ones((degree + 1, len(families), 1))
+    """b_n of each family for n <= degree, shape (degree + 1, len(families)); row 0 is 1."""
+    b = np.ones((degree + 1, len(families)))
     for n in range(1, degree + 1):
-        b[n, :, 0] = [recurrence_offdiag(f, n) for f in families]
+        b[n] = [recurrence_offdiag(f, n) for f in families]
     return b
 
 
 def _recurrence(b, x, values, derivs=None):
-    """Fill ``values[:, d]`` with psi_d(x), and ``derivs[:, d]`` with psi_d'(x) if given.
+    """Fill ``values[d]`` with psi_d(x), and ``derivs[d]`` with psi_d'(x) if given.
 
-    ``x`` has shape (k, n), row i in the family whose b_d is ``b[d, i]``
-    (see :func:`_offdiag`); the tables have shape (k, degree + 1, n).
+    ``b[d]`` holds b_d (see :func:`_offdiag`) and broadcasts against ``x``:
+    a scalar for x of one family, shape (k, 1) for the k rows of x of shape
+    (k, n).  ``values`` and ``derivs`` are sequences of writable arrays of
+    the shape of ``x``, one per degree, updated in place.  Each step forms x * psi_d first: the
+    derivative's ``psi_d + x * psi_d'`` then takes its sum in the other
+    order, which IEEE-754 addition gives the same bits.
     """
-    width = values.shape[1]
-    values[:, 0] = 1.0
-    if width > 1:
-        values[:, 1] = x / b[1]
+    values[0][...] = 1.0
+    if len(values) > 1:
+        np.divide(x, b[1], out=values[1])
     if derivs is not None:
-        derivs[:, 0] = 0.0
-        if width > 1:
-            derivs[:, 1] = 1.0 / b[1]
-    for n in range(1, width - 1):
+        derivs[0][...] = 0.0
+        if len(derivs) > 1:
+            derivs[1][...] = 1.0 / b[1]
+    for n in range(1, len(values) - 1):
         if derivs is not None:
-            derivs[:, n + 1] = (
-                values[:, n] + x * derivs[:, n] - b[n] * derivs[:, n - 1]
-            ) / b[n + 1]
-        values[:, n + 1] = (x * values[:, n] - b[n] * values[:, n - 1]) / b[n + 1]
+            now = np.multiply(x, derivs[n], out=derivs[n + 1])
+            now += values[n]
+            now -= b[n] * derivs[n - 1]
+            now /= b[n + 1]
+        now = np.multiply(x, values[n], out=values[n + 1])
+        now -= b[n] * values[n - 1]
+        now /= b[n + 1]
 
 
 def _compositions(total, parts):
@@ -196,37 +190,29 @@ class ChaosBasis:
         self._offdiag = _offdiag(self.families, self.order)
         idx = self.indices
         # _cols[k, j] = k * width + alpha_k: where psi_{alpha_k}(x_k) lies in
-        # the recurrence's table flattened over (dimension, degree), alpha
-        # the exponents of term j
+        # grad's tables flattened over (dimension, degree), alpha the
+        # exponents of term j
         self._cols = np.arange(space.m)[:, None] * width + idx.T
-        # product plan: term j = term parent[j] * psi_{alpha_k}(x_k), with k
-        # the last dimension of nonzero exponent
+        # eval's plan: _chains[k][d] is the term psi_d(x_k) alone (term 0 for
+        # d = 0); every other term j is (j, parent, factor), term j = term
+        # parent * term factor, factor psi_{alpha_k}(x_k) alone with k the
+        # last dimension of nonzero exponent, parent alpha with alpha_k zeroed
         every = np.arange(len(idx))
         last = idx.shape[1] - 1 - np.argmax(idx[:, ::-1] > 0, axis=1)
-        col = self._cols[last, every]
+        degree = idx[every, last]
         stripped = idx.copy()
         stripped[every, last] = 0
         position = {alpha: j for j, alpha in enumerate(map(tuple, idx.tolist()))}
         parent = np.array([position[alpha] for alpha in map(tuple, stripped.tolist())])
-        # grouped by support size, so every parent is formed before its children
         support = np.count_nonzero(idx, axis=1)
         singles = np.flatnonzero(support == 1)
-        self._singles = (singles, col[singles])
-        products = []
-        for size in range(2, support.max() + 1):
-            terms = np.flatnonzero(support == size)
-            products.append((terms, parent[terms], col[terms]))
-        self._products = tuple(products)
-        # column-stream plan: _chains[k][d] is the term psi_d(x_k) alone (term
-        # 0 for d = 0), and each product term j is (j, parent, factor term)
-        chains = np.zeros(space.m * width, dtype=np.intp)
-        chains[col[singles]] = singles
-        self._chains = chains.reshape(space.m, width).tolist()
+        chains = np.zeros((space.m, width), dtype=np.intp)
+        chains[last[singles], degree[singles]] = singles
+        self._chains = chains.tolist()
         # a term's parent and factor have lower degree, so come before it
         streamed = np.flatnonzero(support > 1)
-        self._streams = list(
-            zip(streamed.tolist(), parent[streamed].tolist(), chains[col[streamed]].tolist())
-        )
+        factor = chains[last[streamed], degree[streamed]]
+        self._streams = list(zip(streamed.tolist(), parent[streamed].tolist(), factor.tolist()))
         # the coefficient-free plan of postproc's squared expansion (m > 4),
         # built by the first higher_moments call that needs it
         self._square_plan = None
@@ -257,17 +243,18 @@ class ChaosBasis:
     def eval(self, points, out=None, scale=None):
         """Evaluate all basis functions, into ``out`` (any memory order) if given.
 
-        A column-major ``out`` is filled in whole-column streams, any other
-        in blocks of points (see the module docstring); the bits are the
-        same, but for the sign of a NaN formed from two NaN factors.
+        A column-major ``out`` is filled in place, any other result through
+        a column-major scratch of at most ``EVAL_BLOCK`` rows (see the
+        module docstring).  The bits equal those of the dense tensor
+        product, but for the sign of a NaN formed from two NaN factors.
 
         Parameters
         ----------
         points : array_like, shape (n, m) or (m,)
             Standardized coordinates.
         scale : ndarray, shape (n,), optional
-            Row i is multiplied by ``scale[i]`` as it is written, with the
-            bits of ``eval(points) * scale[:, None]``.
+            Row i is multiplied by ``scale[i]``, with the bits of
+            ``eval(points) * scale[:, None]``.
 
         Returns
         -------
@@ -275,75 +262,40 @@ class ChaosBasis:
             Tensor-product values; column 0 is identically 1 (``scale`` if given).
         """
         points, single = self._as_batch(points)
-        if out is not None and out.shape != (points.shape[0], self.n_terms):
-            raise ValueError(
-                f"out has shape {out.shape}, expected {(points.shape[0], self.n_terms)}"
-            )
-        if out is not None and out.flags.f_contiguous:
-            self._eval_columns(points, out, scale)
-            return out[0] if single else out
         n_pts = points.shape[0]
-        width = self.order + 1
+        if out is not None and out.shape != (n_pts, self.n_terms):
+            raise ValueError(f"out has shape {out.shape}, expected {(n_pts, self.n_terms)}")
+        if out is not None and out.flags.f_contiguous:
+            self._fill(points, out)
+            if scale is not None:
+                out *= scale[:, None]
+            return out[0] if single else out
         # the result is allocated before the scratch, so the scratch freed on
         # return lies above it on the heap (peak RSS 1.5-2.5 MB lower, measured
         # on Ishigami fits)
         out = np.empty((n_pts, self.n_terms)) if out is None else out
         block = max(1, min(EVAL_BLOCK, n_pts))
-        x = np.empty((self.m, block))
-        # flat buffers, so that each block's tables are contiguous
-        table = np.empty(self.m * width * block)  # psi_d(x_k) at [k, d]
-        terms = np.empty(self.n_terms * block)
-        terms[:block] = 1.0
-        # each product step takes up to ``span`` terms of a support-size
-        # group and gathers their parent and last factors into two buffers
-        span = max(1, EVAL_PRODUCT_BYTES // (8 * block))
-        steps = [
-            (group[at : at + span], parent[at : at + span], col[at : at + span])
-            for group, parent, col in self._products
-            for at in range(0, len(group), span)
-        ]
-        parents, factors = np.empty((2, max([len(g) for g, _, _ in steps], default=0) * block))
-        singles, single_cols = self._singles
+        scratch = np.empty(block * self.n_terms)
         for start in range(0, n_pts, block):
+            rows = slice(start, start + block)
             q = min(block, n_pts - start)
-            xq = x[:, :q]
-            val = table[: self.m * width * q].reshape(self.m, width, q)
-            rows = val.reshape(self.m * width, q)
-            tq = terms[: self.n_terms * q].reshape(self.n_terms, q)
-            xq[...] = points[start : start + q].T
-            _recurrence(self._offdiag, xq, val)
-            tq[singles] = rows[single_cols]
-            for group, parent, col in steps:
-                size = len(group) * q
-                head = tq.take(parent, 0, parents[:size].reshape(-1, q), "clip")
-                tail = rows.take(col, 0, factors[:size].reshape(-1, q), "clip")
-                tq[group] = np.multiply(head, tail, out=head)
+            tile = scratch[: q * self.n_terms].reshape(self.n_terms, q).T
+            self._fill(points[rows], tile)
             if scale is None:
-                out[start : start + q] = tq.T
+                out[rows] = tile
             else:
-                np.multiply(tq, scale[start : start + q], out=out[start : start + q].T)
+                np.multiply(tile, scale[rows, None], out=out[rows])
         return out[0] if single else out
 
-    def _eval_columns(self, points, out, scale):
-        """``eval`` into a column-major ``out``, one whole-column stream per term."""
-        b = self._offdiag
-        out[:, 0] = 1.0
-        cols = [out[:, j] for j in range(self.n_terms)]
-        x, tmp = np.empty((2, points.shape[0]))
-        # each dimension's recurrence, as _recurrence runs it, in its own columns
+    def _fill(self, points, out):
+        """Every term at ``points`` into the column-major ``out``, one column per multiply."""
+        cols = list(out.T)
+        x = np.empty(points.shape[0])
         for k, chain in enumerate(self._chains):
             x[...] = points[:, k]
-            if len(chain) > 1:
-                np.divide(x, b[1, k], out=cols[chain[1]])
-            for n in range(1, len(chain) - 1):
-                now = cols[chain[n + 1]]
-                np.multiply(x, cols[chain[n]], out=now)
-                now -= np.multiply(b[n, k], cols[chain[n - 1]], out=tmp)
-                now /= b[n + 1, k]
+            _recurrence(self._offdiag[:, k], x, [cols[j] for j in chain])
         for j, parent, factor in self._streams:
             np.multiply(cols[parent], cols[factor], out=cols[j])
-        if scale is not None:
-            out *= scale[:, None]
 
     def grad(self, points):
         """Gradient of every basis function w.r.t. the standardized coordinates.
@@ -355,9 +307,9 @@ class ChaosBasis:
         n_pts = points.shape[0]
         width = self.order + 1
         tables = np.empty((2, n_pts, self.m, width))
-        # the recurrence fills (m, width, n) views, so that a point's values,
-        # and its derivatives, are one row indexed by ``_cols``
-        _recurrence(self._offdiag, points.T, *tables.transpose(0, 2, 3, 1))
+        # the recurrence fills (m, n) views per degree, so that a point's
+        # values, and its derivatives, are one row indexed by ``_cols``
+        _recurrence(self._offdiag[:, :, None], points.T, *tables.transpose(0, 3, 2, 1))
         values, derivs = tables.reshape(2, n_pts, self.m * width)
         out = derivs.take(self._cols, axis=1)
         # out[:, k] = (psi'_{alpha_k} * before) * after, the factors of the

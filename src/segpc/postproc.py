@@ -81,8 +81,9 @@ def _sample_moments_surrogate(surrogate, n, seed):
     """
     pool = surrogate.space.sample_pool(n, seed)
     basis = surrogate.basis
-    # a point's basis row, at most as much eval scratch, its univariate values
-    point_bytes = 8 * (2 * basis.n_terms + basis.m * (basis.order + 2) + 1)
+    # a point's basis row, at most one row of eval's scratch, its coordinate
+    # copy and recurrence temporary in eval, and its value
+    point_bytes = 8 * (2 * basis.n_terms + 3)
     chunk = 16 * max(1, SURROGATE_EVAL_BYTES // point_bytes // 16)
     values = np.empty(n)
     for start in range(0, n, chunk):

@@ -550,6 +550,37 @@ def test_number_fields_refuse_booleans_and_fractions(tmp_path, capsys, command, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, change, flags, label",
+    [
+        ("fit", {"oversample": math.inf}, [], "config field 'oversample'"),
+        ("fit", {}, ["--oversample", "inf"], "config field 'oversample'"),
+        ("fit", {"order": math.nan}, [], "config field 'order'"),
+        ("fit", {"model": {"name": "ode", "t": math.inf}}, [], "config field 'model.t'"),
+        ("fit", {"model": {"name": "burgers", "n_grid": 11, "s_mean": [math.inf, 0.1]}}, [],
+         "model: s_mean"),
+        ("fit", {"model": {"name": "burgers", "n_grid": 11, "s_std": [math.inf, 0.02]}}, [],
+         "model: s_std"),
+        ("select-points", {"space": [{"kind": "gaussian", "std": -math.inf}]}, [],
+         "config field 'space[0].std'"),
+    ],
+    ids=["oversample", "oversample-flag", "order", "ode-t", "burgers-s-mean", "burgers-s-std",
+         "space-std"],
+)
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, command, change, flags,
+                                                    label):
+    config = {"model": {"name": "ode"}, "method": "wlsq", "order": 2, "pool": 50, **change}
+    if command == "select-points":
+        config = {"order": 2, "pool": 50, **change}
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {label} must be finite" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 def test_int_field_takes_an_integral_float(tmp_path):
     base = {"model": {"name": "ode"}, "method": "wlsq", "order": 2, "pool": 50}
     for name, order in (("int", 2), ("float", 2.0), ("string", "2")):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from segpc import (
     tensor_rule,
     univariate_table,
 )
-import segpc.orthopoly as orthopoly
 from segpc.orthopoly import EVAL_BLOCK
 
 
@@ -219,8 +219,8 @@ def test_basis_eval_into_out_keeps_the_bits(kind, n, layout):
 @pytest.mark.parametrize("non_finite", [False, True])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_basis_eval_column_streams_keep_the_bits(kind, m, p, n, non_finite):
-    # a column-major ``out`` is filled in whole-column streams; the blocked
-    # row-major loop gives the reference bits
+    # every layout of the result, with and without ``scale``, against the
+    # dense tensor product
     basis = ChaosBasis(_space(kind, m), p)
     rng = np.random.default_rng(1000 * m + 10 * p + n)
     # every other column of a wider array: points that are not contiguous
@@ -230,30 +230,36 @@ def test_basis_eval_column_streams_keep_the_bits(kind, m, p, n, non_finite):
         points[n // 2, m - 1] = np.inf
         points[n - 1, m // 2] = -np.inf
     scale = rng.uniform(0.0, 2.0, n)
-    want = basis.eval(points)
-    out = np.empty((n, basis.n_terms), order="F")
-    assert basis.eval(points, out=out) is out
-    assert _same_bits_up_to_nan_sign(out, want)
-    assert basis.eval(points, out=out, scale=scale) is out
-    assert _same_bits_up_to_nan_sign(out, want * scale[:, None])
-
-
-def test_basis_eval_loop_follows_the_layout_of_out(monkeypatch):
-    # a column-major ``out`` never runs the blocked loop's table recurrence
-    basis = ChaosBasis(_space("mixed", 3), 4)
-    points = _space("mixed", 3).sample_pool(50, seed=1).points
-    calls = []
-    recurrence = orthopoly._recurrence
-    monkeypatch.setattr(
-        orthopoly, "_recurrence", lambda *args: calls.append(1) or recurrence(*args)
-    )
-    basis.eval(points, out=np.empty((50, basis.n_terms), order="F"))
-    assert calls == []
-    basis.eval(points, out=np.empty((50, basis.n_terms)))
-    assert calls == [1]
-    # either loop refuses an ``out`` of the wrong shape
+    with np.errstate(invalid="ignore"):
+        want = dense_basis_eval(basis, points)
+    assert _same_bits_up_to_nan_sign(basis.eval(points), want)
+    assert _same_bits_up_to_nan_sign(basis.eval(points, scale=scale), want * scale[:, None])
     for layout in "CF":
-        for shape in [(50, basis.n_terms + 1), (49, basis.n_terms)]:
+        out = np.empty((n, basis.n_terms), order=layout)
+        assert basis.eval(points, out=out) is out
+        assert _same_bits_up_to_nan_sign(out, want)
+        assert basis.eval(points, out=out, scale=scale) is out
+        assert _same_bits_up_to_nan_sign(out, want * scale[:, None])
+
+
+def test_basis_eval_row_major_result_needs_one_block_of_scratch():
+    # a row-major result is filled through one column-major scratch of at
+    # most EVAL_BLOCK rows, not a whole-size one copied at the end
+    basis = ChaosBasis(_space("mixed", 3), 6)
+    n = 3 * EVAL_BLOCK + 7
+    points = _space("mixed", 3).sample_pool(n, seed=4).points
+    row = 8 * basis.n_terms
+    tracemalloc.start()
+    try:
+        psi = basis.eval(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(psi, dense_basis_eval(basis, points))
+    assert peak <= n * row + EVAL_BLOCK * row + 64 * 2**10
+    # either layout of ``out`` is refused at the wrong shape
+    for layout in "CF":
+        for shape in [(n, basis.n_terms + 1), (n - 1, basis.n_terms)]:
             with pytest.raises(ValueError, match="out has shape"):
                 basis.eval(points, out=np.empty(shape, order=layout))
 
@@ -265,7 +271,7 @@ def _same_bits_up_to_nan_sign(got, want):
     other) takes the sign of one of them, and which one numpy's multiply
     returns depends on where the element falls in its vector loop: the
     first operand's in an array of 8 elements, the second's at the tail of
-    an array of 17, on numpy 2.4 for x86-64.  Neither loop fixes it.
+    an array of 17, on numpy 2.4 for x86-64.  ``eval`` does not fix it.
     """
     clear = ~np.uint64(1 << 63)
     nan = np.isnan(want)
