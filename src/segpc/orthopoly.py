@@ -41,9 +41,14 @@ large projection or surrogate sample.  At Ishigami p = 10 (286 terms) a
 weighted 10^4-point pool takes ~4.2 ms and a fit's 144 rows ~0.24 ms, most
 of it the fixed cost of one call per term (one core, 2-core x86-64 host).
 
-``ChaosBasis.grad`` forms d psi / d x_k as (psi'(x_k) * before) * after,
-with running products of the factors of the dimensions before k (ascending)
-and after k (descending).
+``ChaosBasis.grad`` reads the columns of one ``eval``:
+d psi_alpha / d x_k = (psi_{alpha<k} * psi'_{alpha_k}(x_k)) * psi_{alpha>k},
+where alpha<k (alpha>k) is alpha with the exponents of the dimensions from k
+on (up to k) zeroed: both are terms of the basis, each the product of its
+factors in ascending dimension order.  The derivatives psi'_d(x_k) come from
+the differentiated recurrence.  Only the pairs (k, j) with alpha_k > 0 are
+multiplied, all at once by three gathers and two multiplies; every other
+entry is exactly +0.0.
 """
 
 from __future__ import annotations
@@ -189,10 +194,16 @@ class ChaosBasis:
         width = self.order + 1
         self._offdiag = _offdiag(self.families, self.order)
         idx = self.indices
-        # _cols[k, j] = k * width + alpha_k: where psi_{alpha_k}(x_k) lies in
-        # grad's tables flattened over (dimension, degree), alpha the
-        # exponents of term j
-        self._cols = np.arange(space.m)[:, None] * width + idx.T
+        # a term's position, keyed by the bytes of its exponents, each in the
+        # smallest dtype that holds p
+        small = idx.astype(np.min_scalar_type(self.order))
+        key = np.dtype((np.void, small.itemsize * space.m))
+        position = {alpha: j for j, alpha in enumerate(small.view(key).ravel().tolist())}
+
+        def locate(rows):
+            keys = rows.astype(small.dtype).view(key).ravel().tolist()
+            return np.array([position[alpha] for alpha in keys], np.intp)
+
         # eval's plan: _chains[k][d] is the term psi_d(x_k) alone (term 0 for
         # d = 0); every other term j is (j, parent, factor), term j = term
         # parent * term factor, factor psi_{alpha_k}(x_k) alone with k the
@@ -202,8 +213,7 @@ class ChaosBasis:
         degree = idx[every, last]
         stripped = idx.copy()
         stripped[every, last] = 0
-        position = {alpha: j for j, alpha in enumerate(map(tuple, idx.tolist()))}
-        parent = np.array([position[alpha] for alpha in map(tuple, stripped.tolist())])
+        parent = locate(stripped)
         support = np.count_nonzero(idx, axis=1)
         singles = np.flatnonzero(support == 1)
         chains = np.zeros((space.m, width), dtype=np.intp)
@@ -213,6 +223,11 @@ class ChaosBasis:
         streamed = np.flatnonzero(support > 1)
         factor = chains[last[streamed], degree[streamed]]
         self._streams = list(zip(streamed.tolist(), parent[streamed].tolist(), factor.tolist()))
+        # grad's plan: the pairs (k, j) with alpha_k > 0, alpha<k and alpha>k
+        self._pairs = k, j = np.nonzero(idx.T)
+        dims = np.arange(space.m)
+        self._before = locate(np.where(dims < k[:, None], small[j], 0))
+        self._after = locate(np.where(dims > k[:, None], small[j], 0))
         # the coefficient-free plan of postproc's squared expansion (m > 4),
         # built by the first higher_moments call that needs it
         self._square_plan = None
@@ -265,6 +280,8 @@ class ChaosBasis:
         n_pts = points.shape[0]
         if out is not None and out.shape != (n_pts, self.n_terms):
             raise ValueError(f"out has shape {out.shape}, expected {(n_pts, self.n_terms)}")
+        if scale is not None and np.shape(scale) != (n_pts,):
+            raise ValueError(f"scale has shape {np.shape(scale)}, expected {(n_pts,)}")
         if out is not None and out.flags.f_contiguous:
             self._fill(points, out)
             if scale is not None:
@@ -301,22 +318,17 @@ class ChaosBasis:
         """Gradient of every basis function w.r.t. the standardized coordinates.
 
         Returns shape (n, m, P + 1), or (m, P + 1) for a single point; entry
-        (k, j) is the partial derivative of basis function j along dimension k.
+        (k, j) is the partial derivative of basis function j along dimension k
+        (see the module docstring).  Where alpha_k = 0 it is exactly +0.0,
+        also at a point with a non-finite coordinate.
         """
         points, single = self._as_batch(points)
-        n_pts = points.shape[0]
-        width = self.order + 1
-        tables = np.empty((2, n_pts, self.m, width))
-        # the recurrence fills (m, n) views per degree, so that a point's
-        # values, and its derivatives, are one row indexed by ``_cols``
-        _recurrence(self._offdiag[:, :, None], points.T, *tables.transpose(0, 3, 2, 1))
-        values, derivs = tables.reshape(2, n_pts, self.m * width)
-        out = derivs.take(self._cols, axis=1)
-        # out[:, k] = (psi'_{alpha_k} * before) * after, the factors of the
-        # dimensions before k taken ascending, those after k descending
-        for dims in (range(self.m), reversed(range(self.m))):
-            running = np.ones((n_pts, self.n_terms))
-            for k in dims:
-                out[:, k] *= running
-                running *= values.take(self._cols[k], axis=1)
+        k, j = self._pairs
+        psi = self.eval(points, out=np.empty((len(points), self.n_terms), order="F")).T
+        tables = np.empty((2, *self._offdiag.shape, len(points)))
+        _recurrence(self._offdiag[:, :, None], points.T, *tables)
+        product = psi[self._before] * tables[1][self.indices[j, k], k]
+        product *= psi[self._after]
+        out = np.zeros((len(points), self.m, self.n_terms))
+        out[:, k, j] = product.T
         return out[0] if single else out

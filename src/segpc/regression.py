@@ -170,9 +170,9 @@ def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
             raise ValueError(
                 f"gradients have shape {gradients.shape}, expected {(n_pts, m)}"
             )
-        dpsi = basis.grad(points)
-        rows.extend(dpsi[:, k, :] for k in range(m))
-        rhs.extend(gradients[:, k] for k in range(m))
+        # block k holds every point's derivative rows along dimension k
+        rows.append(basis.grad(points).transpose(1, 0, 2).reshape(-1, basis.n_terms))
+        rhs.append(gradients.T.ravel())
     w_block = np.tile(w_sqrt, n_blocks)
     design = np.vstack(rows) * w_block[:, None]
     target = np.concatenate(rhs) * w_block

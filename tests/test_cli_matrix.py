@@ -26,14 +26,14 @@ def load_matrix():
 
 
 def expected_files(matrix):
-    """The 51 files of the 18 runs: each run's config plus its command's outputs."""
+    """The 54 files of the 19 runs: each run's config plus its command's outputs."""
     files = sorted(
         f"{name}/{leaf}"
         for name, (command, _, _) in matrix.RUNS.items()
         for leaf in ["config.json", *OUTPUTS[command]]
     )
-    assert len(matrix.RUNS) == 18
-    assert len(files) == 51
+    assert len(matrix.RUNS) == 19
+    assert len(files) == 54
     return files
 
 

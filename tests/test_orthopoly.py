@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -299,8 +300,9 @@ def test_basis_eval_keeps_the_stored_bits(kind):
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
-@pytest.mark.parametrize("m,p", [(1, 10), (3, 10), (10, 3), (40, 2)])
+@pytest.mark.parametrize("m,p", [(1, 10), (3, 10), (4, 4), (6, 4), (10, 3), (40, 2)])
 def test_basis_grad_bit_identical_to_prefix_suffix_products(kind, m, p):
+    # (4, 4) and (6, 4) hold suffixes of three factors, multiplied ascending
     basis = ChaosBasis(_space(kind, m), p)
     rng = np.random.default_rng(100 * m + p)
     for n in (0, 1, 41):
@@ -308,6 +310,33 @@ def test_basis_grad_bit_identical_to_prefix_suffix_products(kind, m, p):
         assert _same_bits(basis.grad(points), dense_basis_grad(basis, points))
     point = 2.0 * rng.standard_normal(m)
     assert _same_bits(basis.grad(point), dense_basis_grad(basis, point))
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+def test_basis_grad_structural_zeros_are_positive_zero(kind):
+    # entry (k, j) with alpha_k = 0 is +0.0, never 0.0 times the other
+    # factors: not -0.0 where they are negative, nor NaN where one is infinite
+    basis = ChaosBasis(_space(kind, 3), 4)
+    points = np.array([[-0.7, -1.3, 0.4], [np.inf, -0.5, 1.1], [0.3, -np.inf, -0.9]])
+    with np.errstate(invalid="ignore"):
+        assert (basis.eval(points[0]) < 0).any()
+        assert np.isinf(basis.eval(points[1:])).any(axis=1).all()
+        grad = basis.grad(points)
+    zero = np.broadcast_to(basis.indices.T == 0, grad.shape)
+    assert (grad[zero] == 0.0).all()
+    assert not np.signbit(grad[zero]).any()
+
+
+@pytest.mark.parametrize("layout", [None, "C", "F"])
+def test_basis_eval_refuses_a_scale_of_another_length(layout):
+    # one block of points: a longer scale was cut to its first n entries
+    basis = ChaosBasis(_space("mixed", 3), 4)
+    points = _space("mixed", 3).sample_pool(1000, seed=6).points
+    out = None if layout is None else np.empty((1000, basis.n_terms), order=layout)
+    for scale in (np.ones(2000), np.ones(999), np.ones((1000, 1))):
+        message = f"scale has shape {scale.shape}, expected (1000,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis.eval(points, out=out, scale=scale)
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])

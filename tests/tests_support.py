@@ -60,11 +60,12 @@ def dense_basis_eval(basis, points):
 def dense_basis_grad(basis, points):
     """Reference gradient of a ``ChaosBasis`` by prefix and suffix products.
 
-    Gathers every univariate factor and derivative; entry (k, j) is
+    Gathers every univariate factor and derivative; entry (k, j) with
+    alpha_k > 0 (alpha the exponents of term j) is
     (prefix * psi'_{alpha_k}(x_k)) * suffix, with prefix the product of the
-    factors of dimensions l < k taken in ascending order and suffix that of
-    l > k taken in descending order.  ``ChaosBasis.grad`` must match it bit
-    for bit.
+    factors of dimensions l < k and suffix that of l > k, each taken in
+    ascending order.  Entry (k, j) with alpha_k = 0 is +0.0.
+    ``ChaosBasis.grad`` must match it bit for bit.
     """
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
@@ -77,15 +78,17 @@ def dense_basis_grad(basis, points):
     ]
     cols = [val[:, idx[:, k]] for k, (val, _) in enumerate(tables)]
     dcols = [der[:, idx[:, k]] for k, (_, der) in enumerate(tables)]
-    out = np.empty((points.shape[0], basis.m, len(idx)))
-    prefix = np.ones((points.shape[0], len(idx)))
+    out = np.zeros((points.shape[0], basis.m, len(idx)))
     for k in range(basis.m):
-        out[:, k, :] = prefix * dcols[k]
-        prefix = prefix * cols[k]
-    suffix = np.ones((points.shape[0], len(idx)))
-    for k in range(basis.m - 1, -1, -1):
-        out[:, k, :] *= suffix
-        suffix = suffix * cols[k]
+        prefix = np.ones((points.shape[0], len(idx)))
+        for factor in cols[:k]:
+            prefix = prefix * factor
+        suffix = np.ones((points.shape[0], len(idx)))
+        for factor in cols[k + 1:]:
+            suffix = suffix * factor
+        with np.errstate(invalid="ignore"):
+            entry = (prefix * dcols[k]) * suffix
+        out[:, k, :] = np.where(idx[:, k] > 0, entry, 0.0)
     return out[0] if single else out
 
 

@@ -6,10 +6,11 @@ Each run gets its own directory under OUT_DIR holding its ``config.json`` and
 the files ``segpc`` wrote there.  The runs cover ``fit`` with every method on
 the ODE, Ishigami and 10-input Burgers (N = 11) models plus one se-gPC fit
 oversampled past P + 1 points, the order-10 Ishigami se-gPC fit at 108
-points (286 terms) and an order-3 se-gPC fit of a 4-input Burgers model,
-``convergence`` against an analytic reference, ``select-points`` on a mixed
-Gaussian/uniform space and on Ishigami at order 8 (165 terms), and ``mc`` on
-Ishigami and on Burgers at N = 11 and at N = 21, Re = 250 (100 samples).
+points (286 terms) and order-3 and order-4 se-gPC fits of a 4-input Burgers
+model, ``convergence`` against an analytic reference, ``select-points`` on a
+mixed Gaussian/uniform space and on Ishigami at order 8 (165 terms), and
+``mc`` on Ishigami and on Burgers at N = 11 and at N = 21, Re = 250 (100
+samples).
 Configs and seeds are fixed, so a refactor that keeps the numbers shows no
 difference in
 
@@ -60,6 +61,10 @@ RUNS = {
     "fit-burgers4-segpc": ("fit", 3, {"model": {**BURGERS, "s_mean": [-0.5, -0.1, 0.1, 0.01]},
                                       "method": "segpc", "order": 3, "pool": 2000,
                                       "oversample": 2.0}),
+    # order 4: suffixes of three factors in the basis gradient
+    "fit-burgers4-segpc-p4": ("fit", 3, {"model": {**BURGERS, "s_mean": [-0.5, -0.1, 0.1, 0.01]},
+                                         "method": "segpc", "order": 4, "pool": 2000,
+                                         "oversample": 2.0}),
     "convergence-ishigami": ("convergence", 7, {"model": ISHIGAMI, "orders": [1, 2, 3],
                                                 "pool": 2000,
                                                 "reference": {"kind": "analytic"}}),
