@@ -50,9 +50,9 @@ with the same DEBUG line.
 
 Every :class:`BurgersModel` evaluation takes :data:`VALUES_BLOCK` samples at
 a time: the block's direct solves step together, then its adjoints;
-:meth:`BurgersModel.value` and :meth:`BurgersModel.value_and_grad` are blocks
-of one.  At 21 x 21 a value in a block of 32 costs about a third of a value
-alone, and a value and gradient in a block of 11 about half of one alone:
+:meth:`BurgersModel.value_and_grad` is a block of one.  At 21 x 21 a value
+in a block of 32 costs about a third of a value alone, and a value and
+gradient in a block of 11 about half of one alone:
 ~0.38 ms against ~1.08 ms, and ~1.15 ms against ~2.4 ms (medians of 21
 rounds on a shared 2-vCPU Xeon host, one BLAS thread; the quartiles lie
 within 20% of each median).  A chord step of 16 samples spends ~0.21 ms in
@@ -747,13 +747,13 @@ def burgers_adjoint(state):
 
 
 @contextmanager
-def _located(xi, index=None):
+def _located(xi, index):
     """Re-raise a solver failure naming the standardized point and its index in a batch."""
     try:
         yield
     except ModelSolveError as exc:
         located = copy.copy(exc)
-        located.point, located.index = np.atleast_1d(xi), index
+        located.point, located.index = xi, index
         raise located from exc
 
 
@@ -775,13 +775,13 @@ class BurgersModel(Model):
     means and standard deviations (default std = |mean| / 5).  The flow at
     the mean inlet is solved cold once, at construction.  Every evaluation
     goes through :meth:`_evaluate`, which warm-starts the samples' direct and
-    adjoint solves from that state as the module describes; :meth:`value`
-    and :meth:`value_and_grad` evaluate a block of one.  Each LU is factored
+    adjoint solves from that state as the module describes;
+    :meth:`value_and_grad` evaluates a block of one.  Each LU is factored
     by the first evaluation that needs it in each process and is not
     pickled, so results do not depend on the order, the grouping or the
     process in which points are evaluated.  A failed evaluation raises an
-    error that names the standardized point and, in the batched calls, its
-    index among the points passed.
+    error that names the standardized point and its index among the rows
+    passed (0 for the one-row ``value_and_grad``).
     """
 
     name = "burgers"
@@ -808,19 +808,15 @@ class BurgersModel(Model):
         self.n_grid = int(n_grid)
         self._nominal = burgers_solve(self.s_mean, re=self.re, n_grid=self.n_grid)
 
-    def value(self, xi):
-        [qoi], _ = self._evaluate(xi, gradients=False, indexed=False)
-        return float(qoi)
-
-    def _evaluate(self, points, gradients, indexed=True):
+    def _evaluate(self, points, gradients):
         """QoIs at the rows of ``points`` and, if ``gradients``, their gradients (else None).
 
         Takes :data:`VALUES_BLOCK` rows at a time: a block's samples take
         their chord steps together and then their adjoint sweeps together,
         with the bits each gets in a block of one.  A failure names its
-        standardized point and, if ``indexed``, its index among ``points``.
+        standardized point and its index among ``points``.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self.space._check_shape(points, "points")
         start, n = self._nominal, self.n_grid
         nu, h = 1.0 / self.re, start.h
         qois = np.empty(len(points))
@@ -829,7 +825,7 @@ class BurgersModel(Model):
             block = points[first : first + VALUES_BLOCK]
 
             def where(row):
-                return _located(block[row], first + row if indexed else None)
+                return _located(block[row], first + row)
 
             coeffs = full_inlet_coeffs(self.space.destandardize(block))
             x, _, _ = _warm_solves(
@@ -853,7 +849,8 @@ class BurgersModel(Model):
         return self._evaluate(points, gradients=True)
 
     def value_and_grad(self, xi):
-        [qoi], [grad] = self._evaluate(xi, gradients=True, indexed=False)
+        """:meth:`values_and_grads` of the one-row batch of the point ``xi`` (m,)."""
+        [qoi], [grad] = self._evaluate(np.asarray(xi, dtype=float)[None], gradients=True)
         return ModelEvaluation(value=float(qoi), gradient=grad)
 
 

@@ -64,7 +64,7 @@ MAX_MEASUREMENT_BYTES = 2 * 2**30
 
 
 def coherence_weights(space, points):
-    """Stability weights w^(1/2) for a set of standardized points.
+    """Stability weights w^(1/2) at rows (q, m) of standardized points.
 
     Gaussian dimensions contribute ``exp(-||xi_G||^2 / 4)`` where xi_G collects
     only the Gaussian coordinates; each uniform dimension contributes
@@ -76,14 +76,7 @@ def coherence_weights(space, points):
     -------
     ndarray, shape (q,)
     """
-    points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
-    if points.shape[1] != space.m:
-        raise ValueError(
-            f"points have dimension {points.shape[1]}, space has {space.m}"
-        )
+    points = space._check_shape(points, "points")
     weights = np.ones(points.shape[0])
     gauss_sq = np.zeros(points.shape[0])
     for k, marg in enumerate(space.marginals):
@@ -97,7 +90,7 @@ def coherence_weights(space, points):
                 )
             weights *= (1.0 - col * col) ** 0.25
     weights *= np.exp(-0.25 * gauss_sq)
-    return weights[0] if single else weights
+    return weights
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,20 @@
 A model binds a stochastic space to a scalar quantity of interest.  It is
 evaluated at *standardized* coordinates; internally it maps them to physical
 ones, and gradients are returned already chain-ruled back to standardized
-coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).  Callers evaluate rows of
-points at once, through ``values`` and ``values_and_grads``; the base class
-builds both from the one-point ``value`` and ``value_and_grad``, so a model
-may state only those.  The analytic models state their value and gradient
-once each, as vectorized numpy formulas over rows of physical points, and
-their first four moments once, in ``exact_moments``.
+coordinates (dM/dxi_k = dM/dx_k * dx_k/dxi_k).
+
+A model takes rows (n, m) of standardized points, never one point alone: a
+single point is a one-row batch.  A user model subclasses :class:`Model` and
+defines ``values(points)``, n QoI values out, which serves wlsq, quadrature
+and Monte Carlo; se-gPC also needs ``values_and_grads(points)``, values
+(n,) and gradients (n, m) out.  The library calls both only through
+:mod:`segpc.parallel`, which names the first sample with a non-finite
+output, so a model need not check its own.  The analytic models state their
+value and gradient once each, as numpy formulas over rows of physical
+points, and their first four moments once, in ``exact_moments``.  The two
+one-point methods left, :meth:`AnalyticModel.value_and_grad` and
+``BurgersModel.value_and_grad``, are one-row batches that
+``perfbench/spans.py`` wraps by name.
 
 Every evaluation is stateless from the caller's view, so evaluations at
 distinct points may run concurrently.
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelSolveError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .quadrature import gauss_rule
 from .spaces import StochasticSpace, Uniform
 
@@ -35,7 +43,7 @@ class ModelEvaluation:
 
 
 class Model:
-    """Base QoI contract: value M(xi) and gradient dM/dxi per sample point."""
+    """Base QoI contract: values M(xi) and gradients dM/dxi at rows of points."""
 
     name = "model"
 
@@ -46,33 +54,13 @@ class Model:
     def dim(self):
         return self.space.m
 
-    def value(self, xi):
-        raise NotImplementedError
-
     def values(self, points):
-        """Batched evaluation; subclasses override with vectorized forms."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.value(xi) for xi in points])
-
-    def value_and_grad(self, xi):
-        raise UnsupportedModelError(f"model {self.name!r} provides no gradient")
+        """QoIs (n,) at the rows (n, m) of ``points``; every model defines it."""
+        raise NotImplementedError(f"model {self.name!r} defines no values")
 
     def values_and_grads(self, points):
-        """Values (n,) and gradients (n, m) at the rows of ``points``.
-
-        The base form calls :meth:`value_and_grad` point by point and sets a
-        failure's ``index`` to its row; subclasses override with batched forms.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        values, grads = np.empty(len(points)), np.empty(points.shape)
-        for i, xi in enumerate(points):
-            try:
-                ev = self.value_and_grad(xi)
-            except ModelSolveError as exc:
-                exc.index = i
-                raise
-            values[i], grads[i] = ev.value, ev.gradient
-        return values, grads
+        """Values (n,) and gradients (n, m) at the rows (n, m) of ``points``."""
+        raise UnsupportedModelError(f"model {self.name!r} provides no gradient")
 
 
 class AnalyticModel(Model):
@@ -80,7 +68,7 @@ class AnalyticModel(Model):
 
     A subclass states its QoI once: ``_phys_value`` maps an (n, m) array of
     physical points to n values and ``_phys_grad`` to their (n, m) physical
-    gradients.  ``values``, ``value``, ``values_and_grads`` and
+    gradients.  ``values``, ``values_and_grads`` and the one-row
     ``value_and_grad`` all run these numpy formulas once over all their rows,
     so a point gives the same bits through every call.
     """
@@ -91,21 +79,16 @@ class AnalyticModel(Model):
     def _phys_grad(self, x):
         raise NotImplementedError
 
-    def _physical(self, xi):
-        return self.space.destandardize(np.atleast_2d(np.asarray(xi, dtype=float)))
-
-    def value(self, xi):
-        return float(self._phys_value(self._physical(xi))[0])
-
     def values(self, points):
-        return self._phys_value(self._physical(points))
+        return self._phys_value(self.space.destandardize(points))
 
     def values_and_grads(self, points):
-        x = self._physical(points)
+        x = self.space.destandardize(points)
         return self._phys_value(x), self._phys_grad(x) * self.space.scales
 
     def value_and_grad(self, xi):
-        [value], [grad] = self.values_and_grads(xi)
+        """:meth:`values_and_grads` of the one-row batch of the point ``xi`` (m,)."""
+        [value], [grad] = self.values_and_grads(np.asarray(xi, dtype=float)[None])
         return ModelEvaluation(value=float(value), gradient=grad)
 
 
@@ -140,7 +123,7 @@ class ExponentialDecayModel(AnalyticModel):
         if self.t == 0.0:
             return {"mean": 1.0, "std": 0.0, "skewness": math.nan, "kurtosis": math.nan}
         nodes, weights = gauss_rule("legendre", 60)
-        shifted = np.expm1(-self._physical(nodes[:, None])[:, 0] * self.t)
+        shifted = np.expm1(-self.space.destandardize(nodes[:, None])[:, 0] * self.t)
         centered = shifted - weights @ shifted
         var = float(weights @ centered**2)
         return {"mean": ode_mean(self.t), "std": math.sqrt(ode_variance(self.t)),

@@ -244,17 +244,6 @@ class ChaosBasis:
     def __repr__(self):
         return f"ChaosBasis(m={self.m}, order={self.order}, n_terms={self.n_terms})"
 
-    def _as_batch(self, points):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        if single:
-            points = points[None, :]
-        if points.shape[1] != self.m:
-            raise ValueError(
-                f"points have dimension {points.shape[1]}, basis expects {self.m}"
-            )
-        return points, single
-
     def eval(self, points, out=None, scale=None):
         """Evaluate all basis functions, into ``out`` (any memory order) if given.
 
@@ -265,18 +254,18 @@ class ChaosBasis:
 
         Parameters
         ----------
-        points : array_like, shape (n, m) or (m,)
-            Standardized coordinates.
+        points : array_like, shape (n, m)
+            Rows of standardized coordinates.
         scale : ndarray, shape (n,), optional
             Row i is multiplied by ``scale[i]``, with the bits of
             ``eval(points) * scale[:, None]``.
 
         Returns
         -------
-        ndarray, shape (n, P + 1) or (P + 1,)
+        ndarray, shape (n, P + 1)
             Tensor-product values; column 0 is identically 1 (``scale`` if given).
         """
-        points, single = self._as_batch(points)
+        points = self.space._check_shape(points, "points")
         n_pts = points.shape[0]
         if out is not None and out.shape != (n_pts, self.n_terms):
             raise ValueError(f"out has shape {out.shape}, expected {(n_pts, self.n_terms)}")
@@ -286,7 +275,7 @@ class ChaosBasis:
             self._fill(points, out)
             if scale is not None:
                 out *= scale[:, None]
-            return out[0] if single else out
+            return out
         # the result is allocated before the scratch, so the scratch freed on
         # return lies above it on the heap (peak RSS 1.5-2.5 MB lower, measured
         # on Ishigami fits)
@@ -302,7 +291,7 @@ class ChaosBasis:
                 out[rows] = tile
             else:
                 np.multiply(tile, scale[rows, None], out=out[rows])
-        return out[0] if single else out
+        return out
 
     def _fill(self, points, out):
         """Every term at ``points`` into the column-major ``out``, one column per multiply."""
@@ -317,12 +306,12 @@ class ChaosBasis:
     def grad(self, points):
         """Gradient of every basis function w.r.t. the standardized coordinates.
 
-        Returns shape (n, m, P + 1), or (m, P + 1) for a single point; entry
-        (k, j) is the partial derivative of basis function j along dimension k
-        (see the module docstring).  Where alpha_k = 0 it is exactly +0.0,
-        also at a point with a non-finite coordinate.
+        Takes rows (n, m) of points and returns shape (n, m, P + 1); entry
+        (i, k, j) is the partial derivative of basis function j along
+        dimension k at point i (see the module docstring).  Where alpha_k = 0
+        it is exactly +0.0, also at a point with a non-finite coordinate.
         """
-        points, single = self._as_batch(points)
+        points = self.space._check_shape(points, "points")
         k, j = self._pairs
         psi = self.eval(points, out=np.empty((len(points), self.n_terms), order="F")).T
         tables = np.empty((2, *self._offdiag.shape, len(points)))
@@ -331,4 +320,4 @@ class ChaosBasis:
         product *= psi[self._after]
         out = np.zeros((len(points), self.m, self.n_terms))
         out[:, k, j] = product.T
-        return out[0] if single else out
+        return out

@@ -84,12 +84,12 @@ class PceSurrogate:
         )
 
     def eval(self, points):
-        """Evaluate the surrogate at standardized points."""
+        """Surrogate values (n,) at rows (n, m) of standardized points."""
         vals = self.basis.eval(points)
         return vals @ self.coefficients
 
     def grad(self, points):
-        """Surrogate gradient w.r.t. standardized coordinates."""
+        """Surrogate gradients (n, m) w.r.t. standardized coordinates at rows (n, m)."""
         grads = self.basis.grad(points)
         return grads @ self.coefficients
 
@@ -138,6 +138,14 @@ def _count_equations(basis, n_pts, n_blocks):
     return n_equations
 
 
+def _shaped(name, array, shape):
+    """``array`` as floats of ``shape``, or a ValueError naming the argument."""
+    array = np.asarray(array, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
     """Weighted least-squares fit from QoI values, optionally with gradients.
 
@@ -156,20 +164,18 @@ def fit_wlsq(basis, points, w_sqrt, values, gradients=None):
         Given, the fit is sensitivity-enhanced: each point costs two model
         evaluations, and a rank-deficient system yields the minimum-norm
         solution (see :func:`fit_segpc`) instead of raising.
+
+    An argument of any other shape raises a ValueError naming it.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    w_sqrt = np.asarray(w_sqrt, dtype=float)
+    points = basis.space._check_shape(points, "points")
     n_pts, m = points.shape
+    w_sqrt, values = _shaped("w_sqrt", w_sqrt, (n_pts,)), _shaped("values", values, (n_pts,))
     n_blocks = 1 if gradients is None else 1 + m
     n_equations = _count_equations(basis, n_pts, n_blocks)
     rows = [basis.eval(points)]
-    rhs = [np.asarray(values, dtype=float)]
+    rhs = [values]
     if gradients is not None:
-        gradients = np.asarray(gradients, dtype=float)
-        if gradients.shape != (n_pts, m):
-            raise ValueError(
-                f"gradients have shape {gradients.shape}, expected {(n_pts, m)}"
-            )
+        gradients = _shaped("gradients", gradients, (n_pts, m))
         # block k holds every point's derivative rows along dimension k
         rows.append(basis.grad(points).transpose(1, 0, 2).reshape(-1, basis.n_terms))
         rhs.append(gradients.T.ravel())

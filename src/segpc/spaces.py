@@ -134,29 +134,20 @@ class StochasticSpace:
         return f"StochasticSpace([{inner}])"
 
     def _check_shape(self, arr, name):
+        """``arr`` as a float array of rows (n, m), or a ValueError naming its shape."""
         arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 1:
-            if arr.shape[0] != self.m:
-                raise ValueError(
-                    f"{name} has length {arr.shape[0]}, expected {self.m}"
-                )
-        elif arr.ndim == 2:
-            if arr.shape[1] != self.m:
-                raise ValueError(
-                    f"{name} has {arr.shape[1]} columns, expected {self.m}"
-                )
-        else:
-            raise ValueError(f"{name} must be 1- or 2-dimensional")
+        if arr.ndim != 2 or arr.shape[1] != self.m:
+            raise ValueError(f"{name} have shape {arr.shape}, expected (n, {self.m})")
         return arr
 
     def standardize(self, x):
-        """Map physical coordinates to standardized ones (vectorized over rows)."""
-        x = self._check_shape(x, "physical point")
+        """Map rows (n, m) of physical coordinates to standardized ones."""
+        x = self._check_shape(x, "physical points")
         return (x - self._base) / self._scales - self._shift
 
     def destandardize(self, xi):
-        """Map standardized coordinates back to physical ones."""
-        xi = self._check_shape(xi, "standard point")
+        """Map rows (n, m) of standardized coordinates back to physical ones."""
+        xi = self._check_shape(xi, "standard points")
         return self._base + (xi + self._shift) * self._scales
 
     def sample_pool(self, q, seed):

@@ -219,8 +219,7 @@ def test_warm_start_matches_cold():
     pool = model.space.sample_pool(20, seed=3).points
     far = 4.0 * (-1.0) ** np.arange(model.space.m)
     factorizations = []
-    for xi in np.vstack([pool, far, -far]):
-        coeffs = model.space.destandardize(xi)
+    for coeffs in model.space.destandardize(np.vstack([pool, far, -far])):
         cold = burgers_solve(coeffs, re=250.0, n_grid=21)
         warm = burgers_solve(coeffs, re=250.0, n_grid=21, start=start)
         assert cold.residual_norm <= 1e-10
@@ -239,7 +238,7 @@ def test_warm_start_falls_back_to_newton_where_chord_stalls(caplog):
     model = burgers_model(n_grid=21)
     factorizations = []
     for sign in (1.0, -1.0):
-        coeffs = model.space.destandardize(np.full(model.space.m, 4.0 * sign))
+        [coeffs] = model.space.destandardize(np.full((1, model.space.m), 4.0 * sign))
         cold = burgers_solve(coeffs, re=250.0, n_grid=21)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
@@ -261,8 +260,8 @@ def test_warm_start_falls_back_to_newton_where_chord_stalls(caplog):
 def test_model_pickles_without_chord_factorization():
     model = burgers_model(n_grid=21)
     points = model.space.sample_pool(8, seed=4).points
-    values = [model.value(xi) for xi in points]
-    evaluations = [model.value_and_grad(xi) for xi in points]
+    values = model.values(points)
+    grad_values, grads = model.values_and_grads(points)
     assert model._nominal._chord_lu is not None
     assert model._nominal._adjoint_lu is not None
     payload = pickle.dumps(model)
@@ -270,11 +269,10 @@ def test_model_pickles_without_chord_factorization():
     copy = pickle.loads(payload)
     assert copy._nominal._chord_lu is None
     assert copy._nominal._adjoint_lu is None
-    for xi, value, ev in zip(points, values, evaluations):
-        assert copy.value(xi) == value
-        ev_copy = copy.value_and_grad(xi)
-        assert ev_copy.value == ev.value
-        assert np.array_equal(ev_copy.gradient, ev.gradient)
+    assert np.array_equal(copy.values(points), values)
+    copy_values, copy_grads = copy.values_and_grads(points)
+    assert np.array_equal(copy_values, grad_values)
+    assert np.array_equal(copy_grads, grads)
 
 
 def test_model_gradient_matches_fresh_adjoint(monkeypatch):
@@ -332,7 +330,7 @@ def test_discrete_adjoint_matches_finite_differences(where):
         s0, state = NOMINAL_INLET_COEFFS, nominal
     else:
         space = burgers_model(n_grid=21).space
-        s0 = space.destandardize(space.sample_pool(20, seed=3).points[0])
+        [s0] = space.destandardize(space.sample_pool(20, seed=3).points[:1])
         state = burgers_solve(s0, re=250.0, n_grid=21, start=nominal)
         # chord-solved: the chord LU is the solve's only factorization
         assert state.factorizations == 1
@@ -360,20 +358,22 @@ def test_warm_start_rejects_other_problem(nominal_state):
 
 def test_model_value_at_nominal(nominal_state):
     model = burgers_model(n_grid=21)
-    assert model.value(np.zeros(10)) == pytest.approx(
-        burgers_qoi(nominal_state), rel=1e-12
+    assert model.values(np.zeros((1, 10))) == pytest.approx(
+        [burgers_qoi(nominal_state)], rel=1e-12
     )
 
 
 def test_model_failure_names_point():
     # at N = 11 the all-+8-sigma inlet stalls the chord steps and then
-    # exhausts damped Newton; a one-point call names the point, with no index
+    # exhausts damped Newton; a one-point call is a one-row batch, so it
+    # names the point as sample 0
     model = burgers_model(n_grid=11)
     xi = np.full(10, 8.0)
-    for evaluate in (model.value, model.value_and_grad):
-        with pytest.raises(SolverDivergenceError, match=r"at standardized point \[8, 8") as info:
-            evaluate(xi)
-        assert info.value.index is None
+    calls = (model.values, model.values_and_grads, lambda rows: model.value_and_grad(rows[0]))
+    for evaluate in calls:
+        with pytest.raises(SolverDivergenceError, match=r"at sample 0, standardized point \[8, 8") as info:
+            evaluate(xi[None])
+        assert info.value.index == 0
         assert np.array_equal(info.value.point, xi)
         cause = info.value.__cause__
         assert isinstance(cause, SolverDivergenceError)
@@ -382,32 +382,25 @@ def test_model_failure_names_point():
         assert info.value.residual == cause.residual
 
 
-def test_values_match_value_bit_for_bit(caplog):
-    # the pool's chord steps run as one block; the +-4 sigma points stall and
-    # restart alone with damped Newton, each with the per-point DEBUG line
+def test_values_do_not_depend_on_block_size(monkeypatch, caplog):
+    # the +-4 sigma points stall and restart alone with damped Newton, each
+    # with the per-point DEBUG line, whatever block they are solved in
     model = burgers_model(n_grid=21)
     far = 4.0 * (-1.0) ** np.arange(model.space.m)
-    pool = model.space.sample_pool(24, seed=3).points
-    points = np.vstack([pool[:10], np.full(10, 4.0), pool[10:], -np.full(10, 4.0), far])
-    with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
-        batched = model.values(points)
-        restarts = [record.args for record in caplog.records]
-        caplog.clear()
-        single = np.array([model.value(xi) for xi in points])
-        assert [record.args for record in caplog.records] == restarts
-    assert len(restarts) == 2
-    assert np.array_equal(batched.view(np.uint64), single.view(np.uint64))
-
-
-def test_values_do_not_depend_on_block_size(monkeypatch):
-    model = burgers_model(n_grid=21)
-    points = np.vstack([model.space.sample_pool(20, seed=8).points, np.full(10, -4.0)])
-    results = []
+    pool = model.space.sample_pool(20, seed=8).points
+    points = np.vstack([pool[:10], np.full(10, 4.0), pool[10:], np.full(10, -4.0), far])
+    results, restarts = [], []
     for block in (1, 5, 16, len(points)):
         monkeypatch.setattr(segpc.burgers, "VALUES_BLOCK", block)
-        results.append(np.column_stack([model.values(points), *model.values_and_grads(points)]))
-    for got in results[1:]:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="segpc.burgers"):
+            values = model.values(points)
+        restarts.append([record.args for record in caplog.records])
+        results.append(np.column_stack([values, *model.values_and_grads(points)]))
+    assert len(restarts[0]) == 2
+    for got, lines in zip(results[1:], restarts[1:]):
         assert np.array_equal(got.view(np.uint64), results[0].view(np.uint64))
+        assert lines == restarts[0]
 
 
 def test_values_failure_names_sample(monkeypatch):

@@ -402,9 +402,7 @@ def test_oversampled_segpc_fit_matches_library(tmp_path):
     extra = [i for i in range(pool.q) if i not in set(plan.selected)][:2]
     idx = np.concatenate([plan.selected, extra])
     points = pool.points[idx]
-    evals = [model.value_and_grad(xi) for xi in points]
-    values = np.array([ev.value for ev in evals])
-    grads = np.array([ev.gradient for ev in evals])
+    values, grads = model.values_and_grads(points)
     want = fit_wlsq(basis, points, weights[idx], values, grads)
     assert saved["coefficients"] == want.coefficients.tolist()
     # the library fit continues past the pivots the same way

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,21 +32,26 @@ def gauss2():
 
 
 def test_coherence_weights_values(gauss2):
-    assert coherence_weights(gauss2, np.zeros(2)) == pytest.approx(1.0)
-    point = np.array([math.sqrt(2.0), math.sqrt(2.0)])  # ||xi||^2 = 4
-    assert coherence_weights(gauss2, point) == pytest.approx(math.exp(-1.0))
+    points = np.array([[0.0, 0.0], [math.sqrt(2.0), math.sqrt(2.0)]])  # ||xi||^2 = 0, 4
+    assert coherence_weights(gauss2, points) == pytest.approx([1.0, math.exp(-1.0)])
     unif = StochasticSpace([Uniform()])
-    assert coherence_weights(unif, np.zeros(1)) == pytest.approx(1.0)
-    assert coherence_weights(unif, np.ones(1)) == 0.0
+    assert coherence_weights(unif, np.array([[0.0], [1.0]])).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError):
-        coherence_weights(unif, np.array([1.5]))
+        coherence_weights(unif, np.array([[1.5]]))
 
 
 def test_coherence_weights_mixed_space():
     space = StochasticSpace([Gaussian(), Uniform()])
-    point = np.array([2.0, 0.6])
     want = math.exp(-4.0 / 4.0) * (1 - 0.36) ** 0.25
-    assert coherence_weights(space, point) == pytest.approx(want)
+    assert coherence_weights(space, np.array([[2.0, 0.6]])) == pytest.approx([want])
+
+
+def test_coherence_weights_take_rows_only(gauss2):
+    # a single point is a one-row batch
+    for points in (np.zeros(2), np.zeros((4, 3)), np.zeros((1, 1, 2))):
+        message = f"points have shape {points.shape}, expected (n, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            coherence_weights(gauss2, points)
 
 
 def test_coherence_weights_bounded():
@@ -70,7 +76,7 @@ def test_build_measurement_shapes(gauss2):
     single = gauss2.sample_pool(1, seed=1)
     w1 = coherence_weights(gauss2, single.points)
     meas1 = build_measurement(basis, single, w1)
-    assert np.allclose(meas1.weighted()[0], basis.eval(single.points[0]) * w1[0])
+    assert np.allclose(meas1.weighted(), basis.eval(single.points) * w1[:, None])
 
 
 def test_build_measurement_validation(gauss2):

@@ -1,33 +1,46 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from tests_support import PolyValuesModel
 
 from segpc import (
+    ChaosBasis,
+    Gaussian,
+    StochasticSpace,
+    Uniform,
+    burgers_model,
+    fit_segpc,
+    fit_wlsq,
     ishigami_mean,
     ishigami_model,
     ishigami_sobol_total,
     ishigami_variance,
+    monte_carlo_moments,
     ode_mean,
     ode_model,
     ode_variance,
+    quadrature_fit,
+    rank_pool,
     tensor_rule,
 )
+from segpc.errors import UnsupportedModelError
 from segpc.models import IshigamiModel
+from segpc.parallel import evaluate_values
 
 
 def test_ode_model_values():
-    model = ode_model(0.0)
-    ev = model.value_and_grad(np.array([0.3]))
-    assert ev.value == pytest.approx(1.0)
-    assert ev.gradient == pytest.approx([0.0])
+    values, grads = ode_model(0.0).values_and_grads(np.array([[0.3]]))
+    assert values == pytest.approx([1.0])
+    assert grads == pytest.approx(np.array([[0.0]]))
 
     model = ode_model(1.0)
-    xi = model.space.standardize(np.array([0.5]))
-    ev = model.value_and_grad(xi)
-    assert ev.value == pytest.approx(math.exp(-0.5))
+    xi = model.space.standardize(np.array([[0.5]]))
+    [value], [[grad]] = model.values_and_grads(xi)
+    assert value == pytest.approx(math.exp(-0.5))
     # dM/dk = -e^{-0.5}; dk/dxi = 1/2
-    assert ev.gradient[0] == pytest.approx(-math.exp(-0.5) * 0.5)
+    assert grad == pytest.approx(-math.exp(-0.5) * 0.5)
 
 
 def test_ode_closed_forms():
@@ -78,14 +91,11 @@ def test_ode_model_rejects_negative_time():
 
 def test_ishigami_values():
     model = ishigami_model()
-    x0 = model.space.standardize(np.zeros(3))
-    ev = model.value_and_grad(x0)
-    assert ev.value == pytest.approx(0.0)
+    xi = model.space.standardize(np.array([[0.0, 0.0, 0.0], [math.pi / 2, math.pi / 2, 0.0]]))
+    values, grads = model.values_and_grads(xi)
+    assert values == pytest.approx([0.0, 8.0])
     # physical gradient at origin is (1, 0, 0); chain rule multiplies by pi
-    assert ev.gradient == pytest.approx([math.pi, 0.0, 0.0])
-
-    x1 = model.space.standardize(np.array([math.pi / 2, math.pi / 2, 0.0]))
-    assert model.value(x1) == pytest.approx(8.0)
+    assert grads[0] == pytest.approx([math.pi, 0.0, 0.0])
 
 
 def test_ishigami_reference_values():
@@ -117,24 +127,23 @@ def test_analytic_gradients_match_finite_differences(factory):
     rng = np.random.default_rng(0)
     m = model.space.m
     step = 1e-6
-    for _ in range(25):
-        xi = rng.uniform(-0.95, 0.95, m)
-        ev = model.value_and_grad(xi)
-        fd = np.empty(m)
-        for k in range(m):
-            shift = np.zeros(m)
-            shift[k] = step
-            fd[k] = (model.value(xi + shift) - model.value(xi - shift)) / (2 * step)
-        err = np.abs(ev.gradient - fd) / np.maximum(1.0, np.abs(fd))
-        assert err.max() < 1e-7
+    xi = rng.uniform(-0.95, 0.95, (25, m))
+    _, grads = model.values_and_grads(xi)
+    fd = np.column_stack([
+        (model.values(xi + shift) - model.values(xi - shift)) / (2 * step)
+        for shift in step * np.eye(m)
+    ])
+    err = np.abs(grads - fd) / np.maximum(1.0, np.abs(fd))
+    assert err.max() < 1e-7
 
 
 def test_batched_values_match_scalar():
-    # one formula per model, so a wlsq fit and an se-gPC fit see the same bits
+    # one formula per model, so a wlsq fit and an se-gPC fit see the same bits,
+    # and a point alone is a one-row batch with the bits it gets among others
     for model in (ode_model(1.7), ishigami_model()):
         pts = model.space.sample_pool(4096, seed=5).points
         batched = model.values(pts)
-        scalar = np.array([model.value(xi) for xi in pts])
+        scalar = np.concatenate([model.values(row[None]) for row in pts])
         with_grad = np.array([model.value_and_grad(xi).value for xi in pts])
         assert np.array_equal(batched, scalar), model.name
         assert np.array_equal(batched, with_grad), model.name
@@ -150,6 +159,41 @@ def test_values_and_grads_match_value_and_grad():
         assert np.array_equal(values, [ev.value for ev in single]), model.name
         assert np.array_equal(grads, [ev.gradient for ev in single]), model.name
         assert np.array_equal(values, model.values(pts)), model.name
+
+
+@pytest.mark.parametrize(
+    "factory", [ode_model, ishigami_model, pytest.param(lambda: burgers_model(n_grid=11),
+                                                        id="burgers_model")]
+)
+def test_models_take_rows_only(factory):
+    # a single point is a one-row batch; no evaluation starts on another shape
+    model = factory()
+    m = model.space.m
+    for points in (np.zeros(m), np.zeros((2, m + 1)), np.zeros((1, 1, m))):
+        message = f"points have shape {points.shape}, expected (n, {m})"
+        for evaluate in (model.values, model.values_and_grads):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(points)
+
+
+def test_a_model_with_values_only_fits_without_gradients():
+    # values(points) is the whole contract of wlsq, quadrature and Monte Carlo;
+    # se-gPC needs values_and_grads and names the model that lacks it
+    space = StochasticSpace([Gaussian(), Uniform()])
+    basis = ChaosBasis(space, 3)
+    coeffs = np.random.default_rng(4).standard_normal(basis.n_terms)
+    model = PolyValuesModel(space, basis, coeffs)
+    plan = rank_pool(basis, 500, seed=1)
+    points, w_sqrt = plan.take(2 * basis.n_terms)
+    wlsq = fit_wlsq(basis, points, w_sqrt, evaluate_values(model, points))
+    assert np.max(np.abs(wlsq.coefficients - coeffs)) < 1e-12
+    projected = quadrature_fit(basis, tensor_rule(space, 4), model)
+    assert np.max(np.abs(projected.coefficients - coeffs)) < 1e-12
+    report, samples = monte_carlo_moments(space, model, 200, seed=2)
+    assert np.array_equal(samples, model.values(space.sample_pool(200, 2).points))
+    assert report.evaluation_count == 200
+    with pytest.raises(UnsupportedModelError, match="model 'poly-values' provides no gradient"):
+        fit_segpc(basis, plan, model)
 
 
 def centred_moments(weights, values):

@@ -108,15 +108,14 @@ def test_index_set_size_guard():
 def test_basis_eval_examples():
     gauss2 = StochasticSpace([Gaussian(), Gaussian()])
     basis = ChaosBasis(gauss2, 2)
-    row = basis.eval(np.zeros(2))
+    [row] = basis.eval(np.zeros((1, 2)))
     want = [1.0, 0.0, 0.0, -1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0)]
     assert row == pytest.approx(want)
 
     unif1 = StochasticSpace([Uniform()])
     basis1 = ChaosBasis(unif1, 2)
-    assert basis1.eval(np.array([1.0])) == pytest.approx(
-        [1.0, math.sqrt(3.0), math.sqrt(5.0)]
-    )
+    [row] = basis1.eval(np.array([[1.0]]))
+    assert row == pytest.approx([1.0, math.sqrt(3.0), math.sqrt(5.0)])
 
 
 def test_basis_eval_first_column_is_one():
@@ -128,16 +127,20 @@ def test_basis_eval_first_column_is_one():
 
 
 def test_basis_dimension_mismatch():
-    basis = ChaosBasis(StochasticSpace([Gaussian()]), 2)
-    with pytest.raises(ValueError):
-        basis.eval(np.zeros(2))
+    # rows (n, m) only: a single point is a one-row batch
+    basis = ChaosBasis(StochasticSpace([Gaussian(), Uniform()]), 2)
+    for points in (np.zeros(2), np.zeros((4, 3)), np.zeros((1, 1, 2))):
+        message = f"points have shape {points.shape}, expected (n, 2)"
+        for evaluate in (basis.eval, basis.grad):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(points)
 
 
 def test_basis_grad_constant_and_linear():
     space = StochasticSpace([Gaussian()])
     basis = ChaosBasis(space, 1)
     for x in (-1.3, 0.0, 2.4):
-        grad = basis.grad(np.array([x]))
+        [grad] = basis.grad(np.array([[x]]))
         assert grad[0, 0] == 0.0
         assert grad[0, 1] == pytest.approx(1.0)
 
@@ -308,8 +311,6 @@ def test_basis_grad_bit_identical_to_prefix_suffix_products(kind, m, p):
     for n in (0, 1, 41):
         points = 2.0 * rng.standard_normal((n, m))
         assert _same_bits(basis.grad(points), dense_basis_grad(basis, points))
-    point = 2.0 * rng.standard_normal(m)
-    assert _same_bits(basis.grad(point), dense_basis_grad(basis, point))
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
@@ -319,7 +320,7 @@ def test_basis_grad_structural_zeros_are_positive_zero(kind):
     basis = ChaosBasis(_space(kind, 3), 4)
     points = np.array([[-0.7, -1.3, 0.4], [np.inf, -0.5, 1.1], [0.3, -np.inf, -0.9]])
     with np.errstate(invalid="ignore"):
-        assert (basis.eval(points[0]) < 0).any()
+        assert (basis.eval(points[:1]) < 0).any()
         assert np.isinf(basis.eval(points[1:])).any(axis=1).all()
         grad = basis.grad(points)
     zero = np.broadcast_to(basis.indices.T == 0, grad.shape)
@@ -345,7 +346,7 @@ def test_basis_eval_bit_identical_on_awkward_inputs(kind):
     rng = np.random.default_rng(5)
     wide = rng.uniform(-1.5, 1.5, (EVAL_BLOCK + 9, 5))
     cases = [
-        wide[0, :3],  # a single point
+        wide[:1, :3],  # a single point
         wide[:, 1:4],  # column slice: rows are not contiguous
         np.asfortranarray(wide[:, :3]),
     ]

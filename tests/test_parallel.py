@@ -3,25 +3,28 @@ import pytest
 
 from segpc import burgers_model, ishigami_model, monte_carlo_moments
 from segpc.errors import ModelSolveError, SolverDivergenceError
-from segpc.models import Model, ModelEvaluation
+from segpc.models import Model
 from segpc.parallel import evaluate_values, evaluate_with_gradients
 
 
 class NonFiniteAtMark(Model):
-    """Ishigami's space; value 1 and gradient xi, except NaN at a point with xi_0 = 9."""
+    """Ishigami's space; value 1 and gradient xi, except NaN at points with xi_0 = 9."""
 
     def __init__(self, where):
         super().__init__(ishigami_model().space)
         self.where = where
 
-    def value_and_grad(self, xi):
-        value, gradient = 1.0, np.array(xi, dtype=float)
-        if xi[0] == 9.0:
-            if self.where == "value":
-                value = np.nan
-            else:
-                gradient[1] = np.nan
-        return ModelEvaluation(value, gradient)
+    def values(self, points):
+        return self.values_and_grads(points)[0]
+
+    def values_and_grads(self, points):
+        values, grads = np.ones(len(points)), np.array(points, dtype=float)
+        marked = points[:, 0] == 9.0
+        if self.where == "value":
+            values[marked] = np.nan
+        else:
+            grads[marked, 1] = np.nan
+        return values, grads
 
 
 def test_values_worker_invariance():
@@ -68,14 +71,24 @@ def test_failure_index_counts_from_the_whole_call(evaluate):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("where", ["value", "gradient"])
-def test_non_finite_gradient_output_names_the_sample(workers, where):
-    # a model without its own check still fails the fit, naming the sample
+@pytest.mark.parametrize(
+    "evaluate, where",
+    [
+        pytest.param(evaluate_with_gradients, "value", id="value"),
+        pytest.param(evaluate_with_gradients, "gradient", id="gradient"),
+        pytest.param(evaluate_values, "value", id="evaluate_values"),
+    ],
+)
+def test_non_finite_gradient_output_names_the_sample(workers, evaluate, where):
+    # a model without its own check still fails the fit, naming the first
+    # sample, in whichever chunk it lies
     pts = ishigami_model().space.sample_pool(12, seed=1).points
-    pts[5, 0] = 9.0
-    message = r"non-finite .* at sample 5, standardized point \[9,"
-    with pytest.raises(ModelSolveError, match=message):
-        evaluate_with_gradients(NonFiniteAtMark(where), pts, workers=workers)
+    pts[[5, 9], 0] = 9.0
+    message = r"non-finite QoI value.* at sample 5, standardized point \[9,"
+    with pytest.raises(ModelSolveError, match=message) as info:
+        evaluate(NonFiniteAtMark(where), pts, workers=workers)
+    assert info.value.index == 5
+    assert np.array_equal(info.value.point, pts[5])
 
 
 def test_monte_carlo_worker_invariance():

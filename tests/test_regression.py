@@ -1,14 +1,15 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from tests_support import PolyModel
 
 from segpc import (
     ChaosBasis,
     Gaussian,
     Model,
-    ModelEvaluation,
     StochasticSpace,
     Uniform,
     coherence_weights,
@@ -30,37 +31,16 @@ def make_plan(space, order, q=2000, seed=0):
     return basis, rank_pool(basis, q, seed)
 
 
-class PolynomialModel(Model):
-    """QoI equal to one basis function; exact gradients from the basis."""
-
-    name = "basis-function"
-
-    def __init__(self, space, basis, coeffs):
-        super().__init__(space)
-        self.basis = basis
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def value(self, xi):
-        return float(self.basis.eval(xi) @ self.coeffs)
-
-    def values(self, points):
-        return self.basis.eval(np.atleast_2d(points)) @ self.coeffs
-
-    def value_and_grad(self, xi):
-        grad = self.basis.grad(xi) @ self.coeffs
-        return ModelEvaluation(self.value(xi), grad)
-
-
-class CountingModel(PolynomialModel):
-    """PolynomialModel that records every point it evaluates with a gradient."""
+class CountingModel(PolyModel):
+    """PolyModel that records every row of points it evaluates with gradients."""
 
     def __init__(self, space, basis, coeffs):
         super().__init__(space, basis, coeffs)
         self.calls = []
 
-    def value_and_grad(self, xi):
-        self.calls.append(xi)
-        return super().value_and_grad(xi)
+    def values_and_grads(self, points):
+        self.calls.append(points)
+        return super().values_and_grads(points)
 
 
 def test_fit_wlsq_constant():
@@ -161,6 +141,20 @@ def test_fit_wlsq_gradient_mismatch():
         fit_wlsq(basis, pts, np.ones(3), np.zeros(3), np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("name", ["w_sqrt", "values"])
+def test_fit_wlsq_refuses_a_per_point_array_of_another_shape(name):
+    # a 1-entry w_sqrt was broadcast over every row, and a short values array
+    # ended in numpy's broadcast error
+    space = StochasticSpace([Gaussian(), Gaussian()])
+    basis = ChaosBasis(space, 1)
+    pts = space.sample_pool(5, seed=2).points
+    args = {"w_sqrt": np.ones(5), "values": np.zeros(5)}
+    for wrong in (np.ones(1), np.ones(4), np.ones((5, 1))):
+        message = f"{name} has shape {wrong.shape}, expected (5,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_wlsq(basis, pts, **{**args, name: wrong})
+
+
 def test_fit_segpc_refuses_budget_before_evaluating():
     space = StochasticSpace([Gaussian()])
     basis, plan = make_plan(space, 6)
@@ -182,7 +176,7 @@ def test_fit_segpc_exact_linear():
     space = StochasticSpace([Gaussian(), Gaussian()])
     basis, plan = make_plan(space, 1)
     coeffs = np.array([0.0, 2.0, -1.0])
-    model = PolynomialModel(space, basis, coeffs)
+    model = PolyModel(space, basis, coeffs)
     sur = fit_segpc(basis, plan, model)
     assert sur.fit_report.n_points == 1
     assert sur.fit_report.evaluation_count == 2
@@ -194,7 +188,7 @@ def test_fit_segpc_exact_recovery_full_rank():
     basis, plan = make_plan(space, 4)
     rng = np.random.default_rng(8)
     coeffs = rng.standard_normal(basis.n_terms)
-    model = PolynomialModel(space, basis, coeffs)
+    model = PolyModel(space, basis, coeffs)
     sur = fit_segpc(basis, plan, model, n_points=basis.n_terms)
     assert sur.fit_report.rank == basis.n_terms
     assert np.max(np.abs(sur.coefficients - coeffs)) < 1e-9
@@ -206,7 +200,7 @@ def test_fit_segpc_equivalence_with_wlsq_for_constant():
     basis, plan = make_plan(space, 2)
     coeffs = np.zeros(basis.n_terms)
     coeffs[0] = 3.25
-    model = PolynomialModel(space, basis, coeffs)
+    model = PolyModel(space, basis, coeffs)
     sur_g = fit_segpc(basis, plan, model, n_points=basis.n_terms)
     values = model.values(plan.points)
     sur_w = fit_wlsq(basis, plan.points, plan.w_sqrt, values)
@@ -242,7 +236,7 @@ def test_fit_segpc_rank_deficient_minimum_norm():
     coeffs = np.zeros(basis.n_terms)
     coeffs[0] = 2.0
     coeffs[1] = 1.0
-    model = PolynomialModel(space, basis, coeffs)
+    model = PolyModel(space, basis, coeffs)
     sur = fit_segpc(basis, plan, model)
     expected_deficit = math.comb(6 - (n_pts - 1) + 1, 2)
     assert sur.fit_report.rank == basis.n_terms - expected_deficit
@@ -250,8 +244,7 @@ def test_fit_segpc_rank_deficient_minimum_norm():
     # fitted points (it interpolates within the resolvable subspace)
     pts = plan.points[:n_pts]
     assert np.allclose(sur.eval(pts), model.values(pts), atol=1e-9)
-    for xi in pts:
-        assert np.allclose(sur.grad(xi), basis.grad(xi) @ coeffs, atol=1e-9)
+    assert np.allclose(sur.grad(pts), model.values_and_grads(pts)[1], atol=1e-9)
     # the condition number covers the resolved subspace, not round-off
     dpsi = basis.grad(pts)
     blocks = [basis.eval(pts)] + [dpsi[:, k, :] for k in range(6)]
@@ -267,13 +260,11 @@ def test_surrogate_eval_and_grad():
     basis, plan = make_plan(space, 3)
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(basis.n_terms)
-    model = PolynomialModel(space, basis, coeffs)
+    model = PolyModel(space, basis, coeffs)
     sur = fit_segpc(basis, plan, model, n_points=basis.n_terms)
     pts = np.column_stack([rng.standard_normal(5), rng.uniform(-1, 1, 5)])
     assert np.allclose(sur.eval(pts), model.values(pts))
-    grads = sur.grad(pts)
-    for i, xi in enumerate(pts):
-        assert np.allclose(grads[i], basis.grad(xi) @ coeffs)
+    assert np.allclose(sur.grad(pts), model.values_and_grads(pts)[1])
 
 
 def test_surrogate_json_roundtrip(tmp_path):

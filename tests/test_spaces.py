@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +11,15 @@ from segpc import Gaussian, StochasticSpace, Uniform
 
 def test_gaussian_standardize_examples():
     space = StochasticSpace([Gaussian(mean=4.0, std=0.4)])
-    assert space.standardize([4.0]) == pytest.approx([0.0])
+    assert space.standardize([[4.0]]) == pytest.approx(np.array([[0.0]]))
     # affine map evaluated directly
-    assert StochasticSpace([Gaussian(0.75, 0.16)]).destandardize([2.0]) == pytest.approx([1.07])
+    [[x]] = StochasticSpace([Gaussian(0.75, 0.16)]).destandardize([[2.0]])
+    assert x == pytest.approx(1.07)
 
 
 def test_uniform_standardize_endpoint():
     space = StochasticSpace([Uniform(-math.pi, math.pi)])
-    assert space.standardize([math.pi]) == pytest.approx([1.0])
-    assert space.standardize([-math.pi]) == pytest.approx([-1.0])
+    assert space.standardize([[math.pi], [-math.pi]]) == pytest.approx(np.array([[1.0], [-1.0]]))
 
 
 def test_affine_map_matches_closed_forms():
@@ -70,7 +71,7 @@ def test_roundtrip_gaussian_property(mean, std, xi):
     # cancellation in (x - mean) grows with |mean| / std
     space = StochasticSpace([Gaussian(mean, std)])
     tol = 1e-14 * (1.0 + abs(mean) / std)
-    assert space.standardize(space.destandardize([xi]))[0] == pytest.approx(xi, abs=tol)
+    assert space.standardize(space.destandardize([[xi]]))[0, 0] == pytest.approx(xi, abs=tol)
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,7 +83,7 @@ def test_roundtrip_gaussian_property(mean, std, xi):
 def test_roundtrip_uniform_property(lower, width, xi):
     space = StochasticSpace([Uniform(lower, lower + width)])
     tol = 1e-14 * (1.0 + abs(lower) / width) * 4
-    assert space.standardize(space.destandardize([xi]))[0] == pytest.approx(xi, abs=tol)
+    assert space.standardize(space.destandardize([[xi]]))[0, 0] == pytest.approx(xi, abs=tol)
 
 
 def test_sample_pool_domains_and_determinism():
@@ -111,8 +112,10 @@ def test_large_pool_moments():
 
 
 def test_shape_validation():
+    # rows (n, m) only: a single point is a one-row batch
     space = StochasticSpace([Gaussian(), Uniform()])
-    with pytest.raises(ValueError):
-        space.standardize(np.zeros(3))
-    with pytest.raises(ValueError):
-        space.destandardize(np.zeros((4, 3)))
+    for points in (np.zeros(2), np.zeros(3), np.zeros((4, 3)), np.zeros((1, 1, 2))):
+        for convert, name in ((space.standardize, "physical"), (space.destandardize, "standard")):
+            message = f"{name} points have shape {points.shape}, expected (n, 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                convert(points)

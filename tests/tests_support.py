@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from segpc import Model, ModelEvaluation, univariate_table
+from segpc import Model, univariate_table
 from segpc.burgers import _direct_jacobian
 from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
 
@@ -14,25 +14,27 @@ from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class PolyModel(Model):
-    """QoI equal to a fixed linear combination of basis functions."""
+class PolyValuesModel(Model):
+    """QoI equal to a fixed linear combination of basis functions; values only."""
 
-    name = "poly"
+    name = "poly-values"
 
     def __init__(self, space, basis, coeffs):
         super().__init__(space)
         self.basis = basis
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def value(self, xi):
-        return float(self.basis.eval(xi) @ self.coeffs)
-
     def values(self, points):
-        return self.basis.eval(np.atleast_2d(points)) @ self.coeffs
+        return self.basis.eval(points) @ self.coeffs
 
-    def value_and_grad(self, xi):
-        grad = self.basis.grad(xi) @ self.coeffs
-        return ModelEvaluation(self.value(xi), grad)
+
+class PolyModel(PolyValuesModel):
+    """:class:`PolyValuesModel` with its exact gradients from the basis."""
+
+    name = "poly"
+
+    def values_and_grads(self, points):
+        return self.values(points), self.basis.grad(points) @ self.coeffs
 
 
 def dense_basis_eval(basis, points):
@@ -43,9 +45,6 @@ def dense_basis_eval(basis, points):
     match it bit for bit.
     """
     points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
     tables = [
         univariate_table(family, basis.order, points[:, k])[0]
         for k, family in enumerate(basis.families)
@@ -54,7 +53,7 @@ def dense_basis_eval(basis, points):
     out = tables[0][:, idx[:, 0]].copy()
     for k in range(1, basis.m):
         out *= tables[k][:, idx[:, k]]
-    return out[0] if single else out
+    return out
 
 
 def dense_basis_grad(basis, points):
@@ -68,9 +67,6 @@ def dense_basis_grad(basis, points):
     ``ChaosBasis.grad`` must match it bit for bit.
     """
     points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
     idx = basis.indices
     tables = [
         univariate_table(family, basis.order, points[:, k])
@@ -89,7 +85,7 @@ def dense_basis_grad(basis, points):
         with np.errstate(invalid="ignore"):
             entry = (prefix * dcols[k]) * suffix
         out[:, k, :] = np.where(idx[:, k] > 0, entry, 0.0)
-    return out[0] if single else out
+    return out
 
 
 def discrete_qoi_gradient(state):
