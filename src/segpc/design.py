@@ -5,20 +5,26 @@ that maximize (greedily) the determinant of the weighted information matrix.
 This is Householder QR with column pivoting (Businger & Golub 1965) of the
 transposed, row-weighted measurement matrix: pivot order ranks the candidate
 points, and the diagonal magnitudes |R_ii| track the incremental contribution
-of each pivot to |det|.  :func:`qr_select` takes the same pivots lazily
-(Minoux 1978): residual norms only shrink as pivots are taken, so a stale
-norm bounds the current one, and between picks only the rows whose bound can
-still win are re-projected.  Every ``SELECT_BLOCK`` picks, or sooner when
-re-projecting would cost more, all rows are deflated at once, in place on one
-working copy.  Pivots equal LAPACK ``geqp3``'s (``scipy.linalg.qr`` with
-pivoting); |R_ii| agree at round-off (within 1e-13 relative on the tested
-pools).  The ranking stops after the points asked for, and a shorter ranking
-is a prefix of a longer one.  So a :class:`DesignPlan` ranks only as far as
-it is read: :func:`qr_select` checks the pool and ranks nothing, and
-:meth:`DesignPlan.take` of n points ranks n picks, where reading the whole
-ranking or its condition number ranks all of them.  Errors found while
-ranking (a rank-deficient pool, weighted entries whose squares overflow)
-surface at that read.  :func:`rank_pool` runs that chain on a seeded pool;
+of each pivot to |det|.  The ranking stops after the points asked for, and a
+shorter ranking is a prefix of a longer one.  So a :class:`DesignPlan` ranks
+only as far as it is read: :func:`qr_select` checks the pool and ranks
+nothing, and :meth:`DesignPlan.take` of n points ranks n picks, where reading
+the whole ranking or its condition number ranks all of them.
+
+A ranking takes one of two paths, with the same pivots as LAPACK ``geqp3``
+(``scipy.linalg.qr`` with pivoting) and |R_ii| that agree with it at
+round-off (within 1e-13 relative on the tested pools).  The right-looking
+path (:func:`_greedy_rank`, blocked as in Quintana-Orti, Sun & Bischof 1998)
+deflates every row by each block of reflectors, in place on one working
+copy, and between picks re-projects only the rows whose stale residual norm
+can still win (Minoux 1978).  A shorter read than the whole plan, of at most
+``LEFT_SHARE`` of the P + 1 terms and one in ``CACHE_SHARE`` of the pool, is
+ranked left-looking (:func:`_left_rank`): the working copy is never
+modified, and a block of picks costs one product of the pool with the
+block's directions, about half the flops of a deflation.  Every other read
+is ranked right-looking.  Errors found while ranking (a rank-deficient
+pool, weighted entries whose squares overflow) surface at the read whose
+picks they concern.  :func:`rank_pool` runs that chain on a seeded pool;
 :meth:`DesignPlan.take` alone states which points a fit reads: the pivots,
 then the pool in draw order.
 
@@ -58,6 +64,27 @@ REFRESH_CUT = 0.99
 #: candidate rows re-projected per batch, bounding a batch's temporaries
 #: (512 rows of 286 terms take 1.2 MB)
 REFRESH_ROWS = 512
+
+#: reads of at most this share of the P + 1 terms may be ranked left-looking
+#: (one BLAS thread, min of 5, 10^4 Ishigami points and 286 terms: 144 picks
+#: take ~36-43 ms against ~48-55 ms right-looking, 228 picks ~63-80 ms on
+#: either path, and all 286 picks ~135 ms against ~90 ms)
+LEFT_SHARE = 0.8
+
+#: the left-looking path caches at most q / CACHE_SHARE pool rows per block,
+#: and ranks at most that many picks: past it, orthogonalizing each pick
+#: against all earlier ones outgrows the block passes (at 861 terms from
+#: 3,000 points, 258 picks took ~68 ms against ~85 ms and 430 picks ~148 ms
+#: against ~122 ms right-looking)
+CACHE_SHARE = 8
+
+#: pool rows per product at a left-looking block's end, bounding its
+#: temporaries (2,048 rows by 32 directions take 0.5 MB)
+PASS_ROWS = 2048
+
+#: a downdated squared residual below this fraction of its value at its last
+#: exact computation is recomputed from the pool row (LAPACK dlaqps's guard)
+GUARD = math.sqrt(np.finfo(float).eps)
 
 #: largest measurement matrix (q x (P + 1) float64) ``build_measurement`` accepts
 MAX_MEASUREMENT_BYTES = 2 * 2**30
@@ -153,10 +180,15 @@ class DesignPlan:
     2-norm condition number of the selected weighted submatrix, is computed
     on its first read.  The longest ranking computed is kept, and a longer
     read ranks afresh: a shorter ranking is a prefix of a longer one, so
-    every read gives the same bits.  Between reads the plan holds no working
-    array, only the pivots and |R_ii|.  ``RankDeficientError``, and the
-    ``ValueError`` for weighted entries whose squares overflow, come from the
-    read whose picks they concern.
+    every read gives the same points.  A read of all ``n_selected`` picks is
+    ranked right-looking, so ``r_diag`` always holds that path's bits.  A
+    partial read (a :meth:`take` of n < ``n_selected`` picks with
+    n <= ``LEFT_SHARE`` (P + 1) and ``CACHE_SHARE`` n <= q) is ranked
+    left-looking: same pivots, and the |R_ii| it keeps come from that path,
+    equal to the right-looking ones at round-off, not bit for bit.  Between
+    reads the plan holds no working array, only the pivots and |R_ii|.
+    ``RankDeficientError``, and the ``ValueError`` for weighted entries whose
+    squares overflow, come from the read whose picks they concern.
     """
 
     def __init__(self, meas, n_selected):
@@ -180,7 +212,10 @@ class DesignPlan:
             meas = self.meas
             work = np.empty((meas.q, meas.n_terms), order="F")
             meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
-            self._selected, self._r_diag = _greedy_rank(work, n)
+            left = (n < self.n_selected and n <= LEFT_SHARE * meas.n_terms
+                    and CACHE_SHARE * n <= meas.q)
+            rank = _left_rank if left else _greedy_rank
+            self._selected, self._r_diag = rank(work, n)
         return self._selected[:n], self._r_diag[:n]
 
     @property
@@ -233,7 +268,8 @@ def qr_select(meas, n_sel):
     norm is its |R_ii|.  Nothing is ranked here: a read of the plan ranks
     the picks it needs (see :class:`DesignPlan`), evaluating the weighted
     basis straight into one Fortran-ordered working array, the only
-    q x (P + 1) array a ranking holds, freed when the read returns.
+    q x (P + 1) array a ranking holds, freed when the read returns (the
+    left-looking path adds a cache of at most q / ``CACHE_SHARE`` rows).
 
     Raises
     ------
@@ -278,13 +314,7 @@ def _greedy_rank(work, n_sel):
     k = 0
     while k < n_sel:
         y = work[:, k:]
-        bound = np.einsum("ij,ij->i", y, y)
-        if k == 0 and not np.all(np.isfinite(bound)):
-            row = int(np.flatnonzero(~np.isfinite(bound))[0])
-            raise ValueError(
-                f"weighted measurement row {row} holds infs or NaNs, or entries "
-                "whose squares overflow"
-            )
+        bound = _finite_norms(y) if k == 0 else np.einsum("ij,ij->i", y, y)
         bound[selected[:k]] = -np.inf
         # shapes independent of n_sel keep a shorter ranking's bits a prefix
         v = np.zeros((n_terms - k, SELECT_BLOCK))
@@ -303,11 +333,7 @@ def _greedy_rank(work, n_sel):
                     break
             row, sq, x = pick
             r_diag[step] = math.sqrt(sq)
-            if r_diag[step] == 0.0 or r_diag[step] < RANK_TOL * r_diag[0]:
-                raise RankDeficientError(
-                    "candidate pool is numerically rank deficient for this basis; "
-                    "enlarge the pool or lower the chaos order"
-                )
+            _check_rank(r_diag, step)
             selected[step] = row
             bound[row] = -np.inf
             # reflector I - tau u u^T taking x to -sign(x_0) |x| e_0, u_0 = 1
@@ -326,6 +352,140 @@ def _greedy_rank(work, n_sel):
             _deflate(work[:, k:], v[:, :width], t_mat[:width, :width])
         k += width
     return selected, r_diag
+
+
+def _finite_norms(work):
+    """Squared row norms of ``work``; a ``ValueError`` names its first non-finite row."""
+    sq = np.einsum("ij,ij->i", work, work)
+    if not np.all(np.isfinite(sq)):
+        row = int(np.flatnonzero(~np.isfinite(sq))[0])
+        raise ValueError(
+            f"weighted measurement row {row} holds infs or NaNs, or entries "
+            "whose squares overflow"
+        )
+    return sq
+
+
+def _check_rank(r_diag, step):
+    """Refuse pick ``step`` when its |R_ii| is 0 or below ``RANK_TOL`` of the first pick's."""
+    if r_diag[step] == 0.0 or r_diag[step] < RANK_TOL * r_diag[0]:
+        raise RankDeficientError(
+            "candidate pool is numerically rank deficient for this basis; "
+            "enlarge the pool or lower the chaos order"
+        )
+
+
+def _left_rank(work, n_sel):
+    """Pivot rows and |R_ii| of the first ``n_sel`` greedy picks, left-looking; ``work`` is only read.
+
+    Pick s is its row of ``work`` orthogonalized twice (CGS2) against the
+    unit directions of picks 0..s-1: the norm of what is left is |R_ss|, and
+    its direction joins them.  Each row keeps its squared residual off the
+    directions taken, exact at a block's start: a block of up to
+    ``SELECT_BLOCK`` picks ends with one pass over ``work``, ``PASS_ROWS``
+    rows at a time, that takes each row's squared projections on the
+    block's directions off its residual.  Between picks the candidates are
+    brought up to date as in :func:`_refresh`: rows whose residual may reach
+    the cut are copied into a row cache and projected on the block's
+    directions so far, and every cached row is projected on each new
+    direction.  ``work`` never changes, so the cache stays valid for the
+    whole block.  A residual that falls below ``GUARD`` of its last exact
+    value is recomputed from its row; a block ends early when the cache
+    would pass q / ``CACHE_SHARE`` rows.
+    """
+    q, n_terms = work.shape
+    selected = np.empty(n_sel, dtype=np.intp)
+    r_diag = np.empty(n_sel)
+    dirs = np.empty((n_terms, n_sel), order="F")
+    sq = _finite_norms(work)  # picked rows hold -inf
+    exact = sq.copy()  # each row's squared residual when last computed from its row
+    cache = np.empty((q // CACHE_SHARE, n_terms))
+    slot = np.full(q, -1)  # a row's place in the cache, -1 if not cached
+    k = 0
+    while k < n_sel:
+        bound = sq.copy()  # exact for cached rows, an upper bound for the others
+        cached = np.empty(0, dtype=np.intp)
+        width = min(SELECT_BLOCK, n_sel - k)
+        for t in range(width):
+            step = k + t
+            row = int(np.argmax(bound))
+            if t > 0 and slot[row] < 0:
+                cached = _catch_up(work, cache, slot, cached, bound, exact,
+                                   dirs[:, :step], k, REFRESH_CUT * r_diag[step - 1] ** 2)
+                row = int(np.argmax(bound))
+                if slot[row] < 0:  # the cache is full: end the block
+                    width = t
+                    break
+            x = cache[slot[row]].copy() if slot[row] >= 0 else work[row].copy()
+            done = dirs[:, :step]
+            x -= done @ (x @ done)
+            x -= done @ (x @ done)
+            r_diag[step] = math.sqrt(x @ x)
+            _check_rank(r_diag, step)
+            selected[step] = row
+            sq[row] = bound[row] = exact[row] = -np.inf
+            dirs[:, step] = x / r_diag[step]
+            if cached.size:
+                c = cache[:cached.size] @ dirs[:, step]
+                bound[cached] -= c * c
+                _guard(bound, exact, cached, cache, dirs[:, :step + 1])
+        slot[cached] = -1
+        if k + width < n_sel:
+            block = dirs[:, k:k + width].T
+            for lo in range(0, q, PASS_ROWS):
+                c = block @ work[lo:lo + PASS_ROWS].T
+                sq[lo:lo + PASS_ROWS] -= np.einsum("ij,ij->j", c, c)
+            sq[cached] = bound[cached]
+            _guard(sq, exact, np.arange(q), work, dirs[:, :k + width])
+        k += width
+    return selected, r_diag
+
+
+def _catch_up(work, cache, slot, cached, bound, exact, dirs, k, cut):
+    """Cache rows until the largest bound is a cached row's exact residual; returns the cached rows.
+
+    Uncached rows whose bound reaches ``cut`` are copied into the cache and
+    projected on the block's directions ``dirs[:, k:]``; while the largest
+    bound is still an uncached row's, the cut drops to the largest cached
+    residual.  Then every uncached bound lies below a cached residual, and
+    ``argmax(bound)`` is the exact pick: the lowest row among equals.  Stops
+    early, caching nothing more, when the rows would not fit in the cache.
+    """
+    while slot[int(np.argmax(bound))] < 0:
+        new = np.flatnonzero((bound >= cut) & (slot < 0))
+        if new.size == 0:
+            best = bound[cached].max() if cached.size else -np.inf
+            cut = best if best > -np.inf else bound.max()
+            continue
+        n = cached.size
+        if n + new.size > cache.shape[0]:
+            break
+        rows = cache[n:n + new.size]
+        rows[...] = work[new]
+        c = rows @ dirs[:, k:]
+        bound[new] -= np.einsum("ij,ij->i", c, c)
+        slot[new] = np.arange(n, n + new.size)
+        cached = np.concatenate([cached, new])
+        _guard(bound, exact, new, rows, dirs)
+    return cached
+
+
+def _guard(res_sq, exact, rows, values, dirs):
+    """Recompute ``res_sq[rows]`` where it fell below ``GUARD`` of ``exact``.
+
+    ``values[i]`` is the pool row ``rows[i]``, and ``dirs`` holds the
+    orthonormal directions taken so far.
+    """
+    low = np.flatnonzero(res_sq[rows] < GUARD * exact[rows])
+    if low.size:
+        res_sq[rows[low]] = exact[rows[low]] = _residual_sq(values[low], dirs)
+
+
+def _residual_sq(rows, dirs):
+    """Squared norms of ``rows`` projected twice off the orthonormal columns of ``dirs``."""
+    res = rows - (rows @ dirs) @ dirs.T
+    res -= (res @ dirs) @ dirs.T
+    return np.einsum("ij,ij->i", res, res)
 
 
 def _refresh(y, bound, fresh, step, v, vt, last_r):

@@ -164,3 +164,30 @@ def test_the_last_line_reads_none_when_nothing_is_worse():
               ("cli-convergence", pairs.summarize(even, END_TO_END))]
     assert pairs.worse_line(tables) == "worse: none"
     assert pairs.worse_line([]) == "worse: none"
+
+
+def test_a_gain_line_names_each_metric_judged_gain_before_the_worse_line(
+    tmp_path, monkeypatch, capsys
+):
+    pairs = load_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    canned = {
+        ("ishigami-p10", parent): result_line(13.9, 0.072, 288),
+        ("ishigami-p10", change): result_line(16.5, 0.061, 288),
+        ("burgers-mc", parent): result_line(2000.0, 0.0005, 16),
+        ("burgers-mc", change): result_line(2000.0, 0.0005, 16),
+    }
+    monkeypatch.setattr(pairs, "run_once", lambda checkout, workload, seed, seconds:
+                        pairs.metric_values(pairs.result_of(canned[workload, checkout])))
+    argv = [str(parent), str(change), "--workload", "ishigami-p10", "burgers-mc",
+            "--seeds", "1", "2", "--seconds", "1"]
+    assert pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["gain: ishigami-p10 throughput, ishigami-p10 unit_s_p50",
+                          "worse: none"]
+    even = [(pairs.metric_values(pairs.result_of(result_line(2000, 0.0005))),) * 2] * 3
+    assert pairs.verdict_line([("burgers-mc", pairs.summarize(even, END_TO_END))],
+                              "gain") == "gain: none"

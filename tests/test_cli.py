@@ -9,9 +9,9 @@ from segpc import ChaosBasis, build_measurement, coherence_weights, fit_segpc, f
 from segpc import ode_model, predicted_cost, qr_select, rank_pool
 import segpc.burgers
 import segpc.cli
-import segpc.design
 import segpc.models
 from segpc.cli import main
+from tests_support import spy_rankings
 
 
 def write_config(path, data):
@@ -269,14 +269,7 @@ def test_convergence_with_mc_reference_file(tmp_path):
 
 def test_convergence_ranks_each_order_once(tmp_path, monkeypatch):
     # counts the rankings computed, not the plans made: a plan ranks when read
-    calls = []
-    greedy_rank = segpc.design._greedy_rank
-
-    def counting_greedy_rank(work, n_sel):
-        calls.append(n_sel)
-        return greedy_rank(work, n_sel)
-
-    monkeypatch.setattr(segpc.design, "_greedy_rank", counting_greedy_rank)
+    log = spy_rankings(monkeypatch)
     bases = []
     monkeypatch.setattr(segpc.cli, "ChaosBasis",
                         lambda space, order: bases.append(order) or ChaosBasis(space, order))
@@ -288,23 +281,25 @@ def test_convergence_ranks_each_order_once(tmp_path, monkeypatch):
     assert main(["convergence", "--config", cfg, "--seed", "6", "--out", str(out)]) == 0
     # segpc and wlsq share one ranking per order, to the P + 1 wlsq reads;
     # smolyak needs none
-    assert calls == [10, 20]
+    assert [entry[:2] for entry in log] == [["right", 10], ["right", 20]]
     assert bases == [2, 3]  # one basis per order, shared by all three methods
     rows = read_rows(out / "convergence.csv")
     assert [(r["method"], r["p"]) for r in rows] == [
         (method, p) for method in ("segpc", "wlsq", "smolyak") for p in ("2", "3")
     ]
     # each row equals a separate fit at the same seed, which ranks its own
-    # pool as far as it reads: ceil(1.5 ceil((P + 1) / 4)) se-gPC points
-    ranked = {"segpc": {"2": [5], "3": [8]}, "wlsq": {"2": [10], "3": [20]},
+    # pool as far as it reads: ceil(1.5 ceil((P + 1) / 4)) se-gPC points,
+    # a partial read, or the whole plan for wlsq
+    ranked = {"segpc": {"2": [["left", 5]], "3": [["left", 8]]},
+              "wlsq": {"2": [["right", 10]], "3": [["right", 20]]},
               "smolyak": {"2": [], "3": []}}
     for row in rows:
         fit_cfg = write_config(tmp_path / "fit.json",
                                {**common, "method": row["method"], "order": int(row["p"])})
         fit_out = tmp_path / f"fit_{row['method']}_{row['p']}"
-        calls.clear()
+        log.clear()
         assert main(["fit", "--config", fit_cfg, "--seed", "6", "--out", str(fit_out)]) == 0
-        assert calls == ranked[row["method"]][row["p"]]
+        assert [entry[:2] for entry in log] == ranked[row["method"]][row["p"]]
         assert read_rows(fit_out / "moments.csv") == [row]
 
 

@@ -23,7 +23,7 @@ from segpc import (
 )
 import segpc.design
 from segpc.errors import RankDeficientError
-from tests_support import BLAS_THREAD_VARIABLES, reference_qr_ranking
+from tests_support import BLAS_THREAD_VARIABLES, reference_qr_ranking, spy_rankings
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,7 @@ def _traced_peak(call):
     return peak
 
 
-def test_qr_select_holds_one_working_copy():
+def test_qr_select_holds_one_working_copy(monkeypatch):
     # the 286-term Ishigami ranking of a 10^4 pool: one q x (P + 1) array plus
     # small temporaries, no second copy
     # (a plan ranks when read, so each traced call reads the whole ranking)
@@ -251,6 +251,12 @@ def test_qr_select_holds_one_working_copy():
     basis = ChaosBasis(ishigami_model().space, 10)
     peak = _traced_peak(lambda: rank_pool(basis, 10_000, 1).selected)
     assert peak <= 1.5 * 10_000 * basis.n_terms * 8
+    # a partial read ranks left-looking: the working array, its row cache of
+    # at most q / CACHE_SHARE rows and the small temporaries of a block pass
+    log = spy_rankings(monkeypatch)
+    peak = _traced_peak(lambda: qr_select(meas, meas.n_terms).take(144))
+    assert [entry[:2] for entry in log] == [["left", 144]]
+    assert peak <= 1.5 * meas.q * meas.n_terms * 8
 
 
 #: rank_pool(Ishigami order-10 basis, 10_000, seed) at one BLAS thread, stored
@@ -336,26 +342,135 @@ def test_take_in_any_order_keeps_the_stored_bits():
 
 
 def test_take_ranks_only_the_picks_it_returns(monkeypatch):
-    ranked = []
-    greedy_rank = segpc.design._greedy_rank
-
-    def spy(work, n_sel):
-        ranked.append(n_sel)
-        return greedy_rank(work, n_sel)
-
-    monkeypatch.setattr(segpc.design, "_greedy_rank", spy)
+    log = spy_rankings(monkeypatch)
+    ranked = lambda: [entry[:2] for entry in log]
     basis = ChaosBasis(ishigami_model().space, 3)  # 20 terms
     plan = rank_pool(basis, 500, 2)
-    assert ranked == []
+    assert ranked() == []
     plan.take(5)
-    assert ranked == [5]
+    assert ranked() == [["left", 5]]  # a partial read
     plan.take(3)
     plan.take(5)
-    assert ranked == [5]  # a kept prefix serves shorter reads
+    assert ranked() == [["left", 5]]  # a kept prefix serves shorter reads
     plan.take(40)
-    assert ranked == [5, 20]  # past the pivots: all of them, once
+    assert ranked() == [["left", 5], ["right", 20]]  # past the pivots: all of them, once
     plan.selected, plan.r_diag, plan.points, plan.cond_number, plan.take(20)
-    assert ranked == [5, 20]
+    assert ranked() == [["left", 5], ["right", 20]]
+
+
+@pytest.mark.parametrize(
+    "marginals, order, q, share",
+    [
+        ([Uniform(), Uniform(), Uniform()], 5, 61, 0.1),  # q = P + 5
+        ([Gaussian(), Gaussian()], 6, 2000, 0.5),
+        ([Gaussian(), Uniform(), Gaussian()], 8, 1000, 0.75),
+        ([Uniform(), Gaussian()], 9, 500, 0.3),
+        ([Gaussian()] * 10, 2, 10_000, 0.17),  # the Burgers se-gPC read, 11 of 66
+        ([Uniform(), Uniform(), Uniform()], 10, 10_000, 0.8),
+    ],
+    ids=["legendre-small-pool", "hermite", "mixed", "mixed-2d", "hermite-10d", "legendre-p10"],
+)
+def test_partial_reads_take_the_scipy_qr_pivots(monkeypatch, marginals, order, q, share):
+    meas = _measurement(marginals, order, q, seed=order + q)
+    n = int(share * meas.n_terms)
+    log = spy_rankings(monkeypatch)
+    points, w_sqrt = qr_select(meas, meas.n_terms).take(n)
+    want_selected, want_r_diag = reference_qr_ranking(meas, n)
+    [[path, n_sel, (selected, r_diag)]] = log
+    assert (path, n_sel) == ("left", n)
+    assert np.array_equal(selected, want_selected)
+    assert np.array_equal(points, meas.points[want_selected])
+    assert np.array_equal(w_sqrt, meas.w_sqrt[want_selected])
+    np.testing.assert_allclose(r_diag, want_r_diag, rtol=1e-13, atol=0)
+
+
+def test_left_path_recomputes_residuals_of_a_near_degenerate_pool(monkeypatch):
+    # rank-5 rows plus 1e-7 noise: after five picks every residual falls far
+    # below sqrt(eps) of its start and must be recomputed from its row
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((400, 5)) @ rng.standard_normal((5, 55))
+    table += 1e-7 * rng.standard_normal(table.shape)
+    meas = build_measurement(TableBasis(table), np.arange(400.0)[:, None], np.ones(400))
+    recomputed = []
+    residual_sq = segpc.design._residual_sq
+    monkeypatch.setattr(segpc.design, "_residual_sq",
+                        lambda rows, dirs: recomputed.append(len(rows)) or residual_sq(rows, dirs))
+    log = spy_rankings(monkeypatch)
+    plan = qr_select(meas, 55)
+    points, _ = plan.take(44)  # past one 32-pick block
+    want_selected, want_r_diag = reference_qr_ranking(meas, 44)
+    assert [entry[:2] for entry in log] == [["left", 44]]
+    assert sum(recomputed) > 300
+    assert np.array_equal(log[0][2][0], want_selected)
+    assert np.array_equal(points[:, 0], want_selected)
+    # past the fifth pick |R_ii| sit at the noise, 1e-7 of the leading
+    # ones, where both paths keep about nine digits
+    np.testing.assert_allclose(log[0][2][1], want_r_diag, rtol=1e-7, atol=0)
+
+
+def test_left_path_raises_on_a_rank_deficient_pool(gauss2, monkeypatch):
+    from segpc.spaces import SamplePool
+
+    pts = np.tile([0.5, -0.25], (50, 1))
+    meas = build_measurement(ChaosBasis(gauss2, 2), SamplePool(points=pts, seed=0),
+                             coherence_weights(gauss2, pts))
+    log = spy_rankings(monkeypatch)
+    plan = qr_select(meas, 6)
+    assert plan.take(1)[0].tolist() == [[0.5, -0.25]]
+    with pytest.raises(RankDeficientError):
+        plan.take(2)
+    assert [entry[:2] for entry in log] == [["left", 1], ["left", 2]]
+    assert len(log[1]) == 2  # the second ranking raised
+
+
+_PRINT_CROSSING_RANKINGS = """
+import hashlib, json, sys
+import numpy as np
+import segpc.design
+from segpc import ChaosBasis, ishigami_model, rank_pool
+paths = []
+for path, name in (("left", "_left_rank"), ("right", "_greedy_rank")):
+    rank = getattr(segpc.design, name)
+    def spy(work, n_sel, rank=rank, path=path):
+        paths.append([path, n_sel])
+        return rank(work, n_sel)
+    setattr(segpc.design, name, spy)
+basis = ChaosBasis(ishigami_model().space, 10)
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+reads = json.loads(sys.argv[2])
+got = {}
+for seed in json.loads(sys.argv[1]):
+    for name, order in (("ascending", sorted(reads)), ("descending", sorted(reads)[::-1])):
+        paths.clear()
+        plan = rank_pool(basis, 10_000, seed)
+        taken = {n: plan.take(n)[0] for n in order}
+        selected = plan.selected
+        prefixes = all(np.array_equal(points, plan.pool[selected[:n]]) for n, points in taken.items())
+        got[f"{seed} {name}"] = [digest(selected.astype(np.int64)), digest(plan.r_diag),
+                                 plan.cond_number.hex(), prefixes, paths[:]]
+print(json.dumps(got))
+"""
+
+
+def test_reads_across_the_path_crossover_keep_the_stored_bits():
+    # 0.8 x 286 = 228.8: reads of 228 picks or fewer rank left-looking, longer
+    # ones right-looking; in either order the ranking keeps the stored bits
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    seeds = sorted(ISHIGAMI_P10_RANKINGS)
+    child = subprocess.run(
+        [sys.executable, "-c", _PRINT_CROSSING_RANKINGS, json.dumps(seeds),
+         json.dumps([144, 228, 229, 285])],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    paths = {
+        "ascending": [["left", 144], ["left", 228], ["right", 229], ["right", 285],
+                      ["right", 286]],
+        "descending": [["right", 285], ["right", 286]],
+    }
+    want = {f"{seed} {name}": [*ISHIGAMI_P10_RANKINGS[seed], True, paths[name]]
+            for seed in seeds for name in ("ascending", "descending")}
+    assert json.loads(child.stdout) == want
 
 
 def test_take_refuses_fewer_than_one_point():

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+import segpc.design
 from segpc import Model, univariate_table
 from segpc.burgers import _direct_jacobian
 from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
@@ -174,6 +175,23 @@ def reference_smolyak_rule(space, level):
     nodes = np.array([entry[0] for entry in merged.values()]).reshape(len(merged), space.m)
     weights = np.array([entry[1] for entry in merged.values()])
     return QuadratureRule(nodes=nodes, weights=weights, kind="smolyak")
+
+
+def spy_rankings(monkeypatch):
+    """Spy on both ranking paths of ``segpc.design``: returns a log holding
+    ``[path, n_sel]`` ("left" or "right") for each ranking as it starts, to
+    which the (selected, r_diag) it returns is appended."""
+    log = []
+    for path, name in (("left", "_left_rank"), ("right", "_greedy_rank")):
+        rank = getattr(segpc.design, name)
+
+        def spy(work, n_sel, rank=rank, path=path):
+            log.append([path, n_sel])
+            log[-1].append(rank(work, n_sel))
+            return log[-1][2]
+
+        monkeypatch.setattr(segpc.design, name, spy)
+    return log
 
 
 def reference_qr_ranking(meas, n_sel):

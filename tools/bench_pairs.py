@@ -24,8 +24,9 @@ neither side) and a verdict:
   not every change run is better than every parent run;
 - ``no regression`` otherwise.
 
-A last line names every workload's metric judged ``worse`` (``worse:
-none`` if there is none), and the script then exits 1 if there is one.  A
+A ``gain:`` line then names every workload's metric judged ``gain``, and a
+last line every one judged ``worse`` (each reads ``none`` if there is
+none); the script exits 1 if one is worse.  A
 run that fails (no result line) aborts the script with its output.
 Nothing under ``perfbench/`` is changed, but each run writes its record to
 that checkout's ``perfbench/out/``.
@@ -122,11 +123,16 @@ def format_rows(workload, rows):
     return "\n".join(lines)
 
 
+def verdict_line(tables, verdict):
+    """``verdict: `` and each (workload, rows) table's metrics judged so, or none."""
+    named = [f"{workload} {row['name']}" for workload, rows in tables
+             for row in rows if row["verdict"] == verdict]
+    return f"{verdict}: " + (", ".join(named) if named else "none")
+
+
 def worse_line(tables):
-    """The last line: each (workload, rows) table's metrics judged worse, or none."""
-    worse = [f"{workload} {row['name']}" for workload, rows in tables
-             for row in rows if row["verdict"] == "worse"]
-    return "worse: " + (", ".join(worse) if worse else "none")
+    """The last line: each table's metrics judged worse, or none."""
+    return verdict_line(tables, "worse")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -172,6 +178,7 @@ def main(argv=None):
         pairs = run_pairs(args.parent, args.change, workload, args.seeds, args.seconds)
         tables.append((workload, summarize(pairs, spec["end_to_end"])))
         print(format_rows(*tables[-1]), flush=True)
+    print(verdict_line(tables, "gain"))
     line = worse_line(tables)
     print(line)
     return 0 if line == "worse: none" else 1
