@@ -15,14 +15,16 @@ A ranking takes one of two paths, with the same pivots as LAPACK ``geqp3``
 (``scipy.linalg.qr`` with pivoting) and |R_ii| that agree with it at
 round-off (within 1e-13 relative on the tested pools).  The right-looking
 path (:func:`_greedy_rank`, blocked as in Quintana-Orti, Sun & Bischof 1998)
-deflates every row by each block of reflectors, in place on one working
-copy, and between picks re-projects only the rows whose stale residual norm
-can still win (Minoux 1978).  A shorter read than the whole plan, of at most
-``LEFT_SHARE`` of the P + 1 terms and one in ``CACHE_SHARE`` of the pool, is
-ranked left-looking (:func:`_left_rank`): the working copy is never
-modified, and a block of picks costs one product of the pool with the
-block's directions, about half the flops of a deflation.  Every other read
-is ranked right-looking.  Errors found while ranking (a rank-deficient
+deflates every row by each block of reflectors, in place on one float64
+working copy, and between picks re-projects only the rows whose stale
+residual norm can still win (Minoux 1978).  A shorter read than the whole
+plan, of at most ``LEFT_SHARE`` of the P + 1 terms and one in
+``CACHE_SHARE`` of the pool, is ranked left-looking (:func:`_left_rank`)
+over the pool held in float32, half the bytes: a block of picks costs one
+float32 product of the pool with the block's directions, which only bounds
+each row's residual, and the rows that may be picked are evaluated again in
+float64, so picks and |R_ii| are those of the pool in float64.  Every other
+read is ranked right-looking.  Errors found while ranking (a rank-deficient
 pool, weighted entries whose squares overflow) surface at the read whose
 picks they concern.  :func:`rank_pool` runs that chain on a seeded pool;
 :meth:`DesignPlan.take` alone states which points a fit reads: the pivots,
@@ -67,15 +69,15 @@ REFRESH_ROWS = 512
 
 #: reads of at most this share of the P + 1 terms may be ranked left-looking
 #: (one BLAS thread, min of 5, 10^4 Ishigami points and 286 terms: 144 picks
-#: take ~36-43 ms against ~48-55 ms right-looking, 228 picks ~63-80 ms on
-#: either path, and all 286 picks ~135 ms against ~90 ms)
+#: take ~45 ms against ~67 ms right-looking, 186 picks ~53 against ~77 ms,
+#: 228 picks ~77 against ~81 ms, and all 286 ~92 ms right-looking)
 LEFT_SHARE = 0.8
 
 #: the left-looking path caches at most q / CACHE_SHARE pool rows per block,
 #: and ranks at most that many picks: past it, orthogonalizing each pick
 #: against all earlier ones outgrows the block passes (at 861 terms from
-#: 3,000 points, 258 picks took ~68 ms against ~85 ms and 430 picks ~148 ms
-#: against ~122 ms right-looking)
+#: 3,000 points, 258 picks took ~95 ms against ~94 ms and 375 picks ~151 ms
+#: against ~118 ms right-looking)
 CACHE_SHARE = 8
 
 #: pool rows per product at a left-looking block's end, bounding its
@@ -86,7 +88,15 @@ PASS_ROWS = 2048
 #: exact computation is recomputed from the pool row (LAPACK dlaqps's guard)
 GUARD = math.sqrt(np.finfo(float).eps)
 
-#: largest measurement matrix (q x (P + 1) float64) ``build_measurement`` accepts
+#: float64 pool rows a left-looking ranking evaluates at least at a time,
+#: so a block makes few basis calls (a call for one row of 286 Ishigami
+#: terms takes ~0.2 ms, for 512 rows ~0.6 ms; 256 and 512 ranked the
+#: Ishigami and Burgers partial reads alike, 128 and 1,024 slower)
+RESERVE_ROWS = 256
+
+#: largest measurement matrix (q x (P + 1) float64) ``build_measurement``
+#: accepts: the working array of a whole read; a partial read holds the pool
+#: in float32, half of it
 MAX_MEASUREMENT_BYTES = 2 * 2**30
 
 
@@ -181,12 +191,14 @@ class DesignPlan:
     on its first read.  The longest ranking computed is kept, and a longer
     read ranks afresh: a shorter ranking is a prefix of a longer one, so
     every read gives the same points.  A read of all ``n_selected`` picks is
-    ranked right-looking, so ``r_diag`` always holds that path's bits.  A
-    partial read (a :meth:`take` of n < ``n_selected`` picks with
-    n <= ``LEFT_SHARE`` (P + 1) and ``CACHE_SHARE`` n <= q) is ranked
-    left-looking: same pivots, and the |R_ii| it keeps come from that path,
-    equal to the right-looking ones at round-off, not bit for bit.  Between
-    reads the plan holds no working array, only the pivots and |R_ii|.
+    ranked right-looking over a float64 working array, so ``r_diag`` always
+    holds that path's bits.  A partial read (a :meth:`take` of
+    n < ``n_selected`` picks with n <= ``LEFT_SHARE`` (P + 1) and
+    ``CACHE_SHARE`` n <= q) is ranked left-looking over a float32 working
+    array, half the bytes: same pivots, and the |R_ii| it keeps come from
+    that path's float64 rows, equal to the right-looking ones at round-off,
+    not bit for bit.  Between reads the plan holds no working array, only
+    the pivots and |R_ii|.
     ``RankDeficientError``, and the ``ValueError`` for weighted entries whose
     squares overflow, come from the read whose picks they concern.
     """
@@ -210,12 +222,13 @@ class DesignPlan:
         """Pivots and |R_ii| of the first ``n`` picks, ranked now if not yet kept."""
         if n > self._selected.shape[0]:
             meas = self.meas
-            work = np.empty((meas.q, meas.n_terms), order="F")
-            meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
-            left = (n < self.n_selected and n <= LEFT_SHARE * meas.n_terms
-                    and CACHE_SHARE * n <= meas.q)
-            rank = _left_rank if left else _greedy_rank
-            self._selected, self._r_diag = rank(work, n)
+            if (n < self.n_selected and n <= LEFT_SHARE * meas.n_terms
+                    and CACHE_SHARE * n <= meas.q):
+                self._selected, self._r_diag = _left_rank(meas, n)
+            else:
+                work = np.empty((meas.q, meas.n_terms), order="F")
+                meas.basis.eval(meas.points, out=work, scale=meas.w_sqrt)
+                self._selected, self._r_diag = _greedy_rank(work, n)
         return self._selected[:n], self._r_diag[:n]
 
     @property
@@ -268,8 +281,9 @@ def qr_select(meas, n_sel):
     norm is its |R_ii|.  Nothing is ranked here: a read of the plan ranks
     the picks it needs (see :class:`DesignPlan`), evaluating the weighted
     basis straight into one Fortran-ordered working array, the only
-    q x (P + 1) array a ranking holds, freed when the read returns (the
-    left-looking path adds a cache of at most q / ``CACHE_SHARE`` rows).
+    q x (P + 1) array a ranking holds, freed when the read returns: float64
+    for a read of the whole plan, float32 for a partial read, which adds a
+    cache of at most q / ``CACHE_SHARE`` float64 rows.
 
     Raises
     ------
@@ -354,11 +368,16 @@ def _greedy_rank(work, n_sel):
     return selected, r_diag
 
 
-def _finite_norms(work):
-    """Squared row norms of ``work``; a ``ValueError`` names its first non-finite row."""
+def _finite_norms(work, rows=None):
+    """Squared row norms of ``work``; a ``ValueError`` names its first non-finite row.
+
+    ``rows`` holds the pool row of each row of ``work`` (by default its own
+    index).
+    """
     sq = np.einsum("ij,ij->i", work, work)
     if not np.all(np.isfinite(sq)):
         row = int(np.flatnonzero(~np.isfinite(sq))[0])
+        row = row if rows is None else int(rows[row])
         raise ValueError(
             f"weighted measurement row {row} holds infs or NaNs, or entries "
             "whose squares overflow"
@@ -375,99 +394,256 @@ def _check_rank(r_diag, step):
         )
 
 
-def _left_rank(work, n_sel):
-    """Pivot rows and |R_ii| of the first ``n_sel`` greedy picks, left-looking; ``work`` is only read.
+def _left_rank(meas, n_sel):
+    """Pivot rows and |R_ii| of the first ``n_sel`` greedy picks, left-looking over a float32 pool.
 
-    Pick s is its row of ``work`` orthogonalized twice (CGS2) against the
-    unit directions of picks 0..s-1: the norm of what is left is |R_ss|, and
-    its direction joins them.  Each row keeps its squared residual off the
-    directions taken, exact at a block's start: a block of up to
-    ``SELECT_BLOCK`` picks ends with one pass over ``work``, ``PASS_ROWS``
-    rows at a time, that takes each row's squared projections on the
-    block's directions off its residual.  Between picks the candidates are
-    brought up to date as in :func:`_refresh`: rows whose residual may reach
-    the cut are copied into a row cache and projected on the block's
-    directions so far, and every cached row is projected on each new
-    direction.  ``work`` never changes, so the cache stays valid for the
-    whole block.  A residual that falls below ``GUARD`` of its last exact
-    value is recomputed from its row; a block ends early when the cache
-    would pass q / ``CACHE_SHARE`` rows.
+    Pick s is its float64 pool row, as ``meas.weighted()`` holds it,
+    orthogonalized twice (CGS2) against the unit directions of picks
+    0..s-1: the norm of what is left is |R_ss|, and its direction joins
+    them.  The pool itself is held in float32, scaled by a power of two
+    (see :func:`_single_pool`), and only bounds the rows: each row keeps
+    an upper bound on its squared residual off the directions taken,
+    renewed at a block's start from its float32 norm less its squared
+    float32 projections (see :func:`_bound_terms`).  A block of up to
+    ``SELECT_BLOCK`` picks ends with one pass over the float32 pool,
+    ``PASS_ROWS`` rows at a time, that takes the squared projections on
+    the block's directions off those norms.  Between picks the candidates
+    are brought up to date as in :func:`_refresh`: rows whose bound may
+    reach the cut are evaluated again in float64 into a row cache (see
+    :class:`_RowCache`), their exact residuals taken off every direction,
+    and every cached row is projected on each new direction; a residual
+    that falls below ``GUARD`` of its last exact value is recomputed from
+    its row.  So picks and |R_ii| come from the float64 rows and
+    directions alone, as if the whole pool were held in float64.  A block
+    ends early when the cache would pass q / ``CACHE_SHARE`` rows; if that
+    happens at a block's first pick (the bounds cannot tell the rows apart,
+    as in a numerically rank-deficient pool), the block instead takes exact
+    residuals of every row from the pool evaluated again in float64, a
+    cache's worth of rows at a time.
     """
-    q, n_terms = work.shape
+    q, n_terms = meas.q, meas.n_terms
     selected = np.empty(n_sel, dtype=np.intp)
     r_diag = np.empty(n_sel)
     dirs = np.empty((n_terms, n_sel), order="F")
-    sq = _finite_norms(work)  # picked rows hold -inf
-    exact = sq.copy()  # each row's squared residual when last computed from its row
-    cache = np.empty((q // CACHE_SHARE, n_terms))
-    slot = np.full(q, -1)  # a row's place in the cache, -1 if not cached
+    pool, norm_sq, exponent = _single_pool(meas)
+    estimate, cross, square = _bound_terms(norm_sq, n_terms, meas.basis.m)
+    exact = np.empty(q)  # a live row's squared residual when last computed from its row
+    cache = _RowCache(meas, q // CACHE_SHARE)
     k = 0
     while k < n_sel:
-        bound = sq.copy()  # exact for cached rows, an upper bound for the others
-        cached = np.empty(0, dtype=np.intp)
+        # upper bounds on every row's squared residual, exact for the live rows
+        bound = np.ldexp(estimate + math.sqrt(k) * cross + k * square, -2 * exponent)
+        cache.clear()
         width = min(SELECT_BLOCK, n_sel - k)
         for t in range(width):
             step = k + t
-            row = int(np.argmax(bound))
-            if t > 0 and slot[row] < 0:
-                cached = _catch_up(work, cache, slot, cached, bound, exact,
-                                   dirs[:, :step], k, REFRESH_CUT * r_diag[step - 1] ** 2)
-                row = int(np.argmax(bound))
-                if slot[row] < 0:  # the cache is full: end the block
+            cut = REFRESH_CUT * r_diag[step - 1] ** 2 if step else np.inf
+            if not cache.catch_up(bound, exact, dirs[:, :step], cut):
+                if t > 0:  # the cache is full: end the block
                     width = t
                     break
-            x = cache[slot[row]].copy() if slot[row] >= 0 else work[row].copy()
+                cache.exact_bounds(bound, exact, dirs[:, :step])
+            row = int(np.argmax(bound))
+            x = cache.row(row)
             done = dirs[:, :step]
             x -= done @ (x @ done)
             x -= done @ (x @ done)
             r_diag[step] = math.sqrt(x @ x)
             _check_rank(r_diag, step)
             selected[step] = row
-            sq[row] = bound[row] = exact[row] = -np.inf
+            bound[row] = exact[row] = estimate[row] = -np.inf
+            cross[row] = square[row] = 0.0  # a picked row's bound stays -inf
             dirs[:, step] = x / r_diag[step]
-            if cached.size:
-                c = cache[:cached.size] @ dirs[:, step]
-                bound[cached] -= c * c
-                _guard(bound, exact, cached, cache, dirs[:, :step + 1])
-        slot[cached] = -1
+            cache.downdate(bound, exact, dirs[:, :step + 1])
         if k + width < n_sel:
-            block = dirs[:, k:k + width].T
+            block = dirs[:, k:k + width].T.astype(np.float32)
             for lo in range(0, q, PASS_ROWS):
-                c = block @ work[lo:lo + PASS_ROWS].T
-                sq[lo:lo + PASS_ROWS] -= np.einsum("ij,ij->j", c, c)
-            sq[cached] = bound[cached]
-            _guard(sq, exact, np.arange(q), work, dirs[:, :k + width])
+                c = block @ pool[lo:lo + PASS_ROWS].T
+                estimate[lo:lo + PASS_ROWS] -= np.einsum("ij,ij->j", c, c, dtype=np.float64)
         k += width
     return selected, r_diag
 
 
-def _catch_up(work, cache, slot, cached, bound, exact, dirs, k, cut):
-    """Cache rows until the largest bound is a cached row's exact residual; returns the cached rows.
+def _single_pool(meas):
+    """The weighted pool in float32, scaled by 2^e, and the float32 sums of its rows' squares.
 
-    Uncached rows whose bound reaches ``cut`` are copied into the cache and
-    projected on the block's directions ``dirs[:, k:]``; while the largest
-    bound is still an uncached row's, the cut drops to the largest cached
-    residual.  Then every uncached bound lies below a cached residual, and
-    ``argmax(bound)`` is the exact pick: the lowest row among equals.  Stops
-    early, caching nothing more, when the rows would not fit in the cache.
+    Returns ``(pool, norm_sq, e)``.  The scale 2^e takes the largest weight
+    into [1/2, 1), so the float32 entries stay in range whatever the
+    weights' size; it is exact and moves no pivot.  A row the float32 pool
+    cannot bound, one whose float32 squares overflow or whose scaled weight
+    is a float32 subnormal, is zeroed there and given an infinite
+    ``norm_sq``, so every block evaluates it in float64.  Rows whose
+    float64 squares overflow raise the ``ValueError`` of
+    :func:`_finite_norms`, naming the first.
     """
-    while slot[int(np.argmax(bound))] < 0:
-        new = np.flatnonzero((bound >= cut) & (slot < 0))
-        if new.size == 0:
-            best = bound[cached].max() if cached.size else -np.inf
-            cut = best if best > -np.inf else bound.max()
-            continue
-        n = cached.size
-        if n + new.size > cache.shape[0]:
-            break
-        rows = cache[n:n + new.size]
-        rows[...] = work[new]
-        c = rows @ dirs[:, k:]
-        bound[new] -= np.einsum("ij,ij->i", c, c)
-        slot[new] = np.arange(n, n + new.size)
-        cached = np.concatenate([cached, new])
-        _guard(bound, exact, new, rows, dirs)
-    return cached
+    basis, points, w = meas.basis, meas.points, meas.w_sqrt
+    exponent = -math.frexp(float(np.abs(w).max()))[1]
+    scaled = np.ldexp(w, exponent)
+    pool = np.empty((meas.q, meas.n_terms), dtype=np.float32, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are found below
+        basis.eval(points, out=pool, scale=scaled)
+        norm_sq = np.einsum("ij,ij->i", pool, pool).astype(float)
+        # a float64 row whose squares overflow has a scaled float32 norm within
+        # a few parts in 10^5 of 2^(2e) times the largest double, or none
+        suspect = np.flatnonzero(
+            ~(np.ldexp(norm_sq, -2 * exponent) < 0.25 * np.finfo(float).max))
+    if suspect.size:
+        _finite_norms(basis.eval(points[suspect], scale=w[suspect]), suspect)
+    loose = ~np.isfinite(norm_sq) | ((scaled != 0.0) & (np.abs(scaled) < 2.0**-126))
+    pool[loose] = 0.0
+    norm_sq[loose] = np.inf
+    return pool, norm_sq, exponent
+
+
+def _bound_terms(norm_sq, n, m):
+    """Per-row ``(R^2, cross, square)``: a row's squared residual off k directions is at most
+    ``R^2 - sum c_j^2 + sqrt(k) cross + k square``, c_j its float32 projections.
+
+    Take a row a (a scaled float64 row of n = P + 1 entries), its float32
+    copy a^ in the pool and the unit directions d_1..d_k; u = 2^-24.  The
+    float32 fill keeps every entry within (2m + 2) u |a_j| + (2m + 2)
+    2^-150 (1 + max_l |a_l|) of a_j (see ``ChaosBasis.eval``), so ||a^ -
+    a|| <= eps ||a|| + nu, with eps = (2m + 3) u and nu = (2m + 2) sqrt(n)
+    2^-150.  The float32 sum of squares N^ (``norm_sq``) gives ||a^||^2
+    <= (N^ + 2n 2^-150) / (1 - gamma_n), gamma_n = n u / (1 - n u), so
+    ||a|| <= R = (||a^|| + nu) / (1 - eps).  A float32 projection c_j =
+    fl(d^_j . a^), with d^_j = fl32(d_j), ||d^_j - d_j|| <= u + sqrt(n)
+    2^-150, and sgemm's |fl(x . y) - x . y| <= gamma_n ||x|| ||y|| + 2n
+    2^-150, lies within e = delta R + beta of t_j = d_j . a, where delta =
+    (n + 2m + 6) u counts gamma_n, the rounded direction and eps, then one
+    unit for their products and one for every float64 rounding (the
+    directions' loss of orthonormality, the float64 sums of c_j^2, and the
+    exact residuals the bounds are compared with, each below (n + k) 2^-52
+    relative), and beta = 2 nu + 2n 2^-150.  With ||t|| <= ||a|| <= R,
+
+        sum c_j^2 - sum t_j^2 = sum (c_j - t_j)(c_j + t_j) <= 2 sqrt(k) e R + k e^2,
+
+    so the squared residual ||a||^2 - sum t_j^2 is at most
+
+        R^2 - sum c_j^2 + sqrt(k) 2 e R + k e^2,
+
+    about N^ - sum c_j^2 + 2 (P + 2m + 7) u sqrt(k) N^: 4e-4 N^ at 286
+    terms and 128 directions.  A row of infinite ``norm_sq`` gets R^2 =
+    inf, which alone keeps its bound infinite.
+    """
+    u, tiny = 2.0**-24, 2.0**-150
+    nu = (2 * m + 2) * math.sqrt(n) * tiny
+    gamma = n * u / (1.0 - n * u)
+    finite = np.isfinite(norm_sq)
+    radius = (np.sqrt((np.where(finite, norm_sq, 0.0) + 2 * n * tiny) / (1.0 - gamma))
+              + nu) / (1.0 - (2 * m + 3) * u)
+    err = (n + 2 * m + 6) * u * radius + 2 * nu + 2 * n * tiny
+    return np.where(finite, radius * radius, np.inf), 2.0 * err * radius, err * err
+
+
+class _RowCache:
+    """Float64 pool rows for one block of :func:`_left_rank`, made exact as the picks need them.
+
+    Rows are evaluated with ``basis.eval`` in batches of the rows of
+    largest bound, at least ``RESERVE_ROWS`` at a time, and held in order
+    of bound, largest first.  The first ``live`` of them hold exact squared
+    residuals in the ranking's ``bound``; the others keep the bounds they
+    were chosen by, and every row not evaluated has a bound no larger than
+    theirs.  So the rows not live whose bound reaches a cut are the next
+    evaluated rows, or all of them and more.
+    """
+
+    def __init__(self, meas, size):
+        self.meas = meas
+        self.rows = np.empty((size, meas.n_terms))
+        self.ids = np.empty(size, dtype=np.intp)
+        self.slot = np.full(meas.q, -1)  # a row's place in the cache, -1 if not evaluated
+        self.live = self.count = 0
+
+    def clear(self):
+        self.slot[self.ids[:self.count]] = -1
+        self.live = self.count = 0
+
+    def row(self, i):
+        """A copy of pool row i in float64."""
+        if 0 <= self.slot[i] < self.live:
+            return self.rows[self.slot[i]].copy()
+        meas = self.meas
+        return meas.basis.eval(meas.points[i:i + 1], scale=meas.w_sqrt[i:i + 1])[0]
+
+    def catch_up(self, bound, exact, dirs, cut):
+        """Make the largest bound a live row's exact residual; False if the rows would not fit.
+
+        Rows whose bound reaches ``cut`` are made live; while the largest
+        bound is still another row's, the cut drops to the largest live
+        residual.  Then every other bound lies below a live residual, and
+        ``argmax(bound)`` is the exact pick: the lowest row among equals.
+        """
+        slot = self.slot
+        while not 0 <= slot[int(np.argmax(bound))] < self.live:
+            waiting = bound >= cut
+            waiting[self.ids[:self.live]] = False
+            need = np.count_nonzero(waiting)
+            if need == 0:
+                best = bound[self.ids[:self.live]].max() if self.live else -np.inf
+                cut = best if best > -np.inf else bound.max()
+                continue
+            if self.live + need > self.rows.shape[0]:
+                return False
+            if self.live + need > self.count:
+                self._evaluate(bound, max(self.live + need - self.count, RESERVE_ROWS))
+            self._make_live(need, bound, exact, dirs)
+        return True
+
+    def _evaluate(self, bound, n):
+        """Evaluate the ``n`` (or as many as fit) rows not yet evaluated of largest bound."""
+        values = bound.copy()
+        values[self.ids[:self.count]] = -np.inf
+        n = min(n, self.rows.shape[0] - self.count)
+        top = np.argpartition(values, len(values) - n)[len(values) - n:]
+        new = top[np.argsort(-values[top], kind="stable")]
+        new = new[values[new] > -np.inf]  # picked rows stay out
+        end = self.count + len(new)
+        meas = self.meas
+        meas.basis.eval(meas.points[new], out=self.rows[self.count:end], scale=meas.w_sqrt[new])
+        self.ids[self.count:end] = new
+        self.slot[new] = np.arange(self.count, end)
+        self.count = end
+
+    def _make_live(self, n, bound, exact, dirs):
+        rows = self.rows[self.live:self.live + n]
+        ids = self.ids[self.live:self.live + n]
+        exact[ids] = np.einsum("ij,ij->i", rows, rows)
+        c = rows @ dirs
+        bound[ids] = exact[ids] - np.einsum("ij,ij->i", c, c)
+        _guard(bound, exact, ids, rows, dirs)
+        self.live += n
+
+    def downdate(self, bound, exact, dirs):
+        """Take the live rows' squared projections on the last direction off their residuals."""
+        if self.live:
+            live = self.rows[:self.live]
+            c = live @ dirs[:, -1]
+            ids = self.ids[:self.live]
+            bound[ids] -= c * c
+            _guard(bound, exact, ids, live, dirs)
+
+    def exact_bounds(self, bound, exact, dirs):
+        """Exact squared residuals of every unpicked row, from the pool evaluated again in float64.
+
+        The cache's storage holds each column-major tile; the cache is left empty.
+        """
+        self.clear()
+        meas = self.meas
+        n_terms = meas.n_terms
+        size = self.rows.shape[0]
+        store = self.rows.reshape(-1)
+        for lo in range(0, meas.q, size):
+            hi = min(lo + size, meas.q)
+            tile = store[:(hi - lo) * n_terms].reshape(n_terms, hi - lo).T
+            meas.basis.eval(meas.points[lo:hi], out=tile, scale=meas.w_sqrt[lo:hi])
+            ids = np.arange(lo, hi)
+            picked = bound[lo:hi] == -np.inf
+            exact[lo:hi] = np.einsum("ij,ij->i", tile, tile)
+            c = tile @ dirs
+            bound[lo:hi] = exact[lo:hi] - np.einsum("ij,ij->i", c, c)
+            _guard(bound, exact, ids, tile, dirs)
+            bound[lo:hi][picked] = exact[lo:hi][picked] = -np.inf
 
 
 def _guard(res_sq, exact, rows, values, dirs):

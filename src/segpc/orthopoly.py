@@ -41,6 +41,19 @@ large projection or surrogate sample.  At Ishigami p = 10 (286 terms) a
 weighted 10^4-point pool takes ~4.2 ms and a fit's 144 rows ~0.24 ms, most
 of it the fixed cost of one call per term (one core, 2-core x86-64 host).
 
+A float32 ``out`` (the pool a partial design read bounds its rows with)
+holds each entry to within (2m + 2) 2^-24 of the float64 entry, relative,
+plus (2m + 2) 2^-150 (1 + the largest entry of its row in magnitude), for
+rows whose scale is 0 or a normal float32 and whose values fit in float32.
+A column-major one runs each recurrence in float64 as above, rounds each
+single-factor column once and forms the products and the scale in float32:
+at most m + (m - 1) + 2 roundings an entry, each off by 2^-24 relative or,
+in the subnormal range, by 2^-150, which later factors scale by at most the
+row's entry of a lower term.  Any other float32 ``out`` takes the float64
+block path and is rounded once.  At Ishigami p = 10 a column-major float32
+10^4-point pool takes under half the time of the float64 one (2.8 against
+6.5 ms, min of 30 calls, on the same host, loaded).
+
 ``ChaosBasis.grad`` reads the columns of one ``eval``:
 d psi_alpha / d x_k = (psi_{alpha<k} * psi'_{alpha_k}(x_k)) * psi_{alpha>k},
 where alpha<k (alpha>k) is alpha with the exponents of the dimensions from k
@@ -250,7 +263,9 @@ class ChaosBasis:
         A column-major ``out`` is filled in place, any other result through
         a column-major scratch of at most ``EVAL_BLOCK`` rows (see the
         module docstring).  The bits equal those of the dense tensor
-        product, but for the sign of a NaN formed from two NaN factors.
+        product, but for the sign of a NaN formed from two NaN factors; a
+        float32 ``out`` holds them within the bound the module docstring
+        states.
 
         Parameters
         ----------
@@ -274,7 +289,7 @@ class ChaosBasis:
         if out is not None and out.flags.f_contiguous:
             self._fill(points, out)
             if scale is not None:
-                out *= scale[:, None]
+                out *= scale.astype(out.dtype, copy=False)[:, None]
             return out
         # the result is allocated before the scratch, so the scratch freed on
         # return lies above it on the heap (peak RSS 1.5-2.5 MB lower, measured
@@ -294,12 +309,22 @@ class ChaosBasis:
         return out
 
     def _fill(self, points, out):
-        """Every term at ``points`` into the column-major ``out``, one column per multiply."""
+        """Every term at ``points`` into the column-major ``out``, one column per multiply.
+
+        The recurrences run in float64; into a float32 ``out`` each
+        single-factor column is rounded once, and the products are float32.
+        """
         cols = list(out.T)
         x = np.empty(points.shape[0])
+        single = None if out.dtype == np.float64 else np.empty((self.order + 1, len(x)))
         for k, chain in enumerate(self._chains):
             x[...] = points[:, k]
-            _recurrence(self._offdiag[:, k], x, [cols[j] for j in chain])
+            if single is None:
+                _recurrence(self._offdiag[:, k], x, [cols[j] for j in chain])
+                continue
+            _recurrence(self._offdiag[:, k], x, single)
+            for j, column in zip(chain, single):
+                cols[j][...] = column
         for j, parent, factor in self._streams:
             np.multiply(cols[parent], cols[factor], out=cols[j])
 

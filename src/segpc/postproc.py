@@ -70,24 +70,26 @@ def moments_from_coefficients(surrogate):
 def _sample_moments_surrogate(surrogate, n, seed):
     """Skewness and kurtosis of ``n`` seeded samples of the surrogate.
 
-    The samples are evaluated in chunks of a multiple of 16 points that fit
-    in :data:`SURROGATE_EVAL_BYTES`: at one BLAS thread the matrix-vector
-    product then groups each chunk's rows as in one product over all the
-    samples, so the values keep their bits.  They are not byte-stable across
+    The samples, the points of ``sample_pool(n, seed)``, are drawn
+    (``StochasticSpace.sample_chunks``) and evaluated in chunks of a
+    multiple of 16 points that fit in :data:`SURROGATE_EVAL_BYTES`, so the
+    whole pool (80 MB at m = 10) is never held.  At one BLAS thread the
+    matrix-vector product groups each chunk's rows as in one product over
+    all the samples, so the values keep their bits.  They are not byte-stable across
     BLAS thread counts: with two OpenBLAS threads the product splits a
     chunk's rows between the threads, and a split off a multiple of 16 rows
     moves the last bits of the rows at its edge.  No run of
     ``tools/cli_matrix.py`` reaches this path.
     """
-    pool = surrogate.space.sample_pool(n, seed)
     basis = surrogate.basis
     # a point's basis row, at most one row of eval's scratch, its coordinate
-    # copy and recurrence temporary in eval, and its value
-    point_bytes = 8 * (2 * basis.n_terms + 3)
+    # copy and recurrence temporary in eval, its coordinates and their draw,
+    # and its value
+    point_bytes = 8 * (2 * basis.n_terms + basis.m + 4)
     chunk = 16 * max(1, SURROGATE_EVAL_BYTES // point_bytes // 16)
     values = np.empty(n)
-    for start in range(0, n, chunk):
-        values[start : start + chunk] = surrogate.eval(pool.points[start : start + chunk])
+    for start, points in zip(range(0, n, chunk), surrogate.space.sample_chunks(n, seed, chunk)):
+        values[start : start + chunk] = surrogate.eval(points)
     return sample_moments(values)[2:]
 
 

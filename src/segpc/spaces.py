@@ -17,6 +17,7 @@ from the PCG64 stream.  Pools generated with the same seed are bit-identical.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,3 +164,27 @@ class StochasticSpace:
         for k, marg in enumerate(self._marginals):
             points[:, k] = marg.sample_standard(rng, q)
         return SamplePool(points=points, seed=int(seed))
+
+    def sample_chunks(self, q, seed, size):
+        """The rows of ``sample_pool(q, seed).points``, ``size`` at a time, without the pool.
+
+        One pass draws and discards each column but the last, chunk by
+        chunk, and keeps a copy of the generator at each column's start;
+        then each copy draws its column chunk by chunk.  numpy draws a
+        ``standard_normal`` or ``uniform`` sequence in chunks with the bits
+        of one draw, so the chunks hold the pool's bits.
+        """
+        if q < 1:
+            raise ValueError(f"pool size must be >= 1, got {q}")
+        rng = np.random.default_rng(seed)
+        columns = []
+        for k, marg in enumerate(self._marginals):
+            columns.append(np.random.Generator(copy.deepcopy(rng.bit_generator)))
+            if k + 1 < self.m:
+                for start in range(0, q, size):
+                    marg.sample_standard(rng, min(size, q - start))
+        for start in range(0, q, size):
+            points = np.empty((min(size, q - start), self.m))
+            for k, (marg, column) in enumerate(zip(self._marginals, columns)):
+                points[:, k] = marg.sample_standard(column, len(points))
+            yield points

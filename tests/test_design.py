@@ -251,12 +251,14 @@ def test_qr_select_holds_one_working_copy(monkeypatch):
     basis = ChaosBasis(ishigami_model().space, 10)
     peak = _traced_peak(lambda: rank_pool(basis, 10_000, 1).selected)
     assert peak <= 1.5 * 10_000 * basis.n_terms * 8
-    # a partial read ranks left-looking: the working array, its row cache of
-    # at most q / CACHE_SHARE rows and the small temporaries of a block pass
+    # a partial read ranks left-looking over the pool in float32: half that
+    # array, its float64 row cache of at most q / CACHE_SHARE rows and the
+    # small temporaries of a batch of rows or a block pass
     log = spy_rankings(monkeypatch)
     peak = _traced_peak(lambda: qr_select(meas, meas.n_terms).take(144))
     assert [entry[:2] for entry in log] == [["left", 144]]
     assert peak <= 1.5 * meas.q * meas.n_terms * 8
+    assert peak <= 0.8 * meas.q * meas.n_terms * 8
 
 
 #: rank_pool(Ishigami order-10 basis, 10_000, seed) at one BLAS thread, stored
@@ -384,6 +386,82 @@ def test_partial_reads_take_the_scipy_qr_pivots(monkeypatch, marginals, order, q
     np.testing.assert_allclose(r_diag, want_r_diag, rtol=1e-13, atol=0)
 
 
+def _scaled_measurement(meas, factor):
+    """``meas`` with every weight multiplied by ``factor``."""
+    return build_measurement(meas.basis, meas.points, meas.w_sqrt * factor)
+
+
+def test_partial_reads_keep_their_pivots_outside_the_float32_range(monkeypatch):
+    # weights x 2^140 and x 2^-140 put every weighted entry past float32's
+    # largest or below its least value; a far point's float32 factors
+    # overflow (inf x 0 weight), and another's weight is a float32 subnormal
+    meas = _measurement([Gaussian(), Gaussian()], 10, 2000, seed=12)
+    points, w_sqrt = meas.points.copy(), meas.w_sqrt.copy()
+    points[[7, 1500]] = [[1e5, 0.0], [0.0, 19.0]]
+    w_sqrt[[7, 1500]] = coherence_weights(meas.basis.space, points[[7, 1500]])
+    assert w_sqrt[7] == 0.0 and 0.0 < w_sqrt[1500] < 2.0**-126
+    meas = build_measurement(meas.basis, points, w_sqrt)
+    n = 40
+    log = spy_rankings(monkeypatch)
+    want_selected, want_r_diag = reference_qr_ranking(meas, n)
+    plan = qr_select(meas, meas.n_terms)
+    plan.take(n)
+    [[path, _, (selected, r_diag)]] = log
+    assert path == "left"
+    assert np.array_equal(selected, want_selected)
+    np.testing.assert_allclose(r_diag, want_r_diag, rtol=1e-13, atol=0)
+    for exponent in (140, -140):
+        scaled = _scaled_measurement(meas, 2.0**exponent)
+        assert np.array_equal(qr_select(scaled, meas.n_terms).take(n)[0], meas.points[selected])
+        [path, _, (got, got_r)] = log[-1]
+        assert path == "left"
+        assert np.array_equal(got, reference_qr_ranking(scaled, n)[0])
+        # the scale is exact: the same |R_ii|, scaled bit for bit
+        assert np.array_equal(got_r, np.ldexp(r_diag, exponent))
+
+
+def test_partial_reads_take_the_lower_of_rows_tied_below_float32_resolution(monkeypatch):
+    # copies of picked points: exact twins (the lower row comes first) and
+    # near twins with weight x (1 + 2^-30), which float32 cannot tell apart
+    base = _measurement([Uniform(), Uniform(), Uniform()], 5, 2000, seed=13)
+    first, _ = reference_qr_ranking(base, 8)
+    spare = np.setdiff1d(np.arange(2000), reference_qr_ranking(base, 44)[0])
+    points, w_sqrt = base.points.copy(), base.w_sqrt.copy()
+    twins = {}
+    for s, row in enumerate(first):
+        copy = spare[3 * s] if s % 2 else spare[-1 - 3 * s]  # below or above it
+        points[copy], w_sqrt[copy] = points[row], w_sqrt[row]
+        if s >= 4:
+            w_sqrt[copy] *= 1.0 + 2.0**-30
+        twins[int(row)] = int(copy)
+    meas = build_measurement(base.basis, points, w_sqrt)
+    n = 40
+    log = spy_rankings(monkeypatch)
+    taken, _ = qr_select(meas, meas.n_terms).take(n)
+    [[path, _, (selected, r_diag)]] = log
+    want_selected, want_r_diag = reference_qr_ranking(meas, n)
+    assert path == "left"
+    assert np.array_equal(selected, want_selected)
+    np.testing.assert_allclose(r_diag, want_r_diag, rtol=1e-13, atol=0)
+    picked = set(selected.tolist())
+    for s, (row, copy) in enumerate(twins.items()):
+        winner = min(row, copy) if s < 4 else copy
+        assert winner in picked and ({row, copy} - {winner}).isdisjoint(picked)
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["whole", "partial"])
+def test_reads_name_the_first_row_whose_squares_overflow(gauss2, partial, monkeypatch):
+    basis = ChaosBasis(gauss2, 4)
+    pool = gauss2.sample_pool(200, seed=14)
+    weights = coherence_weights(gauss2, pool.points)
+    weights[[150, 61, 90]] = [1e160, 1e160, 1e150]  # rows 61 and 150 overflow
+    log = spy_rankings(monkeypatch)
+    plan = qr_select(build_measurement(basis, pool, weights), basis.n_terms)
+    with pytest.raises(ValueError, match="weighted measurement row 61 holds"):
+        plan.take(3) if partial else plan.selected
+    assert [entry[:2] for entry in log] == [["left", 3] if partial else ["right", 15]]
+
+
 def test_left_path_recomputes_residuals_of_a_near_degenerate_pool(monkeypatch):
     # rank-5 rows plus 1e-7 noise: after five picks every residual falls far
     # below sqrt(eps) of its start and must be recomputed from its row
@@ -431,9 +509,9 @@ from segpc import ChaosBasis, ishigami_model, rank_pool
 paths = []
 for path, name in (("left", "_left_rank"), ("right", "_greedy_rank")):
     rank = getattr(segpc.design, name)
-    def spy(work, n_sel, rank=rank, path=path):
+    def spy(source, n_sel, rank=rank, path=path):
         paths.append([path, n_sel])
-        return rank(work, n_sel)
+        return rank(source, n_sel)
     setattr(segpc.design, name, spy)
 basis = ChaosBasis(ishigami_model().space, 10)
 digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()

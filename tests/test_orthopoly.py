@@ -218,6 +218,27 @@ def test_basis_eval_into_out_keeps_the_bits(kind, n, layout):
 
 
 @pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
+@pytest.mark.parametrize("m,p", [(1, 10), (3, 6), (10, 2)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_basis_eval_into_float32_stays_within_its_bound(kind, m, p, layout):
+    # each entry within (2m + 2) 2^-24 of the float64 entry, relative, plus
+    # (2m + 2) 2^-150 (1 + the row's largest entry); scales down to 2^-125
+    # take products and weights into float32's subnormal range
+    basis = ChaosBasis(_space(kind, m), p)
+    points = basis.space.sample_pool(2000, seed=m + p).points
+    rng = np.random.default_rng(m * p)
+    scale = np.ldexp(rng.uniform(1.0, 2.0, 2000), rng.integers(-125, 2, 2000))
+    out = np.empty((2000, basis.n_terms), dtype=np.float32, order=layout)
+    for factor in (None, scale):
+        want = basis.eval(points, scale=factor)
+        assert basis.eval(points, out=out, scale=factor) is out
+        floor = 1.0 + np.abs(want).max(axis=1, keepdims=True)
+        bound = (2 * m + 2) * (2.0**-24 * np.abs(want) + 2.0**-150 * floor)
+        assert np.all(np.abs(out - want) <= bound)
+    assert np.any((out != 0) & (np.abs(out) < 2.0**-126))
+
+
+@pytest.mark.parametrize("kind", ["hermite", "legendre", "mixed"])
 @pytest.mark.parametrize("m,p", [(1, 0), (1, 5), (3, 0), (3, 6), (10, 2)])
 @pytest.mark.parametrize("n", [1, 2, 999, 1000, 1001])
 @pytest.mark.parametrize("non_finite", [False, True])

@@ -426,6 +426,22 @@ def test_surrogate_mc_chunks_hold_the_byte_budget(monkeypatch):
     assert peak < postproc.SURROGATE_EVAL_BYTES + pool_bytes
 
 
+def test_surrogate_mc_draws_its_pool_a_chunk_at_a_time(monkeypatch):
+    # 26 chunks of 4 MB: the 200,000 points of 20 coordinates (32 MB) are
+    # never held at once, only the values (1.6 MB) and one chunk
+    sur = _random_surrogate(StochasticSpace([Gaussian(), Uniform()] * 10), 1, seed=3)
+    n = 200_000
+    monkeypatch.setattr(postproc, "SURROGATE_EVAL_BYTES", 4 * 2**20)
+    tracemalloc.start()
+    try:
+        skewness, kurtosis = postproc._sample_moments_surrogate(sur, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(skewness) and math.isfinite(kurtosis)
+    assert peak < 8 * n + 2 * postproc.SURROGATE_EVAL_BYTES < n * sur.space.m * 8
+
+
 def test_basis_pickle_round_trip_evaluates_identically():
     # model workers receive their bases by pickle
     basis = ChaosBasis(_mixed_space(10), 2)

@@ -96,6 +96,17 @@ def test_sample_pool_domains_and_determinism():
         space.sample_pool(0, seed=1)
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000, 1001])
+def test_sample_chunks_hold_the_pool_bits(size):
+    space = StochasticSpace([Gaussian(), Uniform(), Gaussian()])
+    want = space.sample_pool(1000, seed=9).points
+    chunks = list(space.sample_chunks(1000, 9, size))
+    assert [len(c) for c in chunks] == [len(want[i:i + size]) for i in range(0, 1000, size)]
+    assert np.array_equal(np.concatenate(chunks).view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError):
+        next(space.sample_chunks(0, 9, size))
+
+
 def test_sample_pool_law_of_large_numbers():
     space = StochasticSpace([Gaussian(), Gaussian()])
     pool = space.sample_pool(10000, seed=7)

@@ -180,14 +180,15 @@ def reference_smolyak_rule(space, level):
 def spy_rankings(monkeypatch):
     """Spy on both ranking paths of ``segpc.design``: returns a log holding
     ``[path, n_sel]`` ("left" or "right") for each ranking as it starts, to
-    which the (selected, r_diag) it returns is appended."""
+    which the (selected, r_diag) it returns is appended.  The left path
+    takes the measurement, the right one its weighted float64 array."""
     log = []
     for path, name in (("left", "_left_rank"), ("right", "_greedy_rank")):
         rank = getattr(segpc.design, name)
 
-        def spy(work, n_sel, rank=rank, path=path):
+        def spy(source, n_sel, rank=rank, path=path):
             log.append([path, n_sel])
-            log[-1].append(rank(work, n_sel))
+            log[-1].append(rank(source, n_sel))
             return log[-1][2]
 
         monkeypatch.setattr(segpc.design, name, spy)
