@@ -33,7 +33,7 @@ from .errors import SegpcError
 from .models import ExponentialDecayModel, IshigamiModel
 from .orthopoly import ChaosBasis
 from .parallel import evaluate_values
-from .postproc import higher_moments, sobol_total
+from .postproc import higher_moments, sobol_total, square_keys_overflow, square_row_count
 from .quadrature import monte_carlo_moments, quadrature_fit, smolyak_rule
 from .regression import fit_segpc, fit_wlsq, segpc_point_count
 from .spaces import MARGINALS, StochasticSpace
@@ -366,6 +366,10 @@ def run_fit(config, method, order, orders):
             surrogate = fit_wlsq(basis, points, w_sqrt, values)
         _note_rank_deficiency(method, basis, surrogate.fit_report)
     report = higher_moments(surrogate)
+    if math.isnan(report.kurtosis) and square_keys_overflow(basis.m, order):
+        print(f"segpc: note: skewness and kurtosis at m = {basis.m}, order {order} are NaN: "
+              f"the {square_row_count(basis.m, order):,} rows of the squared expansion "
+              "would overflow its int64 merge keys", file=sys.stderr)
     return surrogate, report
 
 

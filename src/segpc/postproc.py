@@ -11,16 +11,23 @@ taken of the centred surrogate M - c_0 directly, exactly where that is cheap:
   (one dimension at a time, no basis matrix);
 - m > 4: the coefficients d of the squared centred expansion
   (M - c_0)^2 = sum_g d_g psi_g, from which E[(M - c_0)^4] = sum d_g^2 and
-  E[(M - c_0)^3] = sum c_g d_g, with no rule and no surrogate evaluation,
-  while that expansion holds at most :data:`SURROGATE_MC_SAMPLES` rows
-  before merging (m <= 50 at p = 2, m <= 17 at p = 3).  How the rows
-  expand and merge depends on the basis alone, so that plan is built on
-  the first call and kept on the basis; a call then runs a few gathers and
-  multiplies and one ``bincount`` (0.08 ms in place of 0.9 ms at m = 10,
-  p = 2).  The kept plan takes 40 KB at m = 10, p = 2 and 8.6 MB at
-  m = 40, p = 2 (126 KB and 16.7 MB with int64 indices);
-- beyond that, :data:`SURROGATE_MC_SAMPLES` seeded samples of the surrogate,
-  evaluated in chunks of at most :data:`SURROGATE_EVAL_BYTES`.
+  E[(M - c_0)^3] = sum c_g d_g, with no rule and no surrogate evaluation.
+  The pairs of terms expand in blocks whose transient arrays fit
+  :data:`SQUARE_BLOCK_BYTES`, and each d_g sums its rows in row order, so
+  the bits do not depend on the blocks.  While the expansion holds at most
+  :data:`SQUARE_PLAN_ROWS` rows before merging (m <= 50 at p = 2, m <= 17
+  at p = 3), how its rows expand and merge, which depends on the basis
+  alone, is kept on the basis by the first call; a call then runs a few
+  gathers and multiplies and one ``bincount`` (0.08 ms in place of 0.9 ms
+  at m = 10, p = 2).  The kept plan takes 40 KB at m = 10, p = 2 and
+  8.6 MB at m = 40, p = 2 (126 KB and 16.7 MB with int64 indices).  Past
+  that each call expands the pairs again (0.85 s at m = 10, p = 4, 1.7 s at
+  m = 20, p = 3, one BLAS thread, ~25 MB traced).  The two sums are dot
+  products of at most :data:`SQUARE_DOT_ENTRIES` entries, short enough that
+  OpenBLAS runs each on one thread, so their bits do not follow the thread
+  count.  Where the merge keys would not fit int64
+  (:func:`square_keys_overflow`, from m = 10, p = 5 on) skewness and
+  kurtosis are NaN.
 
 A product of two orthonormal polynomials of one variable expands exactly as
 phi_a phi_b = sum_l L[a, b, l] phi_l, L[a, b, l] = E[phi_a phi_b phi_l],
@@ -44,12 +51,16 @@ from .regression import segpc_point_count
 #: skewness/kurtosis are reported as NaN below this chaos order
 MIN_ORDER_HIGHER_MOMENTS = 2
 
-#: sample count for surrogate sampling of higher moments, and the most rows
-#: the squared expansion may hold before merging to be used instead
-SURROGATE_MC_SAMPLES = 1_000_000
+#: the most rows the squared expansion may hold before merging for its plan
+#: to be kept on the basis (m <= 50 at p = 2, m <= 17 at p = 3, m <= 9 at p = 4)
+SQUARE_PLAN_ROWS = 1_000_000
 
-#: bytes one chunk of the surrogate Monte Carlo may allocate
-SURROGATE_EVAL_BYTES = 64 * 2**20
+#: bytes the transient arrays of one block of the squared expansion may take
+SQUARE_BLOCK_BYTES = 64 * 2**20
+
+#: most entries in one dot product of the squared-expansion moments, few
+#: enough that OpenBLAS runs it on one thread
+SQUARE_DOT_ENTRIES = 8192
 
 
 @dataclass
@@ -68,29 +79,13 @@ def moments_from_coefficients(surrogate):
 
 
 def _sample_moments_surrogate(surrogate, n, seed):
-    """Skewness and kurtosis of ``n`` seeded samples of the surrogate.
+    """Skewness and kurtosis of the surrogate at the points of ``sample_pool(n, seed)``.
 
-    The samples, the points of ``sample_pool(n, seed)``, are drawn
-    (``StochasticSpace.sample_chunks``) and evaluated in chunks of a
-    multiple of 16 points that fit in :data:`SURROGATE_EVAL_BYTES`, so the
-    whole pool (80 MB at m = 10) is never held.  At one BLAS thread the
-    matrix-vector product groups each chunk's rows as in one product over
-    all the samples, so the values keep their bits.  They are not byte-stable across
-    BLAS thread counts: with two OpenBLAS threads the product splits a
-    chunk's rows between the threads, and a split off a multiple of 16 rows
-    moves the last bits of the rows at its edge.  No run of
-    ``tools/cli_matrix.py`` reaches this path.
+    A Monte-Carlo reference for the exact moments of :func:`higher_moments`,
+    which never calls it.
     """
-    basis = surrogate.basis
-    # a point's basis row, at most one row of eval's scratch, its coordinate
-    # copy and recurrence temporary in eval, its coordinates and their draw,
-    # and its value
-    point_bytes = 8 * (2 * basis.n_terms + basis.m + 4)
-    chunk = 16 * max(1, SURROGATE_EVAL_BYTES // point_bytes // 16)
-    values = np.empty(n)
-    for start, points in zip(range(0, n, chunk), surrogate.space.sample_chunks(n, seed, chunk)):
-        values[start : start + chunk] = surrogate.eval(points)
-    return sample_moments(values)[2:]
+    points = surrogate.space.sample_pool(n, seed).points
+    return sample_moments(surrogate.eval(points))[2:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,8 +108,8 @@ def _rank_in_group(sizes):
     return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def _square_row_count(m, order):
-    """Rows of :func:`_central_moments_from_square` before merging, from (m, p) alone.
+def square_row_count(m, order):
+    """Rows of the squared centred expansion before merging, from (m, p) alone.
 
     A pair of terms a, b gives prod_k (min(a_k, b_k) + 1) rows: one per
     multi-index g below both.  Each g of degree d lies below C(m + p - d, m)
@@ -129,40 +124,41 @@ def _square_row_count(m, order):
     return pairs - math.comb(m + order, m)
 
 
-@dataclass(frozen=True)
-class _SquarePlan:
-    """What :func:`_central_moments_from_square` does, with no coefficient in it.
+def square_keys_overflow(m, order):
+    """Whether the int64 keys that merge the squared expansion would overflow.
 
-    ``first`` and ``second`` are the pairs i <= j of non-constant terms, and
-    ``diagonal`` the pairs with i = j, whose weight is not doubled.  Each
-    slot of ``slots`` is (take, rows, mult): row r of the slot's expansion
-    copies row ``take[r]`` of the last, and the rows ``rows`` are multiplied
-    by their table entries ``mult``.  ``merge`` sends each row to its
-    multi-index g among the merged ones; the basis terms among those are
-    ``terms``, at ``at``.  Indices take the smallest unsigned dtype that
-    holds the row count.
+    A multi-index of degree <= 2p is keyed as min(m, 2p) digits in base
+    2pm + 1 (:func:`_square_expansion`), so its key stays below
+    (2pm + 1)^min(m, 2p); from m = 10, p = 5 on that reaches 2^63, and
+    skewness and kurtosis past four inputs are NaN there.
     """
-
-    first: np.ndarray
-    second: np.ndarray
-    diagonal: np.ndarray
-    slots: tuple
-    merge: np.ndarray
-    terms: np.ndarray
-    at: np.ndarray
+    return (2 * order * m + 1) ** min(m, 2 * order) >= 2**63
 
 
-def _build_square_plan(basis):
-    """The :class:`_SquarePlan` of a basis.
+def _square_expansion(basis, block_bytes):
+    """The rows of the squared centred expansion, a range of first terms at a time.
 
-    (M - c_0)^2 = sum_{i <= j} (2 - [i = j]) c_i c_j psi_i psi_j, and each
-    product expands over the dimensions both terms involve by the tables of
-    :func:`_product_table`.  The expanded rows are merged into the
-    coefficients d_g of the square on int64 keys: a multi-index of degree
-    <= 2p is its nonzero (dimension, degree) codes k 2p + g, sorted and
-    packed in base 2pm + 1.  The keys stay below (2pm + 1)^min(m, 2p), which
-    fits int64 for every m > 4 and p within the row cap of
-    :func:`_square_row_count` (the largest is 73^8, at m = 9, p = 4).
+    (M - c_0)^2 = sum_{i <= j} (2 - [i = j]) c_i c_j psi_i psi_j over the
+    pairs i <= j of non-constant terms, and each product expands over the
+    dimensions both terms involve by the tables of :func:`_product_table`.
+    Returns (term_keys, blocks).  Each block takes the pairs of a range of
+    first terms and yields (first, second, diagonal, slots, keys): the pairs,
+    the positions of those with i = j, whose weight is not doubled, and per
+    slot (take, rows, mult), where row r of the slot's expansion copies row
+    ``take[r]`` of the last and the rows ``rows`` are multiplied by their
+    table entries ``mult``.  The pairs of first term i, of multi-index a,
+    give at most (P + 1 - i) prod_k (a_k + 1) rows, and a block holds the
+    first terms whose bounds sum to at most ``block_bytes`` over the
+    ~8 (7p + 10) bytes its arrays take per row, or one first term.  The
+    blocks' rows, in order, are the rows of all pairs in order.
+
+    A row's multi-index g is keyed on int64: its nonzero (dimension, degree)
+    codes k 2p + g_k, sorted and packed in base 2pm + 1, below
+    (2pm + 1)^min(m, 2p), which fits wherever :func:`square_keys_overflow`
+    is false.  ``term_keys`` are the basis terms' keys.  At p >= 2 and
+    m >= 2 the rows meet every multi-index of degree <= 2p, each basis
+    term's among them: g = a + b with 1 <= |a|, |b| <= p is the top row of
+    the pair a, b, and e_k a row of the pair e_j, e_j + e_k.
     """
     order = basis.order
     idx = basis.indices
@@ -182,82 +178,173 @@ def _build_square_plan(basis):
     degs[term, slot] = idx[term, dim]
     term_codes = np.where(dims >= 0, dims * width + degs, 0)
 
-    # pairs i <= j of non-constant terms; row codes hold a's slots, then b's
-    first = np.repeat(np.arange(1, n_terms), np.arange(n_terms - 1, 0, -1))
-    second = first + _rank_in_group(np.arange(n_terms - 1, 0, -1))
-    pairs = (first, second, np.flatnonzero(first == second))
-    codes = np.concatenate([term_codes[first], term_codes[second]], axis=1)
-    # a's slot u expands where b involves its dimension: min(a, b) + 1 rows of
-    # degree |a - b| + 2t, the shared dimension's code moving to a's slot
-    slots = []
-    for u in range(order):
-        k = dims[first, u]
-        match = (dims[second] == k[:, None]) & (k[:, None] >= 0)
-        shared = match.any(axis=1)
-        v = np.argmax(match, axis=1)
-        a = degs[first, u]
-        b = degs[second, v]
-        reps = np.where(shared, np.minimum(a, b) + 1, 1)
-        take = np.repeat(np.arange(reps.size), reps)
-        first, second, codes = first[take], second[take], codes[take]
-        rows = np.flatnonzero(shared[take])
-        src = take[rows]
-        g = np.abs(a[src] - b[src]) + 2 * _rank_in_group(reps)[rows]
-        codes[rows, u] = np.where(g > 0, k[src] * width + g, 0)
-        codes[rows, order + v[src]] = 0
-        slots.append((take, rows, tables[family_of[k[src]], a[src], b[src], g]))
-
     keep = min(m, width)
     powers = (width * m + 1) ** np.arange(keep, dtype=np.int64)
 
     def keys(code_rows):
         return np.sort(code_rows, axis=1)[:, width - keep :] @ powers
 
-    merged, merge = np.unique(keys(codes), return_inverse=True)
-    term_keys = keys(np.concatenate([term_codes, np.zeros_like(term_codes)], axis=1))
-    at = np.minimum(np.searchsorted(merged, term_keys), merged.size - 1)
-    present = merged[at] == term_keys
-    index = np.min_scalar_type(max(codes.shape[0], n_terms))
+    # the first terms 1, ..., P and the most rows of each one's pairs
+    pair_counts = np.arange(n_terms - 1, 0, -1)
+    bound = np.cumsum(pair_counts * np.prod(idx[1:] + 1, axis=1))
+    rows_per_block = max(1, block_bytes // (8 * (7 * order + 10)))
+
+    def expand(first, second):
+        codes = np.concatenate([term_codes[first], term_codes[second]], axis=1)
+        # a's slot u expands where b involves its dimension: min(a, b) + 1
+        # rows of degree |a - b| + 2t, the shared dimension's code moving to
+        # a's slot; row codes hold a's slots, then b's
+        slots = []
+        for u in range(order):
+            k = dims[first, u]
+            match = (dims[second] == k[:, None]) & (k[:, None] >= 0)
+            shared = match.any(axis=1)
+            v = np.argmax(match, axis=1)
+            a = degs[first, u]
+            b = degs[second, v]
+            reps = np.where(shared, np.minimum(a, b) + 1, 1)
+            take = np.repeat(np.arange(reps.size), reps)
+            first, second, codes = first[take], second[take], codes[take]
+            rows = np.flatnonzero(shared[take])
+            src = take[rows]
+            g = np.abs(a[src] - b[src]) + 2 * _rank_in_group(reps)[rows]
+            codes[rows, u] = np.where(g > 0, k[src] * width + g, 0)
+            codes[rows, order + v[src]] = 0
+            slots.append((take, rows, tables[family_of[k[src]], a[src], b[src], g]))
+        return tuple(slots), keys(codes)
+
+    def blocks():
+        start = 0
+        while start < n_terms - 1:
+            below = bound[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(bound, below + rows_per_block, "right")))
+            counts = pair_counts[start:stop]
+            first = np.repeat(np.arange(start + 1, stop + 1), counts)
+            second = first + _rank_in_group(counts)
+            yield first, second, np.flatnonzero(first == second), *expand(first, second)
+            start = stop
+
+    return keys(np.concatenate([term_codes, np.zeros_like(term_codes)], axis=1)), blocks()
+
+
+def _distinct(keys):
+    """The distinct ``keys``, sorted (``np.unique`` hashes, many times slower here)."""
+    keys = np.sort(keys)
+    return keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+
+
+@dataclass(frozen=True)
+class _SquarePlan:
+    """What :func:`_central_moments_from_square` does, with no coefficient in it.
+
+    Each of ``blocks`` is (first, second, diagonal, slots, merge): a block of
+    :func:`_square_expansion` with its keys replaced by each row's place
+    among the ``size`` merged multi-indices g, and ``at`` the basis terms'
+    places.  Indices take the smallest unsigned dtype that holds the row
+    count.
+    """
+
+    blocks: tuple
+    size: int
+    at: np.ndarray
+
+
+def _build_square_plan(basis):
+    """The :class:`_SquarePlan` of a basis."""
+    index = np.min_scalar_type(max(square_row_count(basis.m, basis.order), basis.n_terms))
 
     def kept(array):
-        array = array.astype(index) if array.dtype.kind in "iu" else array
+        array = array.astype(index, copy=False) if array.dtype.kind in "iu" else array
         array.setflags(write=False)
         return array
 
+    term_keys, blocks = _square_expansion(basis, SQUARE_BLOCK_BYTES)
+    blocks = [
+        (*map(kept, (first, second, diagonal)), tuple(tuple(map(kept, s)) for s in slots), keys)
+        for first, second, diagonal, slots, keys in blocks
+    ]
+    merged = _distinct(np.concatenate([keys for *_, keys in blocks]))
     return _SquarePlan(
-        *map(kept, pairs),
-        slots=tuple(tuple(map(kept, slot)) for slot in slots),
-        merge=kept(merge),
-        terms=kept(np.flatnonzero(present)),
-        at=kept(at[present]),
+        blocks=tuple((*block, kept(np.searchsorted(merged, keys))) for *block, keys in blocks),
+        size=merged.size,
+        at=kept(np.searchsorted(merged, term_keys)),
     )
+
+
+def _pair_rows(coeff, first, second, diagonal, slots):
+    """The square's row weights: c_i c_j, doubled off the diagonal, through the slots."""
+    # take and put, which index with the plan's small dtypes at no cost
+    weight = coeff.take(first) * coeff.take(second)
+    # doubling all and restoring the diagonal gives each weight its own bits
+    diagonal_weights = weight.take(diagonal)
+    weight *= 2.0
+    weight.put(diagonal, diagonal_weights)
+    for take, rows, mult in slots:
+        weight = weight.take(take)
+        weight.put(rows, weight.take(rows) * mult)
+    return weight
+
+
+def _streamed_square(basis, coeff):
+    """(square, at) of :func:`_central_moments_from_square`, block by block, with no plan.
+
+    A block with keys not met before widens the sorted distinct keys, its
+    sums copied across, before its rows are added.
+    """
+    term_keys, blocks = _square_expansion(basis, SQUARE_BLOCK_BYTES)
+    merged = np.empty(0, dtype=np.int64)
+    square = np.empty(0)
+    for *pairs, keys in blocks:
+        weight = _pair_rows(coeff, *pairs)
+        grown = _distinct(np.concatenate([merged, keys]))
+        if grown.size > merged.size:
+            widened = np.zeros(grown.size)
+            widened[np.searchsorted(grown, merged)] = square
+            merged, square = grown, widened
+        np.add.at(square, np.searchsorted(merged, keys), weight)
+    return square, np.searchsorted(merged, term_keys)
+
+
+def _dot(a, b):
+    """a @ b in dot products of at most :data:`SQUARE_DOT_ENTRIES` entries, summed in order.
+
+    OpenBLAS splits a longer dot product between its threads, which moves
+    its last bits with the thread count; one this short runs on one thread.
+    """
+    step = SQUARE_DOT_ENTRIES
+    total = float(a[:step] @ b[:step])
+    for start in range(step, a.size, step):
+        total += float(a[start : start + step] @ b[start : start + step])
+    return total
 
 
 def _central_moments_from_square(surrogate):
     """E[(M - c_0)^3] and E[(M - c_0)^4] from the square of the centred expansion.
 
     The weights c_i c_j of the pairs, doubled off the diagonal, are carried
-    through the basis's :class:`_SquarePlan`, built on the first call and
-    kept on the basis, and summed into the coefficients d_g of the square.  Returns (sum_{|g| <= p} c_g d_g,
-    sum d_g^2).
+    through the expanded rows and summed into the coefficients d_g of the
+    square.  Up to :data:`SQUARE_PLAN_ROWS` rows the basis keeps the
+    expansion's :class:`_SquarePlan`, built on the first call; past that each
+    call expands the pairs again in blocks of :data:`SQUARE_BLOCK_BYTES`.
+    Either way the blocks add their rows in row order (``np.add.at``) onto
+    the sorted distinct keys, so each d_g has the bits of one ``bincount``
+    over all rows, whatever the blocks.  Returns
+    (sum_{|g| <= p} c_g d_g, sum d_g^2).
     """
     basis = surrogate.basis
-    if basis._square_plan is None:
-        basis._square_plan = _build_square_plan(basis)
-    plan = basis._square_plan
     coeff = np.array(surrogate.coefficients, dtype=float)
     coeff[0] = 0.0
-    # take and put, which index with the plan's small dtypes at no cost
-    weight = coeff.take(plan.first) * coeff.take(plan.second)
-    # doubling all and restoring the diagonal gives each weight its own bits
-    diagonal = weight.take(plan.diagonal)
-    weight *= 2.0
-    weight.put(plan.diagonal, diagonal)
-    for take, rows, mult in plan.slots:
-        weight = weight.take(take)
-        weight.put(rows, weight.take(rows) * mult)
-    square = np.bincount(plan.merge, weights=weight)
-    return float(coeff.take(plan.terms) @ square.take(plan.at)), float(square @ square)
+    if square_row_count(basis.m, basis.order) <= SQUARE_PLAN_ROWS:
+        if basis._square_plan is None:
+            basis._square_plan = _build_square_plan(basis)
+        plan = basis._square_plan
+        square = np.zeros(plan.size)
+        for *pairs, merge in plan.blocks:
+            np.add.at(square, merge, _pair_rows(coeff, *pairs))
+        at = plan.at
+    else:
+        square, at = _streamed_square(basis, coeff)
+    return _dot(coeff, square.take(at)), _dot(square, square)
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,10 +401,10 @@ def _skewness_kurtosis(surrogate, variance):
         # 2p + 1 Gauss points per dimension integrate the degree-4p quartic;
         # the grid values come by sum factorization, with no basis matrix
         third, fourth = _central_moments_on_grid(surrogate)
-    elif _square_row_count(m, order) <= SURROGATE_MC_SAMPLES:
-        third, fourth = _central_moments_from_square(surrogate)
+    elif square_keys_overflow(m, order):
+        return math.nan, math.nan
     else:
-        return _sample_moments_surrogate(surrogate, SURROGATE_MC_SAMPLES, seed=0)
+        third, fourth = _central_moments_from_square(surrogate)
     return third / math.sqrt(variance) ** 3, fourth / variance**2
 
 
@@ -326,10 +413,9 @@ def higher_moments(surrogate):
 
     The mean and variance come from the coefficients.  The third and fourth
     central moments are exact: on the tensor Gauss grid for m <= 4, and
-    from the square of the centred expansion for m > 4 while it holds at
-    most :data:`SURROGATE_MC_SAMPLES` rows before merging.  Beyond that the
-    surrogate is sampled that many times with seed 0 instead.  Skewness and
-    kurtosis are NaN below chaos order 2 or for zero variance.
+    from the square of the centred expansion for m > 4.  Skewness and
+    kurtosis are NaN below chaos order 2, for zero variance, and past four
+    inputs where :func:`square_keys_overflow` holds; no sample is drawn.
     """
     mean, variance = moments_from_coefficients(surrogate)
     std = math.sqrt(variance)

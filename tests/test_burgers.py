@@ -1,15 +1,10 @@
-import json
 import logging
 import math
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from tests_support import BLAS_THREAD_VARIABLES, discrete_qoi_gradient
+from tests_support import discrete_qoi_gradient, run_blas_child
 
 import segpc.burgers
 from segpc import (
@@ -499,13 +494,7 @@ def test_burgers_keeps_the_stored_bits():
     # the block tests compare samples with each other; these digests pin the
     # bits themselves.  Solve in a one-thread child, as the BLAS thread count
     # is read when numpy loads
-    env = dict(os.environ, PYTHONPATH=str(Path(segpc.burgers.__file__).parents[1]))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
-    child = subprocess.run(
-        [sys.executable, "-c", _PRINT_BURGERS_BITS],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    assert json.loads(child.stdout) == BURGERS_BITS
+    assert run_blas_child(_PRINT_BURGERS_BITS) == BURGERS_BITS
 
 
 def test_model_validation():

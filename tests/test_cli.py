@@ -10,6 +10,7 @@ from segpc import ode_model, predicted_cost, qr_select, rank_pool
 import segpc.burgers
 import segpc.cli
 import segpc.models
+import segpc.postproc
 from segpc.cli import main
 from tests_support import spy_rankings
 
@@ -320,6 +321,48 @@ def test_fit_notes_structural_rank_deficiency(tmp_path, capsys):
     assert main(["fit", "--config", cfg, "--seed", "3", "--order", "3",
                  "--out", str(tmp_path / "b")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_fit_and_convergence_note_nan_shape_moments(tmp_path, monkeypatch, capsys):
+    # Burgers m = 10 at order 2 squares to 2,860 rows; were its merge keys to
+    # overflow, skewness and kurtosis would be NaN and each fit says why on
+    # stderr, while every other output keeps its bytes
+    model = {"name": "burgers", "n_grid": 11}
+    mc_cfg = write_config(tmp_path / "mc.json", {"model": model, "samples": 8})
+    assert main(["mc", "--config", mc_cfg, "--seed", "1", "--out", str(tmp_path / "mc")]) == 0
+    reference = {"kind": "mc-file", "path": str(tmp_path / "mc" / "moments.csv")}
+    configs = {
+        "fit": {"model": model, "method": "segpc", "order": 2, "pool": 200, "oversample": 2},
+        "convergence": {"model": model, "orders": [2], "methods": ["segpc", "wlsq"],
+                        "pool": 200, "oversample": 2, "reference": reference},
+    }
+    for command, config in configs.items():
+        cfg = write_config(tmp_path / f"{command}.json", config)
+        assert main([command, "--config", cfg, "--seed", "4",
+                     "--out", str(tmp_path / command / "exact")]) == 0
+    assert capsys.readouterr().err == ""
+
+    overflow = lambda m, order: True
+    monkeypatch.setattr(segpc.postproc, "square_keys_overflow", overflow)
+    monkeypatch.setattr(segpc.cli, "square_keys_overflow", overflow)
+    note = ("segpc: note: skewness and kurtosis at m = 10, order 2 are NaN: the 2,860 rows "
+            "of the squared expansion would overflow its int64 merge keys\n")
+    for command in configs:
+        assert main([command, "--config", str(tmp_path / f"{command}.json"), "--seed", "4",
+                     "--out", str(tmp_path / command / "nan")]) == 0
+        assert capsys.readouterr().err == note * (1 if command == "fit" else 2)
+    shape = ("skewness", "kurtosis", "err_skewness", "err_kurtosis")
+    for name in ("fit/{}/moments.csv", "convergence/{}/convergence.csv"):
+        exact, nan = (read_rows(tmp_path / name.format(kind)) for kind in ("exact", "nan"))
+        assert len(exact) == len(nan) >= 1
+        for want, got in zip(exact, nan):
+            assert (got["skewness"], got["kurtosis"]) == ("nan", "nan")
+            assert {k: v for k, v in got.items() if k not in shape} == \
+                {k: v for k, v in want.items() if k not in shape}
+    exact, nan = ((tmp_path / "fit" / kind / "moments.csv").read_text(encoding="utf-8")
+                  for kind in ("exact", "nan"))
+    assert exact.splitlines()[:2] == nan.splitlines()[:2]
+    assert exact.splitlines()[1].startswith("# sobol_total=")
 
 
 def test_deterministic_outputs_byte_identical(tmp_path):

@@ -1,11 +1,6 @@
-import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +18,7 @@ from segpc import (
 )
 import segpc.design
 from segpc.errors import RankDeficientError
-from tests_support import BLAS_THREAD_VARIABLES, reference_qr_ranking, spy_rankings
+from tests_support import reference_qr_ranking, run_blas_child, spy_rankings
 
 
 @pytest.fixture(scope="module")
@@ -292,14 +287,9 @@ print(json.dumps({seed: [digest(p.selected.astype(np.int64)), digest(p.r_diag),
 def test_rank_pool_keeps_the_stored_bits():
     # at this size |R_ii| and cond_number move in the last bits with the BLAS
     # thread count, which is read when numpy loads: rank in a one-thread child
-    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
     seeds = sorted(ISHIGAMI_P10_RANKINGS)
-    child = subprocess.run(
-        [sys.executable, "-c", _PRINT_RANKINGS, json.dumps(seeds)],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    got = {int(seed): tuple(bits) for seed, bits in json.loads(child.stdout).items()}
+    got = {int(seed): tuple(bits)
+           for seed, bits in run_blas_child(_PRINT_RANKINGS, seeds).items()}
     assert got == ISHIGAMI_P10_RANKINGS
 
 
@@ -330,17 +320,11 @@ print(json.dumps(got))
 def test_take_in_any_order_keeps_the_stored_bits():
     # reads below, at and past a 32-pick block and past the 286 pivots, longest
     # first or last: each re-ranking from scratch gives the stored ranking's bits
-    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
     seeds = sorted(ISHIGAMI_P10_RANKINGS)
-    child = subprocess.run(
-        [sys.executable, "-c", _PRINT_TAKEN_RANKINGS, json.dumps(seeds),
-         json.dumps([1, 32, 33, 144, 286, 300])],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
+    got = run_blas_child(_PRINT_TAKEN_RANKINGS, seeds, [1, 32, 33, 144, 286, 300])
     want = {f"{seed} {name}": [*ISHIGAMI_P10_RANKINGS[seed], True]
             for seed in seeds for name in ("ascending", "descending")}
-    assert json.loads(child.stdout) == want
+    assert got == want
 
 
 def test_take_ranks_only_the_picks_it_returns(monkeypatch):
@@ -533,14 +517,8 @@ print(json.dumps(got))
 def test_reads_across_the_path_crossover_keep_the_stored_bits():
     # 0.8 x 286 = 228.8: reads of 228 picks or fewer rank left-looking, longer
     # ones right-looking; in either order the ranking keeps the stored bits
-    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
     seeds = sorted(ISHIGAMI_P10_RANKINGS)
-    child = subprocess.run(
-        [sys.executable, "-c", _PRINT_CROSSING_RANKINGS, json.dumps(seeds),
-         json.dumps([144, 228, 229, 285])],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
+    got = run_blas_child(_PRINT_CROSSING_RANKINGS, seeds, [144, 228, 229, 285])
     paths = {
         "ascending": [["left", 144], ["left", 228], ["right", 229], ["right", 285],
                       ["right", 286]],
@@ -548,7 +526,7 @@ def test_reads_across_the_path_crossover_keep_the_stored_bits():
     }
     want = {f"{seed} {name}": [*ISHIGAMI_P10_RANKINGS[seed], True, paths[name]]
             for seed in seeds for name in ("ascending", "descending")}
-    assert json.loads(child.stdout) == want
+    assert got == want
 
 
 def test_take_refuses_fewer_than_one_point():

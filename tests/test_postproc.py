@@ -1,15 +1,11 @@
-import json
 import math
-import os
 import pickle
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from tests_support import BLAS_THREAD_VARIABLES, dense_basis_eval, sparse_combination_blocks
+from tests_support import dense_basis_eval, run_blas_child, sparse_combination_blocks
 
 from segpc import (
     ChaosBasis,
@@ -23,7 +19,6 @@ from segpc import (
     predicted_cost,
     sobol_total,
 )
-import segpc
 import segpc.postproc as postproc
 from segpc.postproc import _sample_moments_surrogate
 from segpc.quadrature import QuadratureRule, sample_moments, tensor_rule
@@ -222,13 +217,30 @@ def test_higher_moments_refuse_a_grid_beyond_the_node_cap(monkeypatch):
     assert math.isfinite(higher_moments(sur).skewness)
 
 
-@pytest.mark.parametrize("m, order", [(5, 2), (5, 3), (6, 2), (6, 3)])
-def test_higher_moments_exact_beyond_four_dimensions(m, order):
+@pytest.mark.parametrize(
+    "m, order, block_bytes",
+    [
+        pytest.param(m, order, block_bytes, id=f"{m}-{order}" + ("-blocks" if block_bytes else ""))
+        for m, order in [(5, 2), (5, 3), (6, 2), (6, 3)]
+        for block_bytes in (None, 4096)
+    ],
+)
+def test_higher_moments_exact_beyond_four_dimensions(m, order, block_bytes, monkeypatch):
     # oracle: central moments under the tensor Gauss rule with 2p + 1 points
-    # per dimension, exact for the degree-4p integrands
+    # per dimension, exact for the degree-4p integrands.  The default budget
+    # expands these squares in one block, 4 KiB in dozens; kept or not, the
+    # plan gives the one block's bits
     sur = _random_surrogate(_mixed_space(m), order, seed=m + order)
     third, fourth = _centred_rule_moments(sur, tensor_rule(sur.space, 2 * order + 1))
-    _assert_moments(higher_moments(sur), third, fourth, rel=1e-12)
+    one_block = higher_moments(sur)
+    if block_bytes:
+        monkeypatch.setattr(postproc, "SQUARE_BLOCK_BYTES", block_bytes)
+    for plan_rows in (postproc.SQUARE_PLAN_ROWS, 0):
+        monkeypatch.setattr(postproc, "SQUARE_PLAN_ROWS", plan_rows)
+        report = higher_moments(_random_surrogate(_mixed_space(m), order, seed=m + order))
+        _assert_moments(report, third, fourth, rel=1e-12)
+        assert (report.skewness.hex(), report.kurtosis.hex()) == (
+            one_block.skewness.hex(), one_block.kurtosis.hex())
 
 
 def test_higher_moments_match_centred_sparse_rule_at_m10():
@@ -267,14 +279,67 @@ def test_higher_moments_far_from_zero_mean(m):
     _assert_moments(report, third, fourth, rel=1e-12)
 
 
-def test_higher_moments_m10_p2_does_not_sample(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("surrogate sampled where the squared expansion is exact")
-
-    monkeypatch.setattr(postproc, "_sample_moments_surrogate", refuse)
-    report = higher_moments(_random_surrogate(_mixed_space(10), 2, seed=3))
+def test_higher_moments_m10_p2_does_not_sample():
+    # the 2,860 rows of the square keep their plan on the basis
+    report = higher_moments(_EvalRefused(_random_surrogate(_mixed_space(10), 2, seed=3)))
     assert math.isfinite(report.skewness)
     assert report.kurtosis >= 1.0 + report.skewness**2
+
+
+def test_higher_moments_m10_p4_expands_in_blocks_within_the_budget():
+    # 1,047,750 rows, past the kept plan's cap: the pairs expand block by
+    # block, and the trace holds no more than one block's budget
+    sur = _random_surrogate(StochasticSpace([Gaussian()] * 10), 4, seed=4)
+    assert postproc.square_row_count(10, 4) > postproc.SQUARE_PLAN_ROWS
+    tracemalloc.start()
+    try:
+        report = higher_moments(_EvalRefused(sur))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sur.basis._square_plan is None
+    assert math.isfinite(report.skewness)
+    assert report.kurtosis >= 1.0 + report.skewness**2
+    assert peak < postproc.SQUARE_BLOCK_BYTES
+
+
+def test_square_blocks_hold_the_byte_budget(monkeypatch):
+    # m = 8, p = 4: 274,815 rows, whose single expansion would take ~80 MB
+    sur = _random_surrogate(_mixed_space(8), 4, seed=8)
+    want = higher_moments(sur)
+    budget = 4 * 2**20
+    monkeypatch.setattr(postproc, "SQUARE_PLAN_ROWS", 0)
+    monkeypatch.setattr(postproc, "SQUARE_BLOCK_BYTES", budget)
+    fresh = _random_surrogate(_mixed_space(8), 4, seed=8)
+    tracemalloc.start()
+    try:
+        report = higher_moments(fresh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert postproc.square_row_count(8, 4) * 8 * (7 * 4 + 10) > 16 * budget
+    assert peak < budget
+    assert (report.skewness.hex(), report.kurtosis.hex()) == (
+        want.skewness.hex(), want.kurtosis.hex())
+
+
+def test_shape_moments_are_nan_where_the_merge_keys_would_overflow(monkeypatch):
+    # (2pm + 1)^min(m, 2p) reaches 2^63 first at m = 10, p = 5
+    assert not postproc.square_keys_overflow(9, 5)
+    assert postproc.square_keys_overflow(10, 5)
+    assert not postproc.square_keys_overflow(10, 4)
+    assert not postproc.square_keys_overflow(40, 3)
+    assert postproc.square_keys_overflow(40, 4)
+
+    def refuse(*args):
+        raise AssertionError("the squared expansion was built")
+
+    monkeypatch.setattr(postproc, "_square_expansion", refuse)
+    sur = _random_surrogate(_mixed_space(10), 5, seed=5)
+    report = higher_moments(_EvalRefused(sur))
+    assert math.isnan(report.skewness) and math.isnan(report.kurtosis)
+    assert (report.mean, report.variance) == moments_from_coefficients(sur)
+    assert sobol_total(sur).total_indices.shape == (10,)
 
 
 @pytest.mark.parametrize("m, order", [(2, 3), (5, 2), (5, 3), (6, 2), (7, 4), (40, 2)])
@@ -286,34 +351,13 @@ def test_square_row_count_matches_enumeration(m, order):
     for i, a in enumerate(idx):
         shared = (a > 0) & (idx[i:] > 0)
         want += int(np.prod(np.where(shared, np.minimum(a, idx[i:]) + 1, 1), axis=1).sum())
-    assert postproc._square_row_count(m, order) == want
+    assert postproc.square_row_count(m, order) == want
 
 
 def test_square_row_cap_covers_forty_inputs_at_order_two():
-    assert postproc._square_row_count(40, 2) <= postproc.SURROGATE_MC_SAMPLES
+    assert postproc.square_row_count(40, 2) <= postproc.SQUARE_PLAN_ROWS
     # 1,891 terms: the 1,786,995 pairs of non-constant terms alone exceed it
-    assert postproc._square_row_count(60, 2) > postproc.SURROGATE_MC_SAMPLES
-
-
-def test_higher_moments_samples_beyond_the_row_limit(monkeypatch):
-    # the m = 5, p = 2 squared expansion holds 330 rows before merging
-    sur = _random_surrogate(_mixed_space(5), 2, seed=5)
-    calls = []
-
-    def spy(surrogate, n, seed):
-        calls.append((n, seed))
-        return _sample_moments_surrogate(surrogate, n, seed)
-
-    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 329)
-    monkeypatch.setattr(postproc, "_sample_moments_surrogate", spy)
-    report = higher_moments(sur)
-    assert calls == [(329, 0)]
-    assert (report.skewness, report.kurtosis) == _sample_moments_surrogate(sur, 329, seed=0)
-
-    calls.clear()
-    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", 330)
-    higher_moments(sur)
-    assert calls == []
+    assert postproc.square_row_count(60, 2) > postproc.SQUARE_PLAN_ROWS
 
 
 #: float.hex of (skewness, kurtosis) of _random_surrogate(space, order, seed),
@@ -346,100 +390,42 @@ def test_square_plan_is_built_once_per_basis_and_keeps_the_bits(key, monkeypatch
 @pytest.mark.parametrize("m, dtype", [(10, np.uint16), (40, np.uint32)])
 def test_square_plan_holds_small_read_only_arrays(m, dtype):
     plan = postproc._build_square_plan(ChaosBasis(_mixed_space(m), 2))
-    index = [plan.first, plan.second, plan.diagonal, plan.merge, plan.terms, plan.at]
-    index += [a for take, rows, _ in plan.slots for a in (take, rows)]
+    index, mults = [plan.at], []
+    for first, second, diagonal, slots, merge in plan.blocks:
+        index += [first, second, diagonal, merge]
+        index += [a for take, rows, _ in slots for a in (take, rows)]
+        mults += [mult for _, _, mult in slots]
     # the rows before merging, counted from (m, p) alone
-    assert plan.merge.size == postproc._square_row_count(m, 2)
+    assert sum(block[-1].size for block in plan.blocks) == postproc.square_row_count(m, 2)
     assert all(a.dtype == dtype for a in index)
-    assert all(mult.dtype == np.float64 for _, _, mult in plan.slots)
-    assert not any(a.flags.writeable for a in index + [mult for _, _, mult in plan.slots])
+    assert all(mult.dtype == np.float64 for mult in mults)
+    assert not any(a.flags.writeable for a in index + mults)
 
 
-_PRINT_CHUNKED_MOMENTS = """
+_PRINT_SQUARE_MOMENTS = """
 import json
 import numpy as np
 from segpc import ChaosBasis, FitReport, Gaussian, PceSurrogate, StochasticSpace, Uniform
-from segpc import higher_moments, postproc
-from segpc.quadrature import sample_moments
-space = StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(10)])
-basis = ChaosBasis(space, 4)
-coeffs = np.random.default_rng(12).standard_normal(basis.n_terms)
-sur = PceSurrogate(coeffs, basis, FitReport("wlsq", 1, 1, 0.0, 1.0, 1))
-postproc.SURROGATE_MC_SAMPLES = n = 12_000
-chunks, sampled = [], []
-
-
-class Counting:
-    def __getattr__(self, name):
-        return getattr(sur, name)
-
-    def eval(self, points):
-        chunks.append(len(points))
-        return sur.eval(points)
-
-
-def spy(values):
-    sampled.append(values)
-    return sample_moments(values)
-
-
-postproc.sample_moments = spy
-report = higher_moments(Counting())
-values = sur.eval(space.sample_pool(n, 0).points)
-want = sample_moments(values)[2:]
-print(json.dumps([chunks, sampled[0].tobytes() == values.tobytes(),
-                  [report.skewness.hex(), report.kurtosis.hex()], [w.hex() for w in want]]))
+from segpc import higher_moments
+got = []
+for m, order in ((40, 2), (10, 4)):
+    space = StochasticSpace([Gaussian() if k % 2 == 0 else Uniform() for k in range(m)])
+    basis = ChaosBasis(space, order)
+    coeffs = np.random.default_rng(m).standard_normal(basis.n_terms)
+    report = higher_moments(PceSurrogate(coeffs, basis, FitReport("wlsq", 1, 1, 0.0, 1.0, 1)))
+    got.append([report.skewness.hex(), report.kurtosis.hex()])
+print(json.dumps(got))
 """
 
 
-def test_surrogate_mc_chunks_keep_the_unchunked_bits():
-    # m = 10, p = 4: 1,001 terms, whose square holds 1,047,750 rows, so
-    # higher_moments samples the surrogate, here 12,000 times in chunks.
-    # The matrix-vector product's bits follow the BLAS thread count, which is
-    # read when numpy loads: compare in a one-thread child
-    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
-    child = subprocess.run(
-        [sys.executable, "-c", _PRINT_CHUNKED_MOMENTS],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    chunks, same_values, got, want = json.loads(child.stdout)
-    assert len(chunks) >= 2 and chunks[0] % 16 == 0
-    assert same_values
-    assert got == want
-
-
-def test_surrogate_mc_chunks_hold_the_byte_budget(monkeypatch):
-    sur = _random_surrogate(_mixed_space(10), 4, seed=12)
-    n = 12_000
-    monkeypatch.setattr(postproc, "SURROGATE_MC_SAMPLES", n)
-    pool_bytes = sur.space.sample_pool(n, 0).points.nbytes
-    # one basis matrix over the whole pool would take 96 MB
-    assert n * sur.basis.n_terms * 8 > postproc.SURROGATE_EVAL_BYTES + pool_bytes
-    tracemalloc.start()
-    try:
-        report = higher_moments(sur)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(report.kurtosis)
-    assert peak < postproc.SURROGATE_EVAL_BYTES + pool_bytes
-
-
-def test_surrogate_mc_draws_its_pool_a_chunk_at_a_time(monkeypatch):
-    # 26 chunks of 4 MB: the 200,000 points of 20 coordinates (32 MB) are
-    # never held at once, only the values (1.6 MB) and one chunk
-    sur = _random_surrogate(StochasticSpace([Gaussian(), Uniform()] * 10), 1, seed=3)
-    n = 200_000
-    monkeypatch.setattr(postproc, "SURROGATE_EVAL_BYTES", 4 * 2**20)
-    tracemalloc.start()
-    try:
-        skewness, kurtosis = postproc._sample_moments_surrogate(sur, n, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(skewness) and math.isfinite(kurtosis)
-    assert peak < 8 * n + 2 * postproc.SURROGATE_EVAL_BYTES < n * sur.space.m * 8
+def test_square_moments_do_not_depend_on_blas_threads():
+    # the squares hold 135,751 coefficients at m = 40, p = 2 (a kept plan) and
+    # 43,758 at m = 10, p = 4 (expanded in blocks): one dot product over
+    # either splits between two OpenBLAS threads, 8,192 entries do not
+    with ThreadPoolExecutor(2) as pool:
+        one, two = pool.map(
+            lambda threads: run_blas_child(_PRINT_SQUARE_MOMENTS, threads=threads), (1, 2))
+    assert one == two
 
 
 def test_basis_pickle_round_trip_evaluates_identically():

@@ -1,11 +1,17 @@
 """Shared helpers for the test suite."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+import segpc
 import segpc.design
 from segpc import Model, univariate_table
 from segpc.burgers import _direct_jacobian
@@ -13,6 +19,22 @@ from segpc.quadrature import MERGE_DECIMALS, QuadratureRule, gauss_rule
 
 #: environment variables that set the BLAS thread count, read when numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_blas_child(snippet, *args, threads=1):
+    """The JSON that ``snippet`` prints, run in a child process with ``threads`` BLAS threads.
+
+    Each of ``args`` reaches the child JSON-encoded, as ``sys.argv[1:]``.
+    The BLAS thread count is read when numpy loads, so bits pinned at one
+    count, or compared between counts, need a process of their own.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(segpc.__file__).parents[1]))
+    env.update({name: str(threads) for name in BLAS_THREAD_VARIABLES})
+    child = subprocess.run(
+        [sys.executable, "-c", snippet, *map(json.dumps, args)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(child.stdout)
 
 
 class PolyValuesModel(Model):
