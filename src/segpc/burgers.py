@@ -23,19 +23,27 @@ The nonlinear system is driven below a 1e-10 max-norm residual.  A cold
 solve starts from the inlet profile copied through the domain, takes a few
 Picard (frozen-coefficient) steps and then damped Newton steps, each on a
 fresh sparse LU factorization.  A warm solve starts from a given converged
-state with the sample's inlet written in and takes chord steps
-x <- x - J0^{-1} F(x), where J0 is the Newton Jacobian at that state, factored
-once on first use and cached on it: each step costs one residual and one
-pair of triangular solves.  Warm solves of many samples step together, as a
-stack of states: each chord step makes one triangular solve with a
-right-hand side per sample still stepping and one residual of the whole
-stack, and a sample leaves the stack once it converges.  SuperLU solves each
-right-hand side column as it would solve it alone, and the stacked residual
-adds every row's terms in the same order, so a sample gets the same bits in
-a stack as alone.  A chord step that leaves more than
-:data:`CHORD_CONTRACTION` times the sample's previous residual restarts that
-sample alone from the start state with damped Newton, logged at DEBUG on the
-``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
+state x0 moved along its tangent, x0 + T (b - b0), and takes chord steps
+x <- x - J0^{-1} F(x), where J0 is the Newton Jacobian at x0: b holds the
+sample's u inlet values, b0 the state's, and T = J0^{-1} E the state's
+response to a unit change of each of them (E their columns of the identity).
+J0 is factored once on first use and T solved on that LU, one right-hand side
+per inlet value; both are cached on the state.  This Euler predictor of
+continuation methods leaves a residual quadratic in the inlet change, about
+where the first chord step from the state with the inlet written in would
+lead: at 21 x 21 a sample takes a median of 8 steps where that start took 9,
+each one residual and one pair of triangular solves.
+Warm solves of many samples step together, as a stack of states: each chord
+step makes one triangular solve with a right-hand side per sample still
+stepping and one residual of the whole stack, and a sample leaves the stack
+once it converges.  SuperLU solves each right-hand side column as it would
+solve it alone, the stacked residual adds every row's terms in the same
+order, and the prediction adds each entry's products in inlet order without
+BLAS, so a sample gets the same bits in a stack as alone, at any BLAS thread
+count.  A chord step that leaves more than :data:`CHORD_CONTRACTION` times
+the sample's previous residual restarts that sample alone with damped Newton
+from the start state with the sample's inlet written in, logged at DEBUG on
+the ``segpc.burgers`` logger.  :class:`BurgersModel` warm-starts every sample
 from its own nominal state, so it factors one Jacobian per process.
 
 The model's adjoint systems below are solved the same way: by refinement
@@ -156,13 +164,16 @@ class BurgersState:
     #: LU factorizations this solve made
     factorizations: int = 0
     # LUs of the Newton Jacobian and of the adjoint operator at this state,
-    # built by the first direct or adjoint solve that starts from it
+    # built by the first direct or adjoint solve that starts from it; the
+    # tangent (N - 2, 2N^2) to the u inlet values is solved on the first LU
     _chord_lu: object = field(default=None, init=False, repr=False, compare=False)
+    _tangent: object = field(default=None, init=False, repr=False, compare=False)
     _adjoint_lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # SuperLU objects do not pickle; each process factors its own copy
-        return {**self.__dict__, "_chord_lu": None, "_adjoint_lu": None}
+        # SuperLU objects do not pickle; each process factors its own copy and
+        # solves its own tangent
+        return {**self.__dict__, "_chord_lu": None, "_tangent": None, "_adjoint_lu": None}
 
     @property
     def h(self):
@@ -515,39 +526,48 @@ def _newton(x, res, history, inlet, nu, h, tol, max_iter, picard_steps):
 
 
 def _warm_solves(start, inlet, tol, max_iter, where=nullcontext):
-    """Solve from ``start``'s fields with each row's inlet values (k, 2, N - 2) written in.
+    """Solve from ``start`` for each row's inlet values (k, 2, N - 2).
 
-    The rows take chord steps together (:func:`_refine`) on the LU of the
-    Newton Jacobian at ``start``, factored on first use and kept on it; a row
-    whose steps stall restarts alone with damped Newton, inside the context
-    ``where(row)``.  Returns the solved states (k, 2N^2), each row's max-norm
-    residuals and the LU factorizations made for it (the chord LU's for row 0).
+    Each row starts at ``start`` moved along its tangent, x0 + T (b - b0) as
+    the module describes; the LU of the Newton Jacobian J0 at ``start`` and
+    T = J0^{-1} E are made on first use and kept on ``start``.  The rows take
+    chord steps together (:func:`_refine`) on that LU; a row whose steps stall
+    restarts alone with damped Newton from ``start``'s fields with its inlet
+    written in, inside the context ``where(row)``.  Returns the solved states
+    (k, 2N^2), each row's max-norm residuals (the first at the row's start)
+    and the LU factorizations made for it (the chord LU's for row 0).
     """
     n, nu, h = start.n_grid, 1.0 / start.re, start.h
-    fields = np.empty((len(inlet), 2, n, n))
-    fields[:, 0], fields[:, 1] = start.u, start.v
-    # start.v already holds the v inlet, which every sample shares
-    fields[:, 0, 0, 1:-1] = inlet[:, 0]
-    x = fields.reshape(len(inlet), -1)
+    factorizations = [0] * len(inlet)
+    if start._chord_lu is None:
+        jac = _direct_jacobian(start.u, start.v, nu, h, newton=True)
+        start._chord_lu = _factorize(jac, start.residual_norm, 0)
+        # the inlet u rows of the first field; J0 T = E, one right-hand side each
+        unit = np.zeros((2 * n * n, n - 2))
+        unit[1 : n - 1] = np.eye(n - 2)
+        start._tangent = np.ascontiguousarray(start._chord_lu.solve(unit).T)
+        factorizations[0] = 1
+    delta = inlet[:, 0] - _inlet_data(start.s_full[None], n)[0, 0]
+    # einsum adds each entry's products from zero in inlet order, without
+    # BLAS: a row's bits depend neither on its block nor on the BLAS threads
+    x = np.einsum("kc,cn->kn", delta, start._tangent)
+    x += np.concatenate([start.u.ravel(), start.v.ravel()])
     res = _residual(x, nu, h, inlet)
-    norms = np.abs(res).max(axis=1)
-    solved, history = x, [[norm] for norm in norms.tolist()]
-    factorizations = [0] * len(x)
-    if np.any(norms > tol):
-        if start._chord_lu is None:
-            jac = _direct_jacobian(start.u, start.v, nu, h, newton=True)
-            start._chord_lu = _factorize(jac, float(norms.max()), 0)
-            factorizations[0] = 1
-        solved, history = _refine(
-            start._chord_lu, x, res, lambda moved, rows: _residual(moved, nu, h, inlet[rows]),
-            tol, max_iter, "damped Newton restarts from the start state",
-        )
+    solved, history = _refine(
+        start._chord_lu, x, res, lambda moved, rows: _residual(moved, nu, h, inlet[rows]),
+        tol, max_iter, "damped Newton restarts from the start state",
+    )
     for row, steps in enumerate(history):
         if not steps[-1] <= tol:
-            history[row] = steps[:1]
+            fields = np.stack([start.u, start.v])
+            # start.v already holds the v inlet, which every sample shares
+            fields[0, 0, 1:-1] = inlet[row, 0]
+            x_row = fields.ravel()
+            res_row = _residual(x_row, nu, h, inlet[row])
+            history[row] = [float(np.abs(res_row).max())]
             with where(row):
                 solved[row], made = _newton(
-                    x[row], res[row], history[row], inlet[row], nu, h, tol, max_iter, 0
+                    x_row, res_row, history[row], inlet[row], nu, h, tol, max_iter, 0
                 )
             factorizations[row] += made
     return solved, history, factorizations
@@ -564,13 +584,14 @@ def burgers_solve(
     """Solve the direct problem for the given free inlet coefficients.
 
     ``start`` is an optional :class:`BurgersState` on the same grid and
-    Reynolds number; the iteration then starts from its fields with this
-    inlet profile written in and takes chord steps on the LU of the Newton
-    Jacobian at ``start`` (factored on first use and kept on ``start``).  If
-    a chord step leaves more than :data:`CHORD_CONTRACTION` times the
-    previous residual, or ``max_iter`` chord steps do not reach ``tol``, the
-    solve restarts from ``start`` with damped Newton.  A cold solve (no
-    ``start``) takes three Picard steps before damped Newton.
+    Reynolds number; the iteration then starts from ``start`` moved along
+    its tangent to this inlet profile and takes chord steps on the LU of the
+    Newton Jacobian at ``start`` (the LU and the tangent are made on first use
+    and kept on ``start``).  If a chord step leaves more than
+    :data:`CHORD_CONTRACTION` times the previous residual, or ``max_iter``
+    chord steps do not reach ``tol``, the solve restarts with damped Newton
+    from ``start``'s fields with this inlet profile written in.  A cold solve
+    (no ``start``) takes three Picard steps before damped Newton.
 
     Raises :class:`SolverDivergenceError` if the damped iteration cannot reach
     the residual tolerance.

@@ -11,6 +11,10 @@ seed yields byte-identical output files.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver error.
 
+Each command runs at one thread of numpy's and scipy's bundled OpenBLAS
+(:func:`_one_blas_thread`), so its output bytes do not depend on the BLAS
+thread count the process started with; both counts are restored on exit.
+
 CSV files carry a schema comment line starting with ``#``; all floats are
 written with ``repr`` (shortest round-trip), undefined moments as ``nan``.
 Regression fits read ``DesignPlan.take`` of one ``rank_pool`` plan per order,
@@ -21,11 +25,17 @@ library's ``fit_segpc``.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from .burgers import BurgersModel
 from .design import rank_pool
@@ -463,6 +473,57 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS numpy and scipy bundle.
+
+    {"numpy": calls, "scipy": calls}, each read from ``<package>.libs``, or
+    None where the library or its calls are not found.
+    """
+    calls = {}
+    # numpy's OpenBLAS has the 64-bit-integer interface, named with a suffix
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        name = package.__name__
+        calls[name] = None
+        for path in sorted(Path(package.__file__).parents[1].glob(f"{name}.libs/*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            calls[name] = (get, set_)
+            break
+    return calls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of numpy's and scipy's OpenBLAS, then restore their counts.
+
+    Products and solves large enough for OpenBLAS to split over threads
+    then give the same bits whatever thread count the caller set.  A
+    package whose OpenBLAS thread calls are not found runs unpinned, with a
+    note on stderr.
+    """
+    restore = []
+    for name, calls in _openblas_thread_calls().items():
+        if calls is None:
+            print(f"segpc: note: no thread control found for {name}'s OpenBLAS; it runs "
+                  "unpinned, so output bytes may follow the BLAS thread count", file=sys.stderr)
+            continue
+        get, set_ = calls
+        restore.append((set_, get()))
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, threads in restore:
+            set_(threads)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="segpc",
@@ -476,19 +537,20 @@ def main(argv=None):
             command.add_argument(f"--{flag}", help=FIELDS[flag][3])
     args = parser.parse_args(argv)
     runner, _, needs = COMMANDS[args.command]
-    try:
-        config = RunConfig(load_config(args.config), args)
-        for name in needs:
-            _require(getattr(config, name) is not None,
-                     f"{args.command} needs config field {name!r}"
-                     + (f" or --{name}" if name in FIELDS else ""))
-        return runner(config)
-    except ConfigError as exc:
-        print(f"segpc: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SegpcError as exc:
-        print(f"segpc: solver error: {exc}", file=sys.stderr)
-        return 3
+    with _one_blas_thread():
+        try:
+            config = RunConfig(load_config(args.config), args)
+            for name in needs:
+                _require(getattr(config, name) is not None,
+                         f"{args.command} needs config field {name!r}"
+                         + (f" or --{name}" if name in FIELDS else ""))
+            return runner(config)
+        except ConfigError as exc:
+            print(f"segpc: configuration error: {exc}", file=sys.stderr)
+            return 2
+        except SegpcError as exc:
+            print(f"segpc: solver error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

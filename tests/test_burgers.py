@@ -220,12 +220,55 @@ def test_warm_start_matches_cold():
         assert cold.residual_norm <= 1e-10
         assert warm.residual_norm <= 1e-10
         assert burgers_qoi(warm) == pytest.approx(burgers_qoi(cold), rel=1e-5)
-        # chord steps only, each contracting; the +-4 sigma points take 26 and 31
+        # chord steps only, each contracting, from the tangent's prediction;
+        # the alternating +-4 sigma points take 25 and 30
         history = warm.residual_history
         assert np.all(history[1:] < CHORD_CONTRACTION * history[:-1])
         assert warm.iterations <= 40
         factorizations.append(warm.factorizations)
     assert factorizations == [1] + [0] * (len(factorizations) - 1)
+
+
+def test_tangent_matches_finite_differences_of_warm_solves(nominal_state):
+    # T = J0^{-1} E is the derivative of the state in its u inlet values, so
+    # T times the inlet's derivative in s_i is the state's derivative in s_i
+    s0, m, y = NOMINAL_INLET_COEFFS, NOMINAL_INLET_COEFFS.size, nominal_state.y[1:-1]
+    for i in (0, 4):
+        delta = 1e-4 * abs(s0[i])
+        states = []
+        for sign in (1.0, -1.0):
+            s = s0.copy()
+            s[i] += sign * delta
+            state = burgers_solve(s, 250.0, 21, tol=1e-12, start=nominal_state)
+            states.append(np.concatenate([state.u.ravel(), state.v.ravel()]))
+        fd = (states[0] - states[1]) / (2 * delta)
+        # dB/ds_i of the inlet u values, with the corner closure s_{m+1}
+        tangent = (y ** (i + 1) - y ** (m + 1)) @ nominal_state._tangent
+        assert np.max(np.abs(tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_tangent_prediction_leaves_a_quadratic_residual(nominal_state):
+    # the residual is quadratic in the state and the prediction exact to first
+    # order, so halving the inlet change quarters the predicted state's residual
+    space = burgers_model(n_grid=21).space
+    [s] = space.destandardize(space.sample_pool(20, seed=3).points[:1])
+    x0 = np.concatenate([nominal_state.u.ravel(), nominal_state.v.ravel()])
+    y, first = nominal_state.y[1:-1], []
+    for t in (1.0, 0.5, 0.25):
+        coeffs = NOMINAL_INLET_COEFFS + t * (s - NOMINAL_INLET_COEFFS)
+        warm = burgers_solve(coeffs, 250.0, 21, start=nominal_state)
+        first.append(warm.residual_history[0])
+        # the prediction, its products added from zero in inlet order
+        inlet = np.stack([inlet_u_profile(full_inlet_coeffs(coeffs), y), inlet_v_profile(y)])
+        delta = inlet[0] - inlet_u_profile(nominal_state.s_full, y)
+        step = np.zeros_like(x0)
+        for d, column in zip(delta, nominal_state._tangent):
+            step += d * column
+        predicted = _residual(x0 + step, 1.0 / 250.0, nominal_state.h, inlet)
+        assert np.abs(predicted).max() == first[-1]
+    assert first[0] > 1e-3
+    for big, small in zip(first, first[1:]):
+        assert big / small == pytest.approx(4.0, rel=1e-3)
 
 
 def test_warm_start_falls_back_to_newton_where_chord_stalls(caplog):
@@ -359,14 +402,14 @@ def test_model_value_at_nominal(nominal_state):
 
 
 def test_model_failure_names_point():
-    # at N = 11 the all-+8-sigma inlet stalls the chord steps and then
+    # at N = 11 the all-+6-sigma inlet stalls the chord steps and then
     # exhausts damped Newton; a one-point call is a one-row batch, so it
     # names the point as sample 0
     model = burgers_model(n_grid=11)
-    xi = np.full(10, 8.0)
+    xi = np.full(10, 6.0)
     calls = (model.values, model.values_and_grads, lambda rows: model.value_and_grad(rows[0]))
     for evaluate in calls:
-        with pytest.raises(SolverDivergenceError, match=r"at sample 0, standardized point \[8, 8") as info:
+        with pytest.raises(SolverDivergenceError, match=r"at sample 0, standardized point \[6, 6") as info:
             evaluate(xi[None])
         assert info.value.index == 0
         assert np.array_equal(info.value.point, xi)
@@ -399,12 +442,12 @@ def test_values_do_not_depend_on_block_size(monkeypatch, caplog):
 
 
 def test_values_failure_names_sample(monkeypatch):
-    # at N = 11 the all-+8-sigma inlet stalls the chord steps and then
+    # at N = 11 the all-+6-sigma inlet stalls the chord steps and then
     # exhausts damped Newton; the second block holds it at index 3
     monkeypatch.setattr(segpc.burgers, "VALUES_BLOCK", 2)
     model = burgers_model(n_grid=11)
-    points = np.vstack([model.space.sample_pool(3, seed=1).points, np.full(10, 8.0)])
-    where = r"at sample 3, standardized point \[8, 8"
+    points = np.vstack([model.space.sample_pool(3, seed=1).points, np.full(10, 6.0)])
+    where = r"at sample 3, standardized point \[6, 6"
     for evaluate in (model.values, model.values_and_grads):
         with pytest.raises(SolverDivergenceError, match=where) as info:
             evaluate(points)
@@ -455,15 +498,17 @@ def test_values_and_grads_match_with_adjoint_fallback(monkeypatch, caplog, name,
     assert np.array_equal(grads, [ev.gradient for ev in single])
 
 
-#: sha256 of N = 21 Burgers outputs at one BLAS thread: ``values`` of 24 pool
-#: points and the all-+4-sigma point, which restarts with damped Newton;
-#: ``values_and_grads`` of 11 pool points as columns (value, gradient); the
-#: residual history of one warm solve
+#: sha256 of N = 21 Burgers outputs at any BLAS thread count: ``values`` of
+#: 24 pool points and the all-+4-sigma point, which restarts with damped
+#: Newton; ``values_and_grads`` of 11 pool points as columns (value,
+#: gradient); the residual history of the first pool point's warm solve and
+#: the warm ``iterations`` of all 24
 BURGERS_BITS = {
-    "values": "52228d5b17ff985263245012509991deaeb48bcea8fbaa932e33b2bf61963b1f",
-    "values_and_grads": "3f9f49d4e109deb71c7d49d29ed105d47fc26c9d99923f74ec9836e7c5a0f0f8",
-    "residual_history": "f9c120f6ecb1b93aac78a1b926a7b876064fe652a9d389b0e2f46abda07fd674",
+    "values": "30d1bdb13af0d8eaf826670b334ff67569d9ec2ecd555a57365c6eb8ef23d8f5",
+    "values_and_grads": "ad411e8b98f996b93b49d00bbdf759b8c0e75d512919ec6db58bc40704a8b41b",
+    "residual_history": "354d72017d88e626b66b48ae1e401f5d6cb1a523fc862ae503db585c8d63ce2f",
     "restarts": 1,
+    "iterations": [14, 16, 8, 7, 6, 3, 15, 5, 8, 20, 6, 5, 8, 6, 9, 6, 5, 5, 9, 5, 7, 13, 9, 7],
 }
 
 _PRINT_BURGERS_BITS = """
@@ -481,20 +526,22 @@ pool = model.space.sample_pool(24, seed=3).points
 values = model.values(np.vstack([pool[:12], np.full(10, 4.0), pool[12:]]))
 restarts = len(records)
 grad_values, grads = model.values_and_grads(pool[:11])
-[s0] = model.space.destandardize(pool[:1])
-warm = burgers_solve(s0, re=250.0, n_grid=21, start=model._nominal)
+warm = [burgers_solve(s, re=250.0, n_grid=21, start=model._nominal)
+        for s in model.space.destandardize(pool)]
 print(json.dumps({"values": digest(values),
                   "values_and_grads": digest(np.column_stack([grad_values, grads])),
-                  "residual_history": digest(warm.residual_history),
-                  "restarts": restarts}))
+                  "residual_history": digest(warm[0].residual_history),
+                  "restarts": restarts,
+                  "iterations": [state.iterations for state in warm]}))
 """
 
 
 def test_burgers_keeps_the_stored_bits():
     # the block tests compare samples with each other; these digests pin the
-    # bits themselves.  Solve in a one-thread child, as the BLAS thread count
-    # is read when numpy loads
-    assert run_blas_child(_PRINT_BURGERS_BITS) == BURGERS_BITS
+    # bits themselves, and the same at 1 and 2 BLAS threads.  The thread
+    # count is read when numpy loads, so each count solves in its own child
+    for threads in (1, 2):
+        assert run_blas_child(_PRINT_BURGERS_BITS, threads=threads) == BURGERS_BITS, threads
 
 
 def test_model_validation():

@@ -365,6 +365,52 @@ def test_fit_and_convergence_note_nan_shape_moments(tmp_path, monkeypatch, capsy
     assert exact.splitlines()[1].startswith("# sobol_total=")
 
 
+def _blas_threads(calls):
+    return {name: get() for name, (get, _) in calls.items()}
+
+
+def test_cli_runs_at_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    # numpy's and scipy's bundled OpenBLAS both run the command at one thread
+    # and leave main at the count they came in with
+    calls = segpc.cli._openblas_thread_calls()
+    assert sorted(name for name, found in calls.items() if found) == ["numpy", "scipy"]
+    runner, *rest = segpc.cli.COMMANDS["fit"]
+    inside = []
+
+    def spy(config):
+        inside.append(_blas_threads(calls))
+        return runner(config)
+
+    monkeypatch.setitem(segpc.cli.COMMANDS, "fit", (spy, *rest))
+    cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "ode", "t": 1.0},
+                                               "method": "wlsq", "order": 2, "pool": 200})
+    before = _blas_threads(calls)
+    try:
+        for _, set_threads in calls.values():
+            set_threads(2)
+        entered = _blas_threads(calls)
+        assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 0
+        left = _blas_threads(calls)
+    finally:
+        for name, (_, set_threads) in calls.items():
+            set_threads(before[name])
+    assert inside == [{"numpy": 1, "scipy": 1}]
+    assert left == entered
+
+
+def test_cli_without_blas_thread_calls_runs_unpinned_with_a_note(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(segpc.cli, "_openblas_thread_calls", lambda: {"numpy": None, "scipy": None})
+    cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "ode", "t": 1.0},
+                                               "method": "wlsq", "order": 2, "pool": 200})
+    assert main(["fit", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"segpc: note: no thread control found for {name}'s OpenBLAS; it runs unpinned, "
+        "so output bytes may follow the BLAS thread count\n"
+        for name in ("numpy", "scipy")
+    )
+    assert (tmp_path / "o" / "moments.csv").exists()
+
+
 def test_deterministic_outputs_byte_identical(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

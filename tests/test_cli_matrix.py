@@ -19,7 +19,7 @@ OUTPUTS = {
 }
 
 
-#: sha256 of each of the 54 files, recorded at one BLAS thread.  Aim 2 asks
+#: sha256 of each of the 57 files; the CLI runs at one BLAS thread.  Aim 2 asks
 #: a refactor to keep these bytes; a change that moves them on purpose
 #: re-pins the digests it moves, from ``python tools/cli_matrix.py OUT``
 #: and ``sha256sum`` over ``OUT``, and says why in CHANGES.md
@@ -27,20 +27,23 @@ MATRIX_SHA256 = {
     "convergence-ishigami/config.json": "25c3e2b5e9857ac8e58d3acdc8d53515144cf14b1d7ade57c44c0c8bef32493c",
     "convergence-ishigami/convergence.csv": "c965688a545c0e48ae1bf340e37c9ca64d1ce812fcd40645c97608b271356646",
     "fit-burgers-segpc/config.json": "537686a0d09523ed78b44e58f3f32030d402965010741137477ef28c64f4dcb1",
-    "fit-burgers-segpc/moments.csv": "9201f4fa1f7351027e808e99ff55f07b4355c6868eb52c4338d3eb7d9f46dc9c",
-    "fit-burgers-segpc/surrogate.json": "a01f34d8b9d3657367e19da56438b54bdd3061186c9fe51caeddbac43ce7696a",
+    "fit-burgers-segpc/moments.csv": "d3fda5c975e8f7a96cf06a8084c4e10173e86f8dd5fa9608430f11458d501b35",
+    "fit-burgers-segpc/surrogate.json": "c82a8e8ebd38e5b21ab8327ac7ee75bedc8bcecbdfaff9817d2e941a0682741a",
     "fit-burgers-smolyak/config.json": "9da697b9c42b2159ab9bf9cb6e7187c1e624c8c3851947cde1367be71ccf5518",
-    "fit-burgers-smolyak/moments.csv": "938c5f451bb0319fbe516eaea60905d40ceefc616ff710f47cfd576747a6c9c8",
-    "fit-burgers-smolyak/surrogate.json": "5b2df1c8c5be3072eff611f720e209adc97025e7671d8ff1817f9b0eb6504ed4",
+    "fit-burgers-smolyak/moments.csv": "be31f192d8c3fe1324ce379beccdc45c10f170f7e2254c5df6f440cc2f2cf6d9",
+    "fit-burgers-smolyak/surrogate.json": "559553e0593111dda6b6c93ea93ce5154be45842075f98976970e1376091755c",
     "fit-burgers-wlsq/config.json": "43a07b39f550e645cc054cd63877b06a470b8683399cac5eabf4295fe7b7f6a9",
-    "fit-burgers-wlsq/moments.csv": "0849778fca8e08c379ef402dd409def37547a9517348f001c08be5a6744d2dc2",
-    "fit-burgers-wlsq/surrogate.json": "cff16c352439a342cd8de8cd1bada7f06fe456ef4c5bdb7c642f9b94de9b2d77",
+    "fit-burgers-wlsq/moments.csv": "e81184563fe3ccad999f549f711c20d92124b40582d92c999b5a8f31b3144284",
+    "fit-burgers-wlsq/surrogate.json": "675fa5c97175bda9781952f4f01ca9c63f25d92e47fab5143f656ae4537623de",
     "fit-burgers4-segpc-p4/config.json": "56a45e55c002ba3f6018fc637c39b48f84441b1f30fdec8b9776f41b8c718d83",
-    "fit-burgers4-segpc-p4/moments.csv": "59c312950d5099c232e32c663563abef0fc3b9315d2c1d3c8ce2ddf16093166f",
-    "fit-burgers4-segpc-p4/surrogate.json": "e004b2bdffe693051b3e7a0290a9047ac4884abff9536dbbbcf822aaa985fc07",
+    "fit-burgers4-segpc-p4/moments.csv": "40d82d8539d7c70142a6315cfaa691420375ef1f2fc1f2229ac76548953b947c",
+    "fit-burgers4-segpc-p4/surrogate.json": "3514097226abfb3905a4fb8e7eeb307ee70d4a4cda0710f522c3c5a0bff3032d",
     "fit-burgers4-segpc/config.json": "50facb7d7eac92cc12bdac1b9c38a9571efe05778dedfc3199a5be91b40e7d97",
-    "fit-burgers4-segpc/moments.csv": "f97f0592fe55e179ae6a829826ec5f8db29ea0ffa80f6515a1d3f3587d0c2c01",
-    "fit-burgers4-segpc/surrogate.json": "42100000e0d0019d76ee2b6d30701c311a68b24713df24f9123e03fa2cfb23e0",
+    "fit-burgers4-segpc/moments.csv": "a3146eadc1d4d2a2c70ef9f4137f4fe87f617822fd0adcf16e4b7e6a46af9406",
+    "fit-burgers4-segpc/surrogate.json": "06ff9ff05f65d3d7657ad4291d3ac3ffd08a677330ed820e6238805d60fe644b",
+    "fit-ishigami-segpc-p10-144/config.json": "7947590c1d13b3a6468cf19852ed665d202804c31a2668a34c31103260ff29e3",
+    "fit-ishigami-segpc-p10-144/moments.csv": "b7d53f00dee04aff943264e8f4222742f10ba9c0637a97dea62c03762e9f0031",
+    "fit-ishigami-segpc-p10-144/surrogate.json": "3334d447b7115f02666cdd8fec0ff91b02769800a9916ee78048f1778d5cf2e4",
     "fit-ishigami-segpc-p10/config.json": "c81eeba19c771582118105b4b4112e9c6acc1ce65d5de1b153c0821dddcbb8a0",
     "fit-ishigami-segpc-p10/moments.csv": "cfef6eedb727e7d4f1a3e7e96864d4fe2ffe298e640a6e7f947f0ed312e11766",
     "fit-ishigami-segpc-p10/surrogate.json": "15bd3b204f00cbef7649bd15c979a28de9e1f1ef8de443b207a231ffcfc62495",
@@ -66,11 +69,11 @@ MATRIX_SHA256 = {
     "fit-ode-wlsq/moments.csv": "6e69b643460d3fcc6edfca9df0dcfdf353474daf87960e47f6240e40cf2f6a66",
     "fit-ode-wlsq/surrogate.json": "0ec8c48f342855f860426a95f4f20861e0f011a23daa3529048b2deea625b5fe",
     "mc-burgers/config.json": "55370425a7fb864f1ca6d1e888e55cd675f55373ad14d1f80d98410821a0007f",
-    "mc-burgers/moments.csv": "e36796dbf89c8371fdc958ac97f8f12fee35cc0c0943f6829756ee21a2d32b7f",
-    "mc-burgers/trace.csv": "d8686a82df4aefbad13e04c3c35ea32fc5aa75d57d1cda7ca04d3cc300cdac71",
+    "mc-burgers/moments.csv": "5cdaa1f281c131634095805074e8b931331ce1ba1ed416ecf1e4584122866615",
+    "mc-burgers/trace.csv": "3ccbe8afaee288f476a247e36e0d1eb1730f744e0a0235882613136d66093ccb",
     "mc-burgers21/config.json": "f6adb8ea77830d516578ffe3c94388ccac2262d750800d4ebd3c7a868a343e4d",
-    "mc-burgers21/moments.csv": "08ebf28bb3840dfb9fb688e2bf086bfec179bd007103315723315fd80203e980",
-    "mc-burgers21/trace.csv": "f751112266977c918c51abed438d4f3d162e8a6e9fd8437f19ffd0e6b01c5bb8",
+    "mc-burgers21/moments.csv": "91672339ef11da64684a0656429ff511eb39c92d01abe595e2d7ae47f8f83f61",
+    "mc-burgers21/trace.csv": "e6291a6633535685eeb666af050c49777ace6270fc9b492a8612ffc30e022074",
     "mc-ishigami/config.json": "21a19325322de3c14fc97c71fc16c30e4fea976009a8f6c8523417b67112be2c",
     "mc-ishigami/moments.csv": "7979666d7e96f23e267d4fe90362c224a1ffdd5c6bf46c65fb46fed96285fe36",
     "mc-ishigami/trace.csv": "66217c35549640e231a65a594f7e0e38fecb81a45ea1d5d28a68596e5f0ad834",
@@ -89,14 +92,14 @@ def load_matrix():
 
 
 def expected_files(matrix):
-    """The 54 files of the 19 runs: each run's config plus its command's outputs."""
+    """The 57 files of the 20 runs: each run's config plus its command's outputs."""
     files = sorted(
         f"{name}/{leaf}"
         for name, (command, _, _) in matrix.RUNS.items()
         for leaf in ["config.json", *OUTPUTS[command]]
     )
-    assert len(matrix.RUNS) == 19
-    assert len(files) == 54
+    assert len(matrix.RUNS) == 20
+    assert len(files) == 57
     return files
 
 
@@ -106,8 +109,9 @@ def test_cli_matrix_writes_every_output(tmp_path):
 
 
 def test_cli_matrix_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the same bytes at 1 and 2 threads, and the pinned ones; the thread count
-    # is read when numpy loads, so each count needs its own process
+    # the same bytes at 1 and 2 threads, and the pinned ones: the CLI runs at
+    # one thread whatever count its process starts with.  That count is read
+    # when numpy loads, so each count needs its own process
     children = {}
     for threads in ("1", "2"):
         env = dict(os.environ, **{name: threads for name in BLAS_THREAD_VARIABLES})

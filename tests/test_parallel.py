@@ -62,8 +62,8 @@ def test_failure_index_counts_from_the_whole_call(evaluate):
     # 12 points in 8 chunks: the failing point is row 1 of the chunk from row 4
     model = burgers_model(n_grid=11)
     pts = model.space.sample_pool(12, seed=1).points
-    pts[5] = 8.0
-    where = r"at sample 5, standardized point \[8,"
+    pts[5] = 6.0
+    where = r"at sample 5, standardized point \[6,"
     with pytest.raises(SolverDivergenceError, match=where) as info:
         evaluate(model, pts, workers=2)
     assert info.value.index == 5
